@@ -2,11 +2,28 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 
 #include "util/check.hpp"
 #include "util/logging.hpp"
 
 namespace tcppr::core {
+
+std::vector<std::string> TcpPrConfig::validate() const {
+  std::vector<std::string> errors;
+  const auto add = [&errors](const char* rule, double value) {
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "%s, got %g", rule, value);
+    errors.emplace_back(buf);
+  };
+  // The negated forms also reject NaN.
+  if (!(alpha > 0 && alpha < 1)) add("alpha must be in (0, 1)", alpha);
+  if (!(beta >= 1)) add("beta must be >= 1", beta);
+  if (newton_iterations < 1) {
+    add("newton_iterations must be >= 1", newton_iterations);
+  }
+  return errors;
+}
 
 TcpPrSender::TcpPrSender(net::Network& network, net::NodeId local,
                          net::NodeId remote, FlowId flow,
@@ -64,41 +81,79 @@ tcp::SenderInvariantView TcpPrSender::invariant_view() const {
   v.ssthresh_floor = 1.0;  // §3.1 halving floors at one segment
   v.snd_una = stats_.segments_acked;
   v.snd_nxt = next_new_;
-  // TCP-PR splits its flight across to_be_ack_/to_be_sent_rtx_; the
-  // cumulative window identity does not apply. Structural consistency is
-  // checked here instead: both sets live inside [snd_una, snd_nxt), are
-  // disjoint, and memorize flags a subset of the outstanding packets.
+  // TCP-PR splits its flight into to-be-ack and to-be-sent segments; the
+  // cumulative window identity does not apply. Structural consistency of
+  // the flat window is checked here instead: every slot of
+  // [snd_una, snd_nxt) is exactly one of the two, memorize flags only
+  // to-be-ack slots, the counters match the flags, and no to-be-sent slot
+  // hides below the scan hint.
   v.window_bookkeeping = false;
   v.has_rto = false;  // loss detection is mxrtt-based, no RFC 2988 state
   v.rtx_timer_armed = drop_timer_.armed() || unblock_timer_.armed();
-  v.rtx_timer_needed = !to_be_ack_.empty() || !to_be_sent_rtx_.empty();
+  v.rtx_timer_needed = to_be_ack_count_ > 0 || to_be_sent_count_ > 0;
   v.rtx_timer_strict = false;  // the unblock timer may outlive its backoff
-  v.scoreboard_ok = true;
-  for (const auto& [s, unused] : to_be_ack_) {
-    if (s < stats_.segments_acked || s >= next_new_ ||
-        to_be_sent_rtx_.contains(s)) {
-      v.scoreboard_ok = false;
-    }
+  std::size_t to_be_ack = 0;
+  std::size_t to_be_sent = 0;
+  std::size_t memorized = 0;
+  bool ok = true;
+  for (SeqNo s = stats_.segments_acked; s < next_new_; ++s) {
+    const std::uint8_t f = window_[s].flags;
+    const bool in_flight = (f & kToBeAck) != 0;
+    const bool pending = (f & kToBeSent) != 0;
+    if (in_flight == pending) ok = false;
+    if ((f & kMemorize) != 0 && !in_flight) ok = false;
+    if (pending && s < rtx_hint_) ok = false;
+    to_be_ack += in_flight ? 1 : 0;
+    to_be_sent += pending ? 1 : 0;
+    memorized += (f & kMemorize) != 0 ? 1 : 0;
   }
-  for (const SeqNo s : to_be_sent_rtx_) {
-    if (s < stats_.segments_acked || s >= next_new_) v.scoreboard_ok = false;
-  }
-  for (const SeqNo s : memorize_) {
-    if (!to_be_ack_.contains(s)) v.scoreboard_ok = false;
-  }
+  v.scoreboard_ok = ok && to_be_ack == to_be_ack_count_ &&
+                    to_be_sent == to_be_sent_count_ &&
+                    memorized == memorize_count_;
   return v;
 }
 
 void TcpPrSender::send_one(SeqNo seq) {
-  const bool is_rtx = to_be_sent_rtx_.erase(seq) > 0;
-  OutstandingInfo info;
-  info.sent_at = now();
-  info.transmitted_at = now();
-  info.cwnd_at_send = cwnd_;
-  info.is_retransmission = is_rtx;
-  to_be_ack_[seq] = info;
-  send_order_.emplace(info.sent_at, seq);
+  if (seq == next_new_) {  // first transmission: the window grows by one
+    window_.reserve(stats_.segments_acked, next_new_, seq);
+    window_[seq] = Slot{};
+  }
+  Slot& slot = window_[seq];
+  const bool is_rtx = (slot.flags & kToBeSent) != 0;
+  if (is_rtx) --to_be_sent_count_;
+  slot.stamp = now();
+  slot.transmitted = now();
+  slot.cwnd_at_send = cwnd_;
+  slot.flags = kToBeAck | (is_rtx ? kRetransmission : 0);
+  ++to_be_ack_count_;
+  deadlines_.push_back(Deadline{slot.stamp, seq});
   transmit_segment(seq, is_rtx, next_tx_serial_++);
+}
+
+void TcpPrSender::restamp(SeqNo seq) {
+  window_[seq].stamp = now();
+  deadlines_.push_back(Deadline{now(), seq});
+}
+
+bool TcpPrSender::live_deadline_front() {
+  // Drop stale entries (acked packets, declared drops, superseded stamps).
+  while (!deadlines_.empty()) {
+    const Deadline& d = deadlines_.front();
+    if (d.seq >= stats_.segments_acked && d.seq < next_new_) {
+      const Slot& slot = window_[d.seq];
+      if ((slot.flags & kToBeAck) != 0 && slot.stamp == d.stamp) return true;
+    }
+    deadlines_.drop_front();
+  }
+  return false;
+}
+
+SeqNo TcpPrSender::lowest_to_be_sent() {
+  TCPPR_DCHECK(to_be_sent_count_ > 0);
+  SeqNo s = std::max(rtx_hint_, stats_.segments_acked);
+  while ((window_[s].flags & kToBeSent) == 0) ++s;
+  rtx_hint_ = s;
+  return s;
 }
 
 void TcpPrSender::flush_cwnd() {
@@ -114,26 +169,26 @@ void TcpPrSender::flush_cwnd() {
     SenderBase::BurstScope burst(*this);
     // Head repair runs outside the window check (like fast retransmit): the
     // lowest pending retransmission is the cumulative-ACK blocker, and the
-    // stalled flight behind it must never be able to lock it out.
-    if (!to_be_sent_rtx_.empty()) {
-      const SeqNo head = *to_be_sent_rtx_.begin();
-      if (to_be_ack_.empty() || head < to_be_ack_.begin()->first) {
-        send_one(head);
-      }
+    // stalled flight behind it must never be able to lock it out. Every
+    // slot below the lowest to-be-sent one is in flight, so the head is the
+    // blocker exactly when it sits at snd_una.
+    if (to_be_sent_count_ > 0) {
+      const SeqNo head = lowest_to_be_sent();
+      if (head == stats_.segments_acked) send_one(head);
     }
 
     // Table 1: while cwnd > |to-be-ack|, send the smallest pending seq.
     // Dupack credits subtract segments known to have left the network (see
     // TcpPrConfig::dupack_window_credit).
     for (;;) {
-      std::size_t outstanding = to_be_ack_.size();
+      std::size_t outstanding = to_be_ack_count_;
       if (pr_.dupack_window_credit) {
         outstanding -= std::min<std::size_t>(
             outstanding, static_cast<std::size_t>(dup_credits_));
       }
       if (!(cwnd_ > static_cast<double>(outstanding))) break;
-      if (!to_be_sent_rtx_.empty()) {
-        send_one(*to_be_sent_rtx_.begin());
+      if (to_be_sent_count_ > 0) {
+        send_one(lowest_to_be_sent());
       } else if (source_has(next_new_)) {
         send_one(next_new_);
         ++next_new_;
@@ -146,18 +201,11 @@ void TcpPrSender::flush_cwnd() {
 }
 
 void TcpPrSender::rearm_drop_timer() {
-  // Drop stale send-order entries (acked packets, superseded transmissions).
-  while (!send_order_.empty()) {
-    const auto& [t, seq] = *send_order_.begin();
-    const auto it = to_be_ack_.find(seq);
-    if (it != to_be_ack_.end() && it->second.sent_at == t) break;
-    send_order_.erase(send_order_.begin());
-  }
-  if (send_order_.empty()) {
+  if (!live_deadline_front()) {
     drop_timer_.cancel();
     return;
   }
-  const sim::TimePoint deadline = send_order_.begin()->first + mxrtt();
+  const sim::TimePoint deadline = deadlines_.front().stamp + mxrtt();
   // Re-armed on every ack; the deadline normally only moves later (the
   // head-of-line send time advances), so this is DeadlineTimer's no-cancel
   // fast path. Only an mxrtt decay that outpaces the head's progress — or
@@ -172,46 +220,48 @@ bool TcpPrSender::declaration_deferred(SeqNo seq) const {
   // the halving share the cumulative-ACK stall but carry no information
   // about it; declaring them would masquerade as a fresh congestion event.
   if (pr_.ablate_no_memorize) return false;  // ablation: react per drop
+  const Slot& slot = window_[seq];
   return !in_backoff_ && stats_.segments_acked < recover_point_ &&
-         !memorize_.contains(seq) && !drop_counts_.contains(seq);
+         (slot.flags & kMemorize) == 0 && slot.drops == 0;
 }
 
 void TcpPrSender::on_drop_timer() {
   // Declare drops for every packet whose deadline has passed.
-  for (;;) {
-    while (!send_order_.empty()) {
-      const auto& [t, seq] = *send_order_.begin();
-      const auto it = to_be_ack_.find(seq);
-      if (it != to_be_ack_.end() && it->second.sent_at == t) break;
-      send_order_.erase(send_order_.begin());
-    }
-    if (send_order_.empty()) break;
-    const auto [t, seq] = *send_order_.begin();
-    if (t + mxrtt() > now()) break;
-    if (declaration_deferred(seq)) {
+  while (live_deadline_front()) {
+    const Deadline d = deadlines_.front();
+    if (d.stamp + mxrtt() > now()) break;
+    if (declaration_deferred(d.seq)) {
       // Push the deadline one round out; the episode normally resolves
-      // (and acknowledges this packet) well before it expires again.
-      auto& out = to_be_ack_[seq];
-      out.sent_at = now();
-      send_order_.emplace(out.sent_at, seq);
-      continue;  // the stale front entry is cleaned on the next pass
+      // (and acknowledges this packet) well before it expires again. The
+      // superseded front entry is skipped on the next pass.
+      restamp(d.seq);
+      continue;
     }
-    handle_drop(seq);
+    handle_drop(d.seq);
   }
   flush_cwnd();  // also re-arms the timer
 }
 
 void TcpPrSender::handle_drop(SeqNo seq) {
-  const auto it = to_be_ack_.find(seq);
-  TCPPR_CHECK(it != to_be_ack_.end());
-  const OutstandingInfo info = it->second;
+  Slot& slot = window_[seq];
+  TCPPR_CHECK((slot.flags & kToBeAck) != 0);
+  const Slot info = slot;
   // Deadline oracle: a drop may only be declared once the packet has been
   // outstanding for the full mxrtt envelope (Table 1 drop-detected gate).
-  if (validate_ && now() < info.sent_at + mxrtt()) {
+  if (validate_ && now() < info.stamp + mxrtt()) {
     ++early_drop_declarations_;
   }
-  to_be_ack_.erase(it);
-  to_be_sent_rtx_.insert(seq);
+  // to-be-ack -> to-be-sent, leaving memorize for the cases below.
+  slot.flags = static_cast<std::uint8_t>((slot.flags & kMemorize) | kToBeSent);
+  --to_be_ack_count_;
+  if (to_be_sent_count_ == 0 || seq < rtx_hint_) rtx_hint_ = seq;
+  ++to_be_sent_count_;
+  const auto unmemorize = [&] {
+    if ((slot.flags & kMemorize) == 0) return false;
+    slot.flags &= static_cast<std::uint8_t>(~kMemorize);
+    --memorize_count_;
+    return true;
+  };
   TCPPR_LOG_DEBUG("tcp-pr", "flow %d drop detected seq %lld", flow(),
                   static_cast<long long>(seq));
   if (probe_) probe_.drop_declared(now());
@@ -219,43 +269,42 @@ void TcpPrSender::handle_drop(SeqNo seq) {
   if (in_backoff_) {
     // §3.2: while cwnd == 1 after an extreme-loss reset, further drops
     // double mxrtt instead of halving — the usual exponential backoff.
-    memorize_.erase(seq);
+    unmemorize();
     backoff_mxrtt_s_ =
         std::min(2.0 * backoff_mxrtt_s_, pr_.max_backoff.as_seconds());
     send_blocked_until_ = now() + mxrtt();
-    if (memorize_.empty()) cburst_ = 0;
+    if (memorize_count_ == 0) cburst_ = 0;
     return;
   }
 
-  auto& drop_record = drop_counts_[seq];
-  const int drops_of_seq = ++drop_record.drops;
-  drop_record.last_transmit = info.transmitted_at;
+  const int drops_of_seq = ++slot.drops;
   if (pr_.enable_extreme_loss_handling &&
       pr_.extreme_loss_on_lost_retransmission &&
       drops_of_seq >= pr_.extreme_loss_rtx_drops) {
     // Repeated repairs of the same segment were lost — the situation in
     // which NewReno/SACK fast recovery stalls into a coarse timeout (see
     // TcpPrConfig).
-    memorize_.erase(seq);
+    unmemorize();
     enter_extreme_loss(seq);
     return;
   }
 
-  const bool was_memorized = memorize_.erase(seq) > 0;
+  const bool was_memorized = unmemorize();
   if (!was_memorized || pr_.ablate_no_memorize) {
     // First drop of a new congestion event: snapshot the outstanding
     // packets and halve from the cwnd in force when `seq` was sent.
     if (!pr_.ablate_no_memorize) {
-      memorize_.clear();
-      for (auto& [s, out] : to_be_ack_) {
-        memorize_.insert(s);
-        if (pr_.restamp_on_congestion_event) {
-          // See TcpPrConfig::restamp_on_congestion_event.
-          out.sent_at = now();
-          send_order_.emplace(out.sent_at, s);
-        }
+      memorize_count_ = 0;
+      for (SeqNo s = stats_.segments_acked; s < next_new_; ++s) {
+        Slot& out = window_[s];
+        out.flags &= static_cast<std::uint8_t>(~kMemorize);
+        if ((out.flags & kToBeAck) == 0) continue;
+        out.flags |= kMemorize;
+        ++memorize_count_;
+        // See TcpPrConfig::restamp_on_congestion_event.
+        if (pr_.restamp_on_congestion_event) restamp(s);
       }
-      burst_snapshot_size_ = memorize_.size();
+      burst_snapshot_size_ = memorize_count_;
     }
     recover_point_ = next_new_;
     episode_started_ = now();
@@ -264,7 +313,7 @@ void TcpPrSender::handle_drop(SeqNo seq) {
     TCPPR_LOG_DEBUG("tcp-pr",
                     "flow %d halving on seq %lld (rtx=%d basis=%.1f)", flow(),
                     static_cast<long long>(seq),
-                    info.is_retransmission ? 1 : 0, basis);
+                    (info.flags & kRetransmission) != 0 ? 1 : 0, basis);
     // The snapshot rule reduces to cwnd(n)/2 — but a window that grew past
     // the snapshot during the detection delay must never be *raised* by a
     // "halving".
@@ -293,7 +342,7 @@ void TcpPrSender::handle_drop(SeqNo seq) {
       return;
     }
   }
-  if (memorize_.empty()) cburst_ = 0;
+  if (memorize_count_ == 0) cburst_ = 0;
 }
 
 void TcpPrSender::enter_extreme_loss(SeqNo seq) {
@@ -311,10 +360,7 @@ void TcpPrSender::enter_extreme_loss(SeqNo seq) {
   // window (go-back-N): everything outstanding returns to the to-be-sent
   // side; whatever the receiver already has is cleaned out by the
   // cumulative ACKs that follow the first repair.
-  for (const auto& [s, unused] : to_be_ack_) to_be_sent_rtx_.insert(s);
-  to_be_ack_.clear();
-  send_order_.clear();
-  memorize_.clear();
+  //
   // The reset forgets the loss episode wholesale, and the per-segment drop
   // counts with it: every outstanding segment goes back to the to-be-sent
   // side, so a drop of its *next* transmission is a fresh event, not
@@ -324,7 +370,16 @@ void TcpPrSender::enter_extreme_loss(SeqNo seq) {
   // window (recover_point_) matches: NewReno leaves fast recovery on a
   // coarse timeout, and a stale open episode would otherwise defer drop
   // declarations for segments whose counts were just erased.
-  drop_counts_.clear();
+  for (SeqNo s = stats_.segments_acked; s < next_new_; ++s) {
+    Slot& out = window_[s];
+    out.flags = kToBeSent;
+    out.drops = 0;
+  }
+  to_be_sent_count_ += to_be_ack_count_;
+  to_be_ack_count_ = 0;
+  memorize_count_ = 0;
+  rtx_hint_ = stats_.segments_acked;
+  deadlines_.clear();
   recover_point_ = stats_.segments_acked;
   cburst_ = 0;
   dup_credits_ = 0;
@@ -342,52 +397,51 @@ void TcpPrSender::enter_extreme_loss(SeqNo seq) {
 
 void TcpPrSender::on_ack_packet(const net::Packet& ack) {
   const SeqNo a = ack.tcp.ack;
+  const SeqNo una = stats_.segments_acked;
 
-  // Remove every newly acknowledged packet (cumulative ACK semantics).
-  bool any = false;
-  sim::TimePoint newest_send;
-  auto it = to_be_ack_.begin();
-  while (it != to_be_ack_.end() && it->first < a) {
-    if (!any || it->second.transmitted_at > newest_send) {
-      newest_send = it->second.transmitted_at;
-    }
-    any = true;
-    memorize_.erase(it->first);
-    it = to_be_ack_.erase(it);
-  }
-  // Queued retransmissions below the ACK point are no longer needed.
-  to_be_sent_rtx_.erase(to_be_sent_rtx_.begin(),
-                        to_be_sent_rtx_.lower_bound(a));
-
-  // The ACK can advance the window even when every covered segment was
-  // already declared dropped (their to-be-ack entries are gone) — e.g.
-  // originals arriving after a spurious declaration. That progress still
-  // counts, and its RTT sample is the only way the estimator can learn an
-  // RTT above the current mxrtt.
-  const bool progress = a > stats_.segments_acked;
-  if (!any && !progress) {
+  if (a <= una) {
     // Duplicate ACK: never a loss signal, but proof that one segment
     // reached the receiver — worth one window credit.
-    if (pr_.dupack_window_credit && !to_be_ack_.empty()) {
+    if (pr_.dupack_window_credit && to_be_ack_count_ > 0) {
       ++dup_credits_;
       if (probe_) probe_.dup_credits(now(), dup_credits_);
       flush_cwnd();
     }
     return;
   }
+  TCPPR_CHECK(a <= next_new_);  // a receiver cannot ack unsent data
+
+  // Every newly acknowledged segment leaves the window (cumulative ACK
+  // semantics), and with it its to-be-ack or to-be-sent and memorize
+  // flags and its drop record.
+  bool any = false;
+  sim::TimePoint newest_send;
+  for (SeqNo s = una; s < a; ++s) {
+    const Slot& out = window_[s];
+    if ((out.flags & kToBeAck) != 0) {
+      if (!any || out.transmitted > newest_send) newest_send = out.transmitted;
+      any = true;
+      --to_be_ack_count_;
+    } else {
+      --to_be_sent_count_;
+    }
+    if ((out.flags & kMemorize) != 0) --memorize_count_;
+  }
   dup_credits_ = 0;
-  if (memorize_.empty()) cburst_ = 0;
+  if (memorize_count_ == 0) cburst_ = 0;
 
   // Table 1 lines 13-14: sample from the packet whose ACK just arrived.
+  // An ACK that covers only declared segments samples from the drop
+  // record (the lost copy's transmit time, still in the slot until the
+  // retransmission goes out). Under the current flush policy that branch
+  // is never taken: outside backoff head repair resends the lowest
+  // declared segment at once, so an advancing ACK always covers an
+  // in-flight copy, and entering backoff clears every drop record.
   if (any) {
     update_ewrtt(now() - newest_send);
-  } else {
-    const auto dropped = drop_counts_.find(a - 1);
-    if (dropped != drop_counts_.end()) {
-      update_ewrtt(now() - dropped->second.last_transmit);
-    }
+  } else if (window_[a - 1].drops > 0) {
+    update_ewrtt(now() - window_[a - 1].transmitted);
   }
-  drop_counts_.erase(drop_counts_.begin(), drop_counts_.lower_bound(a));
 
   if (in_backoff_) {
     in_backoff_ = false;
@@ -397,6 +451,7 @@ void TcpPrSender::on_ack_packet(const net::Packet& ack) {
   }
 
   note_progress(a);
+  window_.shrink_to_fit(stats_.segments_acked, next_new_);
 
   // Table 1 lines 17-20: window growth.
   if (mode_ == Mode::kSlowStart) {
@@ -417,7 +472,7 @@ void TcpPrSender::on_ack_packet(const net::Packet& ack) {
     // paper's figures are drawn from.
     probe_.ewrtt(now(), ewrtt_s_);
     probe_.mxrtt(now(), mxrtt().as_seconds());
-    probe_.outstanding(now(), to_be_ack_.size());
+    probe_.outstanding(now(), to_be_ack_count_);
     probe_.dup_credits(now(), dup_credits_);
   }
 

@@ -22,10 +22,12 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
+#include <string>
+#include <vector>
 
 #include "tcp/sender_base.hpp"
+#include "util/ring_deque.hpp"
+#include "util/seq_ring.hpp"
 
 namespace tcppr::core {
 
@@ -91,6 +93,11 @@ struct TcpPrConfig {
   bool ablate_halve_current_cwnd = false;  // halve cwnd, not cwnd(n)
   bool ablate_no_memorize = false;         // halve on every drop
   bool ablate_mean_ewrtt = false;          // EWMA mean instead of decaying max
+
+  // One message per violated rule of the sender's constructor (which
+  // aborts on them); empty when the configuration is usable. Front ends
+  // call this to turn a bad parameter into a usage error.
+  std::vector<std::string> validate() const;
 };
 
 class TcpPrSender final : public tcp::SenderBase {
@@ -140,9 +147,9 @@ class TcpPrSender final : public tcp::SenderBase {
   // Current maximum-RTT estimate driving drop detection.
   sim::Duration mxrtt() const;
   double ewrtt_seconds() const { return ewrtt_s_; }
-  std::size_t outstanding() const { return to_be_ack_.size(); }
-  std::size_t memorize_size() const { return memorize_.size(); }
-  std::size_t pending_retransmits() const { return to_be_sent_rtx_.size(); }
+  std::size_t outstanding() const { return to_be_ack_count_; }
+  std::size_t memorize_size() const { return memorize_count_; }
+  std::size_t pending_retransmits() const { return to_be_sent_count_; }
   bool in_backoff() const { return in_backoff_; }
   int burst_drop_count() const { return cburst_; }
 
@@ -164,11 +171,12 @@ class TcpPrSender final : public tcp::SenderBase {
     io.pod(send_blocked_until_);
     io.pod(next_new_);
     io.pod(dup_credits_);
-    io.pod_sequence(to_be_sent_rtx_);
-    io.pod_map(drop_counts_);
-    io.pod_map(to_be_ack_);
-    io.pod_map(send_order_);
-    io.pod_sequence(memorize_);
+    io.pod(to_be_ack_count_);
+    io.pod(to_be_sent_count_);
+    io.pod(memorize_count_);
+    io.pod(rtx_hint_);
+    window_.state(io, stats_.segments_acked, next_new_);
+    io.obj_ring(deadlines_);
     io.pod(next_tx_serial_);
     io.pod(early_drop_declarations_);
     io.obj(drop_timer_);
@@ -180,15 +188,40 @@ class TcpPrSender final : public tcp::SenderBase {
   void on_ack_packet(const net::Packet& ack) override;
 
  private:
-  struct OutstandingInfo {
+  // One window slot per segment in [snd_una, snd_nxt). Table 1's three
+  // lists are flags on it: every slot is either to-be-ack (in flight) or
+  // to-be-sent (declared dropped, awaiting retransmission), and memorize
+  // marks a subset of the to-be-ack slots.
+  enum : std::uint8_t {
+    kToBeAck = 1,
+    kToBeSent = 2,
+    kMemorize = 4,
+    kRetransmission = 8,  // the in-flight copy is a retransmission
+  };
+  struct Slot {
     // Deadline timestamp: refreshed by re-stamping/deferral (see DESIGN.md
-    // §6.1); drop detection compares against sent_at + mxrtt.
-    sim::TimePoint sent_at;
+    // §6.1); drop detection compares against stamp + mxrtt.
+    sim::TimePoint stamp;
     // True transmission time, never refreshed: the basis of eq. (1)'s
     // sample-rtt, so the estimator can learn RTTs above the current mxrtt.
-    sim::TimePoint transmitted_at;
-    double cwnd_at_send = 0;      // cwnd snapshot (halving basis, §3.1)
-    bool is_retransmission = false;
+    // After a drop declaration it keeps the lost copy's time until the
+    // retransmission goes out (the drop-record RTT sample reads it then).
+    sim::TimePoint transmitted;
+    double cwnd_at_send = 0;  // cwnd snapshot (halving basis, §3.1)
+    // Timer-declared drops of this segment in the current loss episode;
+    // nonzero is the drop record that exempts it from episode deferral.
+    std::int32_t drops = 0;
+    std::uint8_t flags = 0;
+  };
+  static_assert(sizeof(Slot) <= 32);
+  // Drop-timer index: (stamp, seq) in stamp order. Every stamp is now()
+  // when pushed, so appending keeps the order; an entry is stale once its
+  // segment is acked, declared dropped or re-stamped, and stale entries
+  // are skipped when they reach the front.
+  struct Deadline {
+    sim::TimePoint stamp;
+    SeqNo seq = 0;
+    void state(util::StateIO& io) { io.pod(*this); }
   };
 
   void flush_cwnd();                // Table 1: flush-cwnd()
@@ -199,6 +232,12 @@ class TcpPrSender final : public tcp::SenderBase {
   void on_drop_timer();
   void enter_extreme_loss(SeqNo seq);
   void send_one(SeqNo seq);
+  // Re-stamps a to-be-ack slot with now() and indexes the new deadline.
+  void restamp(SeqNo seq);
+  // Drops stale entries off the front of deadlines_; false when empty.
+  bool live_deadline_front();
+  // The smallest to-be-sent seq; requires to_be_sent_count_ > 0.
+  SeqNo lowest_to_be_sent();
 
   TcpPrConfig pr_;
   Mode mode_ = Mode::kSlowStart;
@@ -215,22 +254,21 @@ class TcpPrSender final : public tcp::SenderBase {
 
   SeqNo next_new_ = 0;
   int dup_credits_ = 0;  // dupacks since the last cumulative-ACK advance
-  std::set<SeqNo> to_be_sent_rtx_;  // pending retransmissions (smallest first)
-  struct DropRecord {
-    int drops = 0;                    // timer-declared drops of this segment
-    sim::TimePoint last_transmit;     // for RTT samples of late ACKs
-  };
-  std::map<SeqNo, DropRecord> drop_counts_;
-  std::map<SeqNo, OutstandingInfo> to_be_ack_;
-  std::multimap<sim::TimePoint, SeqNo> send_order_;  // lazy index by send time
-  std::set<SeqNo> memorize_;  // flagged subset of to_be_ack_ (see Remark 1)
+  // The window [stats_.segments_acked, next_new_), allocated on first send.
+  util::SeqRing<Slot, 8> window_;
+  std::size_t to_be_ack_count_ = 0;
+  std::size_t to_be_sent_count_ = 0;
+  std::size_t memorize_count_ = 0;
+  // No to-be-sent slot lies below this (the lowest_to_be_sent scan start).
+  SeqNo rtx_hint_ = 0;
+  util::RingDeque<Deadline> deadlines_;
 
   std::uint32_t next_tx_serial_ = 1;
   bool validate_ = false;
   std::uint64_t early_drop_declarations_ = 0;
   // Coalesced timers (one armed event per flow, not per packet): the drop
   // timer tracks the earliest outstanding deadline — which normally only
-  // moves later as the head of send_order_ is acked — and the unblock
+  // moves later as the head of deadlines_ is acked — and the unblock
   // timer tracks send_blocked_until_, which backoff doubling only pushes
   // out. Both are exactly DeadlineTimer's lazy re-arm pattern, keeping the
   // pending-event population O(flows) instead of O(acks).

@@ -6,7 +6,10 @@
 // hold Packet itself (InlineVec is restricted to trivially copyable
 // element types): the first kInline entries live inline in the batch —
 // enough for a typical delivery run or ACK train without touching the
-// allocator — and larger bursts spill to one heap buffer. Each entry
+// allocator — and larger bursts spill to one heap buffer. A released heap
+// buffer is kept as the thread's spare (the largest one seen) for the next
+// batch that spills, so a sender whose bursts regularly outgrow the inline
+// slots stops allocating once warm. Each entry
 // optionally carries the scheduler tie-break sequence of the event the
 // packet's individual delivery would have been (0 when the batch was built
 // outside the pump, e.g. a send-burst), so downstream layers can advance
@@ -82,21 +85,64 @@ class PacketBatch {
   }
 
   void grow() {
-    const std::size_t new_cap = cap_ * 2;
-    Entry* fresh = static_cast<Entry*>(
-        ::operator new(sizeof(Entry) * new_cap, std::align_val_t{alignof(Entry)}));
+    std::size_t new_cap = cap_ * 2;
+    Entry* fresh;
+    Spare& spare = thread_spare();
+    if (spare.cap >= new_cap) {
+      fresh = spare.data;
+      new_cap = spare.cap;
+      spare.data = nullptr;
+      spare.cap = 0;
+    } else {
+      fresh = allocate(new_cap);
+    }
     for (std::size_t i = 0; i < size_; ++i) {
       ::new (static_cast<void*>(fresh + i)) Entry{std::move(data_[i])};
       data_[i].~Entry();
     }
-    if (on_heap()) ::operator delete(data_, std::align_val_t{alignof(Entry)});
+    if (on_heap()) release(data_, cap_);
     data_ = fresh;
     cap_ = new_cap;
   }
 
   void destroy() {
     for (std::size_t i = 0; i < size_; ++i) data_[i].~Entry();
-    if (on_heap()) ::operator delete(data_, std::align_val_t{alignof(Entry)});
+    if (on_heap()) release(data_, cap_);
+  }
+
+  static Entry* allocate(std::size_t cap) {
+    return static_cast<Entry*>(::operator new(
+        sizeof(Entry) * cap, std::align_val_t{alignof(Entry)}));
+  }
+  static void deallocate(Entry* data) {
+    ::operator delete(data, std::align_val_t{alignof(Entry)});
+  }
+
+  // The thread's heap buffer that no batch is using; freed at thread exit.
+  struct Spare {
+    Entry* data = nullptr;
+    std::size_t cap = 0;
+    Spare() = default;
+    Spare(const Spare&) = delete;
+    Spare& operator=(const Spare&) = delete;
+    ~Spare() {
+      if (data != nullptr) deallocate(data);
+    }
+  };
+  static Spare& thread_spare() {
+    thread_local Spare spare;
+    return spare;
+  }
+  // Keeps the larger of the released buffer and the current spare.
+  static void release(Entry* data, std::size_t cap) {
+    Spare& spare = thread_spare();
+    if (cap <= spare.cap) {
+      deallocate(data);
+      return;
+    }
+    if (spare.data != nullptr) deallocate(spare.data);
+    spare.data = data;
+    spare.cap = cap;
   }
 
   void steal(PacketBatch&& other) {

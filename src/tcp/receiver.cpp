@@ -26,7 +26,7 @@ void Receiver::set_metric_registry(obs::MetricRegistry& registry) {
   if (probe_) {
     const sim::TimePoint t = sched().now();
     probe_.rcv_next(t, static_cast<double>(rcv_next_));
-    probe_.ooo_buffered(t, static_cast<double>(above_.size()));
+    probe_.ooo_buffered(t, static_cast<double>(buffered_));
   }
 }
 
@@ -62,19 +62,105 @@ void Receiver::deliver_batch(net::PacketBatch& batch, std::size_t begin,
   network_.node(local_).originate_burst(std::move(train));
 }
 
-void Receiver::record_sack_block(SeqNo begin, SeqNo end) {
-  // Extend/merge with existing blocks, then move to the front (RFC 2018
-  // wants the block containing the most recently received segment first).
-  for (auto it = sack_blocks_.begin(); it != sack_blocks_.end();) {
-    if (begin <= it->end && it->begin <= end) {  // overlap/adjacent
-      begin = std::min(begin, it->begin);
-      end = std::max(end, it->end);
-      it = sack_blocks_.erase(it);
-    } else {
-      ++it;
-    }
+std::uint32_t Receiver::new_run(SeqNo begin, SeqNo end) {
+  std::uint32_t r = run_free_;
+  if (r == kNoRun) {
+    r = static_cast<std::uint32_t>(runs_.size());
+    runs_.emplace_back();
+  } else {
+    run_free_ = runs_[r].next;
   }
-  sack_blocks_.push_front(net::SackBlock{begin, end});
+  runs_[r] = Run{begin, end, kNoRun, kNoRun};
+  return r;
+}
+
+void Receiver::unlink_run(std::uint32_t r) {
+  Run& run = runs_[r];
+  if (run.prev != kNoRun) {
+    runs_[run.prev].next = run.next;
+  } else {
+    run_head_ = run.next;
+  }
+  if (run.next != kNoRun) runs_[run.next].prev = run.prev;
+}
+
+void Receiver::free_run(std::uint32_t r) {
+  unlink_run(r);
+  runs_[r].next = run_free_;
+  run_free_ = r;
+}
+
+void Receiver::push_front_run(std::uint32_t r) {
+  runs_[r].prev = kNoRun;
+  runs_[r].next = run_head_;
+  if (run_head_ != kNoRun) runs_[run_head_].prev = r;
+  run_head_ = r;
+}
+
+void Receiver::buffer_segment(SeqNo seq) {
+  // Join the runs ending at seq - 1 and starting at seq + 1, if any, then
+  // move the result to the front (RFC 2018 wants the block containing the
+  // most recently received segment first).
+  present_.reserve(rcv_next_, buffered_end_, seq);
+  const std::uint32_t left =
+      is_buffered(seq - 1) ? present_[seq - 1] - 1 : kNoRun;
+  const std::uint32_t right =
+      is_buffered(seq + 1) ? present_[seq + 1] - 1 : kNoRun;
+  buffered_end_ = std::max(buffered_end_, seq + 1);
+  ++buffered_;
+  std::uint32_t r;
+  if (left != kNoRun) {
+    r = left;
+    unlink_run(r);
+    if (right != kNoRun) {
+      runs_[r].end = runs_[right].end;
+      free_run(right);
+    } else {
+      runs_[r].end = seq + 1;
+    }
+  } else if (right != kNoRun) {
+    r = right;
+    unlink_run(r);
+    runs_[r].begin = seq;
+  } else {
+    r = new_run(seq, seq + 1);
+  }
+  present_[seq] = r + 1;
+  present_[runs_[r].begin] = r + 1;
+  present_[runs_[r].end - 1] = r + 1;
+  push_front_run(r);
+}
+
+std::vector<net::SackBlock> Receiver::sack_blocks() const {
+  std::vector<net::SackBlock> blocks;
+  for (std::uint32_t r = run_head_; r != kNoRun; r = runs_[r].next) {
+    blocks.push_back(net::SackBlock{runs_[r].begin, runs_[r].end});
+  }
+  return blocks;
+}
+
+void Receiver::restore_runs(const std::vector<net::SackBlock>& runs) {
+  present_.clear();
+  runs_.clear();
+  run_head_ = kNoRun;
+  run_free_ = kNoRun;
+  buffered_end_ = rcv_next_;
+  buffered_ = 0;
+  std::uint32_t tail = kNoRun;
+  for (const net::SackBlock& b : runs) {
+    present_.reserve(rcv_next_, buffered_end_, b.end - 1);
+    const std::uint32_t r = new_run(b.begin, b.end);
+    for (SeqNo s = b.begin; s < b.end; ++s) present_[s] = r + 1;
+    buffered_end_ = std::max(buffered_end_, b.end);
+    buffered_ += static_cast<std::size_t>(b.end - b.begin);
+    runs_[r].prev = tail;
+    if (tail != kNoRun) {
+      runs_[tail].next = r;
+    } else {
+      run_head_ = r;
+    }
+    tail = r;
+  }
 }
 
 void Receiver::on_data(const net::Packet& pkt) {
@@ -83,7 +169,7 @@ void Receiver::on_data(const net::Packet& pkt) {
   const SeqNo seq = pkt.tcp.seq;
 
   bool duplicate = false;
-  if (seq < rcv_next_ || above_.contains(seq)) {
+  if (seq < rcv_next_ || is_buffered(seq)) {
     duplicate = true;
     ++stats_.duplicates;
   } else if (seq == rcv_next_) {
@@ -92,36 +178,33 @@ void Receiver::on_data(const net::Packet& pkt) {
           util::fnv1a_u64(delivered_hash_, util::payload_word(flow_, seq));
     }
     ++rcv_next_;
-    // Pull buffered segments into the in-order stream.
-    while (!above_.empty() && *above_.begin() == rcv_next_) {
-      above_.erase(above_.begin());
-      if (delivery_hash_enabled_) {
-        delivered_hash_ = util::fnv1a_u64(delivered_hash_,
-                                          util::payload_word(flow_, rcv_next_));
+    // The run starting right above seq, if any, joins the in-order stream
+    // and stops being a SACK block.
+    if (is_buffered(rcv_next_)) {
+      const std::uint32_t r = present_[rcv_next_] - 1;
+      for (const SeqNo end = runs_[r].end; rcv_next_ < end; ++rcv_next_) {
+        present_[rcv_next_] = 0;
+        if (delivery_hash_enabled_) {
+          delivered_hash_ = util::fnv1a_u64(
+              delivered_hash_, util::payload_word(flow_, rcv_next_));
+        }
+        --buffered_;
       }
-      ++rcv_next_;
+      free_run(r);
+      present_.shrink_to_fit(rcv_next_, buffered_end_);
     }
-    // Retire SACK blocks now covered by the cumulative ACK.
-    for (auto it = sack_blocks_.begin(); it != sack_blocks_.end();) {
-      if (it->end <= rcv_next_) {
-        it = sack_blocks_.erase(it);
-      } else {
-        it->begin = std::max(it->begin, rcv_next_);
-        ++it;
-      }
-    }
+    buffered_end_ = std::max(buffered_end_, rcv_next_);
   } else {  // above rcv_next_: out of order
     ++stats_.out_of_order;
     stats_.max_reorder_extent =
         std::max(stats_.max_reorder_extent, seq - rcv_next_);
-    above_.insert(seq);
-    record_sack_block(seq, seq + 1);
+    buffer_segment(seq);
     if (probe_) probe_.out_of_order(sched().now());
   }
   if (probe_) {
     const sim::TimePoint t = sched().now();
     probe_.rcv_next(t, static_cast<double>(rcv_next_));
-    probe_.ooo_buffered(t, static_cast<double>(above_.size()));
+    probe_.ooo_buffered(t, static_cast<double>(buffered_));
   }
   stats_.in_order_point = rcv_next_;
   stats_.goodput_bytes =
@@ -129,7 +212,7 @@ void Receiver::on_data(const net::Packet& pkt) {
 
   // Duplicate or out-of-order arrivals must be acknowledged immediately
   // (RFC 5681); delayed ACKs only apply to in-order arrivals.
-  const bool immediate = duplicate || !above_.empty() || !config_.delayed_ack;
+  const bool immediate = duplicate || buffered_ > 0 || !config_.delayed_ack;
   if (immediate) {
     if (has_pending_cause_) {  // flush any pending delayed ACK state
       has_pending_cause_ = false;
@@ -177,10 +260,9 @@ void Receiver::send_ack(const net::Packet& cause, bool is_duplicate_arrival) {
   }
   if (config_.generate_sack) {
     int n = 0;
-    for (const auto& block : sack_blocks_) {
-      if (n >= config_.max_sack_blocks) break;
-      ack.tcp.sack.push_back(block);
-      ++n;
+    for (std::uint32_t r = run_head_;
+         r != kNoRun && n < config_.max_sack_blocks; r = runs_[r].next, ++n) {
+      ack.tcp.sack.push_back(net::SackBlock{runs_[r].begin, runs_[r].end});
     }
   }
   emit_ack(std::move(ack));

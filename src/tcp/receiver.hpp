@@ -6,9 +6,9 @@
 // SACK/DSACK options, so one receiver serves every variant.
 #pragma once
 
+#include <cstdint>
 #include <functional>
-#include <list>
-#include <set>
+#include <vector>
 
 #include "net/network.hpp"
 #include "net/node.hpp"
@@ -17,6 +17,7 @@
 #include "tcp/types.hpp"
 #include "util/check.hpp"
 #include "util/hash.hpp"
+#include "util/seq_ring.hpp"
 
 namespace tcppr::tcp {
 
@@ -60,8 +61,9 @@ class Receiver final : public net::Agent {
   // forward instead of stale-ACKed at zero forever. Only valid on a fresh
   // receiver, before any segment has been delivered.
   void resume_at(SeqNo next) {
-    TCPPR_DCHECK(rcv_next_ == 0 && above_.empty());
+    TCPPR_DCHECK(rcv_next_ == 0 && buffered_ == 0);
     rcv_next_ = next;
+    buffered_end_ = next;
   }
 
   // Re-points the receiver (and its delayed-ACK timer) at the scheduler
@@ -79,7 +81,7 @@ class Receiver final : public net::Agent {
     delack_timer_.rebind_for_migration(shard);
   }
   // Count of segments buffered above the in-order point.
-  std::size_t ooo_buffered() const { return above_.size(); }
+  std::size_t ooo_buffered() const { return buffered_; }
 
   // Checkpoint/rollback visitor: the receiver's trajectory state,
   // including the delayed-ACK machinery (its pending cause is a full
@@ -88,8 +90,11 @@ class Receiver final : public net::Agent {
   void state(util::StateIO& io) {
     io.pod(rcv_next_);
     io.pod(delivered_hash_);
-    io.pod_sequence(above_);
-    io.pod_sequence(sack_blocks_);
+    // The buffer is exactly the union of the SACK runs.
+    std::vector<net::SackBlock> runs;
+    if (io.saving()) runs = sack_blocks();
+    io.pod_vector(runs);
+    if (!io.saving()) restore_runs(runs);
     io.obj(delack_timer_);
     io.pod(unacked_segments_);
     io.obj(pending_cause_);
@@ -98,7 +103,7 @@ class Receiver final : public net::Agent {
   }
   // Current SACK blocks, recency-ordered (validation layer inspects their
   // structure: disjoint, above the cumulative ACK point).
-  const std::list<net::SackBlock>& sack_blocks() const { return sack_blocks_; }
+  std::vector<net::SackBlock> sack_blocks() const;
 
   // End-to-end payload checksum (src/validate): from now on, fold the
   // deterministic payload word of every segment entering the in-order
@@ -136,7 +141,16 @@ class Receiver final : public net::Agent {
   void on_data(const net::Packet& pkt);
   void send_ack(const net::Packet& cause, bool force_dup_info);
   void emit_ack(net::Packet&& ack);
-  void record_sack_block(SeqNo begin, SeqNo end);
+  void buffer_segment(SeqNo seq);
+  bool is_buffered(SeqNo seq) const {
+    return seq < buffered_end_ && present_[seq] != 0;
+  }
+  // Recency list over the run pool.
+  std::uint32_t new_run(SeqNo begin, SeqNo end);
+  void unlink_run(std::uint32_t r);
+  void free_run(std::uint32_t r);
+  void push_front_run(std::uint32_t r);
+  void restore_runs(const std::vector<net::SackBlock>& runs);
   sim::Scheduler& sched() const {
     return sched_override_ != nullptr ? *sched_override_
                                       : network_.scheduler();
@@ -152,9 +166,26 @@ class Receiver final : public net::Agent {
   SeqNo rcv_next_ = 0;
   bool delivery_hash_enabled_ = false;
   std::uint64_t delivered_hash_ = util::kFnvOffsetBasis;
-  std::set<SeqNo> above_;  // received segments > rcv_next_
-  // Recency-ordered SACK blocks (most recently updated first, RFC 2018).
-  std::list<net::SackBlock> sack_blocks_;
+  // Out-of-order buffer: one tag per seq over [rcv_next_, buffered_end_),
+  // 0 for a missing segment. Buffered segments form maximal runs, and the
+  // first and last seq of each run carry the run's pool index + 1, so an
+  // arrival finds the runs it joins (and an in-order arrival the run it
+  // releases) in O(1). Interior tags are only ever read as nonzero.
+  util::SeqRing<std::uint32_t, 16> present_;
+  SeqNo buffered_end_ = 0;  // one past the highest buffered seq, >= rcv_next_
+  std::size_t buffered_ = 0;
+  // The runs are the SACK blocks, in a recency-ordered list (most recently
+  // created or extended first, RFC 2018) over a pool of nodes.
+  static constexpr std::uint32_t kNoRun = UINT32_MAX;
+  struct Run {
+    SeqNo begin = 0;
+    SeqNo end = 0;
+    std::uint32_t prev = kNoRun;
+    std::uint32_t next = kNoRun;  // also links the free list
+  };
+  std::vector<Run> runs_;
+  std::uint32_t run_head_ = kNoRun;
+  std::uint32_t run_free_ = kNoRun;
 
   // Delayed-ACK state.
   sim::Timer delack_timer_;

@@ -310,8 +310,7 @@ void InvariantChecker::check_receiver(ReceiverState& r) {
 
   // SACK block structure: every block non-empty and above the cumulative
   // ACK point; blocks pairwise disjoint.
-  std::vector<net::SackBlock> blocks(rx.sack_blocks().begin(),
-                                     rx.sack_blocks().end());
+  std::vector<net::SackBlock> blocks = rx.sack_blocks();
   std::sort(blocks.begin(), blocks.end(),
             [](const net::SackBlock& a, const net::SackBlock& b) {
               return a.begin < b.begin;

@@ -3,13 +3,12 @@
 // discipline, and the end-to-end mxrtt-envelope series on a live flow.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <new>
 #include <string>
 
+#include "alloc_counter.hpp"
 #include "core/tcp_pr.hpp"
 #include "net/link_flapper.hpp"
 #include "net/network.hpp"
@@ -17,23 +16,6 @@
 #include "obs/registry.hpp"
 #include "obs/series.hpp"
 #include "test_util.hpp"
-
-// Program-wide operator new replacement, counting every heap allocation so
-// the zero-allocation test below can assert the disabled observability
-// path never touches the allocator. Replacements must have external
-// linkage; the counter itself stays internal.
-static std::atomic<std::uint64_t> g_heap_allocations{0};
-
-void* operator new(std::size_t size) {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace tcppr::obs {
 namespace {
@@ -113,7 +95,7 @@ TEST(MetricRegistry, UnattachedRecordsNothingAndAllocatesNothing) {
   ASSERT_FALSE(reg.active());
   ASSERT_FALSE(static_cast<bool>(probe));
 
-  const std::uint64_t before = g_heap_allocations.load();
+  const std::uint64_t before = testutil::heap_allocations();
   for (int i = 0; i < 1000; ++i) {
     const TimePoint t = TimePoint::from_seconds(0.001 * i);
     // The guarded call-site pattern every endpoint uses...
@@ -123,7 +105,7 @@ TEST(MetricRegistry, UnattachedRecordsNothingAndAllocatesNothing) {
     reg.set(t, m.cwnd, 1, 42.0);
     reg.add(t, m.drops_declared, 1);
   }
-  EXPECT_EQ(g_heap_allocations.load(), before);
+  EXPECT_EQ(testutil::heap_allocations(), before);
   EXPECT_EQ(reg.samples_recorded(), 0u);
   EXPECT_EQ(reg.last(m.cwnd, 1), std::nullopt);
   EXPECT_EQ(reg.total(m.drops_declared, 1), 0.0);

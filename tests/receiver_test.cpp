@@ -1,14 +1,22 @@
 // Unit tests for the TCP receiver: cumulative ACKs, duplicate ACKs, SACK
 // block construction/merging, DSACK on duplicates, delayed ACKs, and
-// reordering statistics.
+// reordering statistics; plus a differential test of the out-of-order
+// buffer against a straightforward set-and-list reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <list>
 #include <memory>
+#include <optional>
+#include <random>
+#include <set>
 #include <vector>
 
 #include "app/sources.hpp"
 #include "net/network.hpp"
 #include "tcp/receiver.hpp"
+#include "util/state_io.hpp"
 
 namespace tcppr::tcp {
 namespace {
@@ -228,6 +236,139 @@ TEST_F(ReceiverFixture, IgnoresStrayAcks) {
   stray.tcp.flow = kFlow;
   receiver->deliver(std::move(stray));
   EXPECT_EQ(receiver->stats().data_packets_received, 0u);
+}
+
+// Reference for the receiver's ACK content: the buffered segments in a
+// std::set, the SACK blocks in a recency-ordered std::list that every
+// out-of-order arrival walks to merge overlapping or adjacent blocks, and a
+// cumulative advance that walks it again to retire covered blocks.
+class ReferenceReceiver {
+ public:
+  struct Ack {
+    net::SeqNo ack = 0;
+    std::vector<net::SackBlock> sack;
+    std::optional<net::SackBlock> dsack;
+  };
+
+  Ack on_data(net::SeqNo seq) {
+    bool duplicate = false;
+    if (seq < rcv_next_ || above_.contains(seq)) {
+      duplicate = true;
+    } else if (seq == rcv_next_) {
+      ++rcv_next_;
+      while (!above_.empty() && *above_.begin() == rcv_next_) {
+        above_.erase(above_.begin());
+        ++rcv_next_;
+      }
+      for (auto it = blocks_.begin(); it != blocks_.end();) {
+        if (it->end <= rcv_next_) {
+          it = blocks_.erase(it);
+        } else {
+          it->begin = std::max(it->begin, rcv_next_);
+          ++it;
+        }
+      }
+    } else {
+      above_.insert(seq);
+      net::SeqNo begin = seq;
+      net::SeqNo end = seq + 1;
+      for (auto it = blocks_.begin(); it != blocks_.end();) {
+        if (begin <= it->end && it->begin <= end) {
+          begin = std::min(begin, it->begin);
+          end = std::max(end, it->end);
+          it = blocks_.erase(it);
+        } else {
+          ++it;
+        }
+      }
+      blocks_.push_front(net::SackBlock{begin, end});
+    }
+    Ack a;
+    a.ack = rcv_next_;
+    if (duplicate) a.dsack = net::SackBlock{seq, seq + 1};
+    for (const auto& b : blocks_) {
+      if (a.sack.size() == 3) break;
+      a.sack.push_back(b);
+    }
+    return a;
+  }
+
+  net::SeqNo rcv_next() const { return rcv_next_; }
+  std::size_t buffered() const { return above_.size(); }
+  std::vector<net::SackBlock> blocks() const {
+    return {blocks_.begin(), blocks_.end()};
+  }
+
+ private:
+  net::SeqNo rcv_next_ = 0;
+  std::set<net::SeqNo> above_;
+  std::list<net::SackBlock> blocks_;
+};
+
+// Random arrival orders in phases of narrow and wide reordering: holes far
+// wider than the buffer's initial 16 slots (so it grows, wraps and later
+// shrinks), duplicates below and above the cumulative ACK point, and many
+// more than three blocks, so blocks leave the reported top three and are
+// extended later. Every ACK, the block list and a checkpoint restore must
+// match the reference.
+TEST_F(ReceiverFixture, MatchesSetAndListReferenceOnRandomArrivals) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    build({});
+    acks.clear();
+    ReferenceReceiver ref;
+    std::mt19937_64 rng(seed);
+    const auto draw = [&rng](std::uint64_t n) {
+      return static_cast<net::SeqNo>(rng() % n);
+    };
+    std::vector<unsigned char> checkpoint;
+    ReferenceReceiver ref_at_checkpoint;
+    std::size_t max_blocks = 0;
+    for (int step = 0; step < 6000; ++step) {
+      const net::SeqNo next = ref.rcv_next();
+      const net::SeqNo width = (step / 500) % 2 == 0 ? 12 : 400;
+      net::SeqNo seq;
+      const auto r = draw(100);
+      if (r < 8) {
+        seq = next;  // fill the head hole
+      } else if (r < 14) {
+        seq = std::max<net::SeqNo>(0, next - 1 - draw(20));  // old duplicate
+      } else {
+        seq = next + 1 + draw(static_cast<std::uint64_t>(width));
+      }
+      data(seq);
+      const auto want = ref.on_data(seq);
+      ASSERT_FALSE(acks.empty());
+      const net::Packet& got = acks.back();
+      ASSERT_EQ(got.tcp.ack, want.ack) << "seed " << seed << " step " << step;
+      ASSERT_EQ(got.tcp.dsack, want.dsack)
+          << "seed " << seed << " step " << step;
+      ASSERT_EQ(std::vector<net::SackBlock>(got.tcp.sack.begin(),
+                                            got.tcp.sack.end()),
+                want.sack)
+          << "seed " << seed << " step " << step;
+      ASSERT_EQ(receiver->sack_blocks(), ref.blocks())
+          << "seed " << seed << " step " << step;
+      ASSERT_EQ(receiver->ooo_buffered(), ref.buffered());
+      max_blocks = std::max(max_blocks, ref.blocks().size());
+
+      // Checkpoint, run on, roll back, and continue from the checkpoint.
+      if (step % 700 == 350) {
+        util::StateIO io(checkpoint, /*saving=*/true);
+        receiver->state(io);
+        ref_at_checkpoint = ref;
+      } else if (step % 700 == 450) {
+        util::StateIO io(checkpoint, /*saving=*/false);
+        receiver->state(io);
+        ASSERT_TRUE(io.done());
+        ref = ref_at_checkpoint;
+        ASSERT_EQ(receiver->rcv_next(), ref.rcv_next());
+        ASSERT_EQ(receiver->sack_blocks(), ref.blocks());
+        ASSERT_EQ(receiver->ooo_buffered(), ref.buffered());
+      }
+    }
+    EXPECT_GT(max_blocks, 20u) << "seed " << seed;
+    EXPECT_GT(ref.rcv_next(), 1000) << "seed " << seed;
+  }
 }
 
 }  // namespace

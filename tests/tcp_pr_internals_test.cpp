@@ -3,6 +3,7 @@
 // mxrtt behaviour, jitter-link robustness, and configuration validation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <memory>
@@ -201,6 +202,59 @@ TEST(ExtremeLoss, DropCountsDoNotLeakAcrossEpisodes) {
   EXPECT_EQ(sender->stats().extreme_loss_events, 1u);
   EXPECT_FALSE(sender->in_backoff());
   EXPECT_GT(sender->stats().segments_acked, 3000);
+}
+
+TEST(DropRecord, AckPastDeclaredSegmentsRetiresThemUnsent) {
+  // The path's RTT jumps from ~23 ms to ~323 ms, far above mxrtt (~69 ms),
+  // and the first segment sent after the jump is lost: the flight behind
+  // it is declared dropped wave after wave while its originals are still
+  // on their way, the window collapses, and most declared segments wait
+  // on the to-be-sent side. When the head's repair arrives, one cumulative
+  // ACK covers the whole buffered flight. It must retire the declared,
+  // not-yet-resent segments from the window without retransmitting them.
+  PathFixture f(10e6, sim::Duration::millis(10));
+  tcp::TcpConfig tc;
+  tc.max_cwnd = 16;
+  TcpPrConfig pr;
+  pr.dupack_window_credit = false;  // keep the stalled window closed
+  auto* sender = add_pr(f, tc, pr);
+  sender->start();
+  f.run_for(3);
+  ASSERT_LT(sender->mxrtt().as_seconds(), 0.1);
+
+  f.fwd->set_prop_delay(sim::Duration::millis(150));
+  bool lost = false;
+  f.fwd->set_drop_filter([&lost](const net::Packet& p) {
+    if (p.type != net::PacketType::kTcpData || lost) return false;
+    lost = true;
+    return true;
+  });
+  // The cwnd listener also runs inside ACK processing, after the window
+  // moved and before any segment is sent; an advance of segments_acked
+  // marks those calls.
+  std::size_t pending = 0;
+  std::uint64_t rtx = 0;
+  SeqNo acked = 0;
+  std::size_t retired_unsent = 0;
+  sender->set_cwnd_listener([&](sim::TimePoint, double) {
+    const std::size_t p = sender->pending_retransmits();
+    const std::uint64_t r = sender->stats().retransmissions;
+    const SeqNo a = sender->stats().segments_acked;
+    if (a > acked && r == rtx && p < pending) {
+      retired_unsent = std::max(retired_unsent, pending - p);
+    }
+    pending = p;
+    rtx = r;
+    acked = a;
+  });
+  f.run_for(0.5);
+  EXPECT_GE(retired_unsent, 8u);
+  EXPECT_EQ(sender->pending_retransmits(), 0u);
+
+  sender->set_cwnd_listener(nullptr);
+  const SeqNo before = sender->stats().segments_acked;
+  f.run_for(5);
+  EXPECT_GT(sender->stats().segments_acked, before);  // still moving
 }
 
 TEST(DropTailBytes, ByteCapDropsIndependentlyOfPacketCap) {

@@ -11,12 +11,14 @@
 //   tcppr_sim --validate --topology dumbbell         # run under the checker
 //   tcppr_sim --fuzz 100 --jobs 4                    # fuzz seeds 1..100
 //   tcppr_sim --fuzz-seed 42                         # replay one fuzz case
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "harness/experiment.hpp"
 #include "harness/parallel_run.hpp"
@@ -44,7 +46,7 @@ struct Args {
   int fan_width = 8;         // fan-dumbbell relays per side
   double pr_fraction = 0.5;  // many-flows variant mix
   double duration_s = 60;
-  double measured_s = 30;
+  std::optional<double> measured_s;  // default: min(30, duration)
   double bottleneck_mbps = 15;
   double link_delay_ms = -1;  // topology default
   double alpha = 0.995;
@@ -111,8 +113,9 @@ std::optional<workload::WorkloadKind> parse_workload(const std::string& name) {
   return std::nullopt;
 }
 
-void usage() {
-  std::printf(
+void usage(std::FILE* out) {
+  std::fprintf(
+      out,
       "tcppr_sim — run one simulation scenario\n\n"
       "  --topology dumbbell|parking-lot|multipath|many-flows|\n"
       "             many-flows-graph|fan-dumbbell     (default dumbbell)\n"
@@ -129,7 +132,8 @@ void usage() {
       "  --fan-width <n>       fan-dumbbell relay nodes per side (default 8)\n"
       "  --pr-fraction <f>     many-flows TCP-PR share (default 0.5)\n"
       "  --duration <s>        total simulated seconds (default 60)\n"
-      "  --measured <s>        trailing measurement window (default 30)\n"
+      "  --measured <s>        trailing measurement window, at most\n"
+      "                        --duration (default 30 or --duration)\n"
       "  --bottleneck <mbps>   dumbbell bottleneck (default 15)\n"
       "  --delay <ms>          link delay override\n"
       "  --alpha <a> --beta <b>  TCP-PR parameters (default 0.995 / 3)\n"
@@ -184,7 +188,7 @@ bool parse(int argc, char** argv, Args& args) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     if (flag == "--help" || flag == "-h") {
-      usage();
+      usage(stdout);
       std::exit(0);
     } else if (flag == "--topology") {
       args.topology = next();
@@ -258,8 +262,40 @@ bool parse(int argc, char** argv, Args& args) {
       return false;
     }
   }
-  args.measured_s = std::min(args.measured_s, args.duration_s);
   return true;
+}
+
+double measured_seconds(const Args& args) {
+  return args.measured_s.value_or(std::min(30.0, args.duration_s));
+}
+
+// Range checks on the values handed to the library, made before anything
+// is built: a bad value is a usage error naming its flag, not an internal
+// check failure mid-build or a silent all-zero run.
+std::vector<std::string> check_args(const Args& args) {
+  std::vector<std::string> errors;
+  const auto add = [&errors](const char* rule, double value) {
+    char buf[128];
+    std::snprintf(buf, sizeof(buf), "%s, got %g", rule, value);
+    errors.emplace_back(buf);
+  };
+  // The negated forms also reject NaN.
+  if (!(args.duration_s > 0 && std::isfinite(args.duration_s))) {
+    add("--duration must be a finite number of seconds > 0", args.duration_s);
+  }
+  if (args.measured_s &&
+      !(*args.measured_s > 0 && *args.measured_s <= args.duration_s)) {
+    add("--measured must be > 0 and at most --duration", *args.measured_s);
+  }
+  if (!(args.epsilon >= 0 && std::isfinite(args.epsilon))) {
+    add("--epsilon must be a finite number >= 0", args.epsilon);
+  }
+  core::TcpPrConfig pr;
+  pr.alpha = args.alpha;
+  pr.beta = args.beta;
+  // TcpPrConfig's messages start with the field name, which is the flag's.
+  for (const std::string& e : pr.validate()) errors.push_back("--" + e);
+  return errors;
 }
 
 std::unique_ptr<harness::Scenario> build(const Args& args,
@@ -359,6 +395,14 @@ std::unique_ptr<harness::Scenario> build(const Args& args,
 int main(int argc, char** argv) {
   Args args;
   if (!parse(argc, argv, args)) return 1;
+  if (const auto errors = check_args(args); !errors.empty()) {
+    for (const std::string& e : errors) {
+      std::fprintf(stderr, "tcppr_sim: %s\n", e.c_str());
+    }
+    std::fputc('\n', stderr);
+    usage(stderr);
+    return 2;
+  }
   const auto backend = parse_backend(args.queue);
   if (!backend) {
     std::fprintf(stderr, "unknown queue backend %s (heap|calendar|wheel)\n",
@@ -521,14 +565,15 @@ int main(int argc, char** argv) {
 
   harness::MeasurementWindow window;
   window.total = sim::Duration::seconds(args.duration_s);
-  window.measured = sim::Duration::seconds(args.measured_s);
+  window.measured = sim::Duration::seconds(measured_seconds(args));
   const auto result = run_scenario(*scenario, window, psim.get());
   if (engine) engine->stop();
   if (checker) checker->finalize();
 
   std::printf("topology=%s queue=%s duration=%.0fs measured=%.0fs seed=%llu\n",
               args.topology.c_str(), args.queue.c_str(), args.duration_s,
-              args.measured_s, static_cast<unsigned long long>(args.seed));
+              measured_seconds(args),
+              static_cast<unsigned long long>(args.seed));
   if (psim) {
     std::printf("parallel: %d LPs (%d requested), engine=%s, %llu windows, "
                 "%llu cross-LP packets\n",
