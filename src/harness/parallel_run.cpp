@@ -49,8 +49,7 @@ ParallelSim::ParallelSim(Scenario& scenario, const ParallelRunConfig& config)
               (1 << sim::Scheduler::kStampEntityBits));
   tracing_ = nw.tracer().active();
   for (int lp = 0; lp < k; ++lp) {
-    scenario_.lp_scheds.push_back(
-        std::make_unique<sim::Scheduler>(scenario_.backend));
+    scenario_.lp_scheds.push_back(std::make_unique<sim::Scheduler>());
     sim::Scheduler* shard = scenario_.lp_scheds.back().get();
     shard->enable_seq_stamping();
     if (config_.adaptive) shard->enable_entity_fire_counts();
@@ -559,6 +558,7 @@ int ParallelSim::settle(sim::TimePoint h, sim::TimePoint bound,
     for (net::CrossLinkMsg& m : buf) {
       mb.link->queue_injected(m.at, m.stamp, std::move(m.pkt));
       ++mb.channel.executed;
+      ++exchanged_;  // delivered here instead of by exchange()
     }
     buf.clear();
   }

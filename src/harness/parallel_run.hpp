@@ -9,8 +9,8 @@
 //   1. Partition the topology into LPs (harness/partition.hpp). When no
 //      positive-lookahead cut exists (lp_count() == 1) the scenario still
 //      runs — on a single stamped shard, sequentially.
-//   2. Create one Scheduler shard per LP (same backend as the scenario,
-//      seq-stamping enabled: event ties break in the canonical
+//   2. Create one Scheduler shard per LP (seq-stamping enabled: event
+//      ties break in the canonical
 //      (schedule-time, owner node, op index) order, which is independent
 //      of the partition — any LP count, 1 included, executes the identical
 //      trajectory) and one PacketPool per LP (pools are not thread-safe;
@@ -132,6 +132,9 @@ class ParallelSim {
   // mailbox residency plus injected-ring residency.
   std::uint64_t external_in_flight() const;
   std::uint64_t windows() const { return windows_; }
+  // Cross-LP packets handed to their destination shards, by barrier
+  // exchanges and optimistic settles alike; equals the sum of
+  // lp_reports()' cross_pushed once run_until returns.
   std::uint64_t exchanged() const { return exchanged_; }
   // Optimism / adaptivity telemetry (aggregated over run_until calls).
   std::uint64_t spec_windows() const { return spec_windows_; }

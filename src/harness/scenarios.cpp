@@ -163,7 +163,7 @@ double Scenario::bottleneck_loss_rate() const {
 }
 
 std::unique_ptr<Scenario> make_dumbbell(const DumbbellConfig& config) {
-  auto s = std::make_unique<Scenario>(config.backend);
+  auto s = std::make_unique<Scenario>();
   net::Network& nw = s->network;
 
   const net::NodeId src = nw.add_node();
@@ -213,7 +213,7 @@ std::unique_ptr<Scenario> make_dumbbell(const DumbbellConfig& config) {
 }
 
 std::unique_ptr<Scenario> make_parking_lot(const ParkingLotConfig& config) {
-  auto s = std::make_unique<Scenario>(config.backend);
+  auto s = std::make_unique<Scenario>();
   net::Network& nw = s->network;
 
   const net::NodeId src = nw.add_node();   // S
@@ -298,7 +298,7 @@ std::unique_ptr<Scenario> make_parking_lot(const ParkingLotConfig& config) {
 
 std::unique_ptr<Scenario> make_multipath(const MultipathConfig& config) {
   TCPPR_CHECK(config.path_count >= 1);
-  auto s = std::make_unique<Scenario>(config.backend);
+  auto s = std::make_unique<Scenario>();
   net::Network& nw = s->network;
 
   const net::NodeId src = nw.add_node();
@@ -379,7 +379,7 @@ std::unique_ptr<Scenario> make_many_flows(const ManyFlowsConfig& config) {
   TCPPR_CHECK(config.flows >= 1 &&
               config.flows <= ManyFlowsConfig::kMaxFlows);
   TCPPR_CHECK(config.pr_fraction >= 0 && config.pr_fraction <= 1);
-  auto s = std::make_unique<Scenario>(config.backend);
+  auto s = std::make_unique<Scenario>();
   net::Network& nw = s->network;
   sim::Rng rng(config.seed);
   const double stagger_s = config.max_start_stagger.as_seconds();
@@ -481,7 +481,7 @@ std::unique_ptr<Scenario> make_fan_dumbbell(const FanDumbbellConfig& config) {
   TCPPR_CHECK(config.flows >= 1 &&
               config.flows <= FanDumbbellConfig::kMaxFlows);
   TCPPR_CHECK(config.fan_width >= 1);
-  auto s = std::make_unique<Scenario>(config.backend);
+  auto s = std::make_unique<Scenario>();
   net::Network& nw = s->network;
   sim::Rng rng(config.seed);
 
@@ -562,9 +562,6 @@ FanDumbbellConfig million_fan_config(int flows) {
   fc.per_flow_bw_bps = 12e3;
   fc.bottleneck_queue_packets = 1 << 16;  // far under one BDP: underbuffered
   fc.access_queue_packets = 1 << 14;
-  // Millions of pending deadline timers: the hierarchical wheel's O(1)
-  // schedule/cancel beats the heap's log2(~4M) comparisons per op.
-  fc.backend = sim::SchedulerBackend::kTimingWheel;
   return fc;
 }
 
@@ -575,7 +572,7 @@ std::unique_ptr<Scenario> make_clustered_mesh(
               config.flows <= ClusteredMeshConfig::kMaxFlows);
   TCPPR_CHECK(config.cut_delay > config.min_cut_lookahead());
   TCPPR_CHECK(config.access_delay <= config.min_cut_lookahead());
-  auto s = std::make_unique<Scenario>(config.backend);
+  auto s = std::make_unique<Scenario>();
   net::Network& nw = s->network;
   const int k = config.clusters;
   const int local_flows = config.flows / k;

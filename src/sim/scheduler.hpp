@@ -11,15 +11,12 @@
 // node allocation. A slot's generation bumps on release, so a stale
 // EventId held across slot reuse is rejected instead of hitting the new
 // occupant. Cancellation is lazy: the slot is released immediately and the
-// queue entry is skipped on pop. The pending-event set is pluggable
-// (binary heap by default, calendar queue like ns-2's scheduler for large
-// event populations, hierarchical timing wheel for many-flow timer
-// workloads); see sim/event_queue.hpp.
+// queue entry is skipped on pop. The pending-event set is an 8-ary heap
+// held by value (sim/event_queue.hpp).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -42,8 +39,6 @@ struct EventId {
   friend constexpr bool operator==(EventId, EventId) = default;
 };
 
-enum class SchedulerBackend { kBinaryHeap, kCalendarQueue, kTimingWheel };
-
 class Scheduler {
  public:
   // Captures up to this size are stored inside the event slot; larger ones
@@ -53,7 +48,7 @@ class Scheduler {
   static constexpr std::size_t kCallbackInlineBytes = 48;
   using Callback = util::InlineFunction<void(), kCallbackInlineBytes>;
 
-  explicit Scheduler(SchedulerBackend backend = SchedulerBackend::kBinaryHeap);
+  Scheduler() = default;
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
   ~Scheduler();
@@ -301,9 +296,9 @@ class Scheduler {
   std::size_t pending_count() const { return live_count_; }
   std::uint64_t processed_count() const { return processed_; }
   // Entries in the pending-event set, including lazily-cancelled stales —
-  // the population the backend actually pays for. pending_count() <=
+  // the population the heap actually pays for. pending_count() <=
   // queued_count(); the gap is the stale load cancellation churn creates.
-  std::size_t queued_count() const { return queue_->size(); }
+  std::size_t queued_count() const { return queue_.size(); }
 
  private:
   template <typename F>
@@ -320,7 +315,7 @@ class Scheduler {
     last_scheduled_seq_ = seq;
     const std::uint64_t packed =
         (static_cast<std::uint64_t>(s.generation) << 32) | index;
-    queue_->push(QueuedEvent{t, seq, packed});
+    queue_.push(QueuedEvent{t, seq, packed});
     return EventId{packed};
   }
 
@@ -410,7 +405,7 @@ class Scheduler {
   std::uint64_t last_exec_seq_ = 0;  // furthest executed key (spec runs)
   bool count_entity_fires_ = false;
   std::vector<std::uint64_t> entity_fires_;
-  std::unique_ptr<EventQueue> queue_;
+  HeapQueue queue_;
   std::vector<Slot*> chunks_;  // raw aligned storage, lazily constructed
   std::uint32_t slot_count_ = 0;  // high-water mark of constructed slots
   std::uint32_t free_head_ = kFreeListEnd;

@@ -7,7 +7,7 @@
 // well-predicted null test per delivery and a tapped run pays the sketch
 // update. Taps observe the delivery stream only; they never touch packets
 // or scheduling, so delivery hashes are byte-identical with telemetry on
-// or off, on every backend, batched or not, at any LP count.
+// or off, batched or not, at any LP count.
 //
 // The hub is also the departure fan-out: the workload layer reports each
 // torn-down flow once per side through retire_flow, which folds the flow

@@ -98,11 +98,6 @@ std::string describe(const FuzzCase& c) {
     if (!variants.empty()) variants += ",";
     variants += harness::to_string(v);
   }
-  const char* queue = c.backend == sim::SchedulerBackend::kCalendarQueue
-                          ? "calendar"
-                      : c.backend == sim::SchedulerBackend::kTimingWheel
-                          ? "wheel"
-                          : "heap";
   const char* churn_kinds[] = {"poisson", "web", "onoff"};
   char churn[48];
   if (c.churn_rate > 0) {
@@ -115,12 +110,11 @@ std::string describe(const FuzzCase& c) {
       buf, sizeof(buf),
       "topology=%s flows=%d variants=[%s] dur=%.2fs cross=%d loss=%.4f "
       "jitter=%.1fms flap=%d(up=%.2fs,down=%.2fs) reconf=%d eps=%g nodes=%d "
-      "batch=%d "
-      "queue=%s par=%d churn=%s telemetry=%d engine=%s",
+      "batch=%d par=%d churn=%s telemetry=%d engine=%s",
       to_string(c.topology), c.flows, variants.c_str(), c.duration_s,
       c.cross_traffic ? 1 : 0, c.loss_rate, c.jitter_ms, c.flap ? 1 : 0,
       c.flap_mean_up_s, c.flap_mean_down_s, c.reconfigure_mid_run ? 1 : 0,
-      c.epsilon, c.graph_nodes, c.batching ? 1 : 0, queue, c.par_lps, churn,
+      c.epsilon, c.graph_nodes, c.batching ? 1 : 0, c.par_lps, churn,
       c.telemetry ? 1 : 0, engine_mode_name(c.engine_mode));
   return buf;
 }
@@ -129,7 +123,7 @@ namespace {
 
 std::unique_ptr<harness::Scenario> build_random_graph(const FuzzCase& c,
                                                       sim::Rng& rng) {
-  auto s = std::make_unique<harness::Scenario>(c.backend);
+  auto s = std::make_unique<harness::Scenario>();
   net::Network& nw = s->network;
   const int n = std::max(4, c.graph_nodes);
   for (int i = 0; i < n; ++i) nw.add_node();
@@ -179,7 +173,6 @@ std::unique_ptr<harness::Scenario> build_scenario(const FuzzCase& c,
       cfg.pr_flows = 0;
       cfg.sack_flows = 0;
       cfg.seed = c.seed;
-      cfg.backend = c.backend;
       auto s = harness::make_dumbbell(cfg);
       for (int i = 0; i < c.flows; ++i) {
         const auto start = sim::TimePoint::from_seconds(rng.uniform(0.0, 1.0));
@@ -194,7 +187,6 @@ std::unique_ptr<harness::Scenario> build_scenario(const FuzzCase& c,
       cfg.sack_flows = 0;
       cfg.with_cross_traffic = c.cross_traffic;
       cfg.seed = c.seed;
-      cfg.backend = c.backend;
       auto s = harness::make_parking_lot(cfg);
       for (int i = 0; i < c.flows; ++i) {
         const auto start = sim::TimePoint::from_seconds(rng.uniform(0.0, 1.0));
@@ -209,7 +201,6 @@ std::unique_ptr<harness::Scenario> build_scenario(const FuzzCase& c,
                                        : c.variants.front();
       cfg.epsilon = c.epsilon;
       cfg.seed = c.seed;
-      cfg.backend = c.backend;
       return harness::make_multipath(cfg);
     }
     case FuzzCase::Topology::kRandomGraph:
@@ -466,8 +457,7 @@ FuzzCase minimize_fuzz_case(const FuzzCase& failing, int max_runs) {
 
 int run_fuzz_campaign(std::uint64_t first_seed, int count, int jobs,
                       bool quiet, const std::string& artifact_dir,
-                      sim::SchedulerBackend backend, int par_lps,
-                      int engine_mode) {
+                      int par_lps, int engine_mode) {
   struct CellResult {
     bool ok = true;
     std::string failure;
@@ -476,7 +466,6 @@ int run_fuzz_campaign(std::uint64_t first_seed, int count, int jobs,
   harness::parallel_for(jobs, count, [&](int i) {
     const std::uint64_t seed = first_seed + static_cast<std::uint64_t>(i);
     FuzzCase c = sample_fuzz_case(seed);
-    c.backend = backend;
     c.par_lps = par_lps;
     if (engine_mode >= 0) c.engine_mode = engine_mode;
     const FuzzResult r = run_fuzz_case(c);
@@ -493,7 +482,6 @@ int run_fuzz_campaign(std::uint64_t first_seed, int count, int jobs,
     ++failures;
     const std::uint64_t seed = first_seed + static_cast<std::uint64_t>(i);
     FuzzCase c = sample_fuzz_case(seed);
-    c.backend = backend;
     c.par_lps = par_lps;
     if (engine_mode >= 0) c.engine_mode = engine_mode;
     std::fprintf(stderr, "FUZZ FAIL: tcppr_sim --fuzz-seed %llu  # %s\n",

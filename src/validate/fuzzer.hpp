@@ -65,19 +65,15 @@ struct FuzzCase {
   // (adaptive+optimistic combined) is never sampled but can be forced by
   // the campaign override / --engine.
   int engine_mode = 0;
-  // Scheduler backend the scenario runs on. Never sampled (every backend
-  // must produce identical trajectories, so sampling it would add nothing);
-  // set explicitly by the backend-equivalence tests and --queue.
-  sim::SchedulerBackend backend = sim::SchedulerBackend::kBinaryHeap;
   // Logical processes for the parallel engine. 0 = legacy sequential run
   // on the build scheduler; 1 = canonical stamped run on a single shard;
-  // >= 2 = threaded. Never sampled (like `backend`: any LP count >= 1
-  // must produce the identical trajectory); set explicitly by the
+  // >= 2 = threaded. Never sampled (any LP count >= 1 must produce the
+  // identical trajectory); set explicitly by the
   // parallel-equivalence tests and --par. The realized LP count may be
   // lower when the partitioner finds no positive-lookahead cut.
   int par_lps = 0;
   // Batched hot path (net::set_hot_path_batching), sampled at Network
-  // construction. Never sampled (like `backend`: the batched and
+  // construction. Never sampled (like `par_lps`: the batched and
   // unbatched engines must produce the identical trajectory); set
   // explicitly by the batch-equivalence tests and --no-batch.
   bool batching = true;
@@ -128,15 +124,14 @@ FuzzCase minimize_fuzz_case(const FuzzCase& failing, int max_runs = 40);
 // command, the sampled config, the first violation, and (unless quiet)
 // the minimized config. CI uploads the directory so a red fuzz job
 // carries its own repro.
-// Every sampled case runs on `backend` and `par_lps` logical processes
-// (the sampler itself never varies either — see the FuzzCase fields).
+// Every sampled case runs on `par_lps` logical processes (the sampler
+// itself never varies it — see the FuzzCase field).
 // `engine_mode` = -1 keeps each case's sampled mode; 0/1/2 force
 // conservative/adaptive/optimistic for the whole campaign (nightly runs
 // one campaign per forced mode).
 int run_fuzz_campaign(
     std::uint64_t first_seed, int count, int jobs, bool quiet = false,
-    const std::string& artifact_dir = "",
-    sim::SchedulerBackend backend = sim::SchedulerBackend::kBinaryHeap,
-    int par_lps = 0, int engine_mode = -1);
+    const std::string& artifact_dir = "", int par_lps = 0,
+    int engine_mode = -1);
 
 }  // namespace tcppr::validate

@@ -6,8 +6,8 @@
 // interleaved with loss, jitter, flaps and reconfiguration.
 //
 // Two suites, mirroring batch_equivalence_test.cpp:
-//   - batched vs unbatched over churning fuzz seeds (same backend/LP
-//     count on both sides; only `batching` differs), and
+//   - batched vs unbatched over churning fuzz seeds (same LP count on
+//     both sides; only `batching` differs), and
 //   - par {1,2,4} vs the stamped single-shard baseline (par_lps=1 is the
 //     canonical tie order the parallel engine reproduces).
 #include <gtest/gtest.h>

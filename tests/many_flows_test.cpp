@@ -7,7 +7,6 @@
 #include <functional>
 
 #include "harness/scenarios.hpp"
-#include "validate/determinism.hpp"
 
 namespace tcppr::harness {
 namespace {
@@ -50,32 +49,6 @@ TEST(ManyFlows, RandomGraphBuilderCreatesRequestedFlows) {
   ASSERT_EQ(s->senders.size(), 32u);
   ASSERT_EQ(s->receivers.size(), 32u);
   EXPECT_FALSE(s->bottlenecks.empty());
-}
-
-TEST(ManyFlows, ShortRunDeliversIdenticallyAcrossBackends) {
-  const sim::SchedulerBackend backends[] = {
-      sim::SchedulerBackend::kBinaryHeap,
-      sim::SchedulerBackend::kCalendarQueue,
-      sim::SchedulerBackend::kTimingWheel,
-  };
-  std::uint64_t hashes[3] = {};
-  std::uint64_t delivered[3] = {};
-  for (int i = 0; i < 3; ++i) {
-    ManyFlowsConfig cfg;
-    cfg.flows = 48;
-    cfg.backend = backends[i];
-    auto s = make_many_flows(cfg);
-    validate::DeliveryHasher hasher;
-    s->network.add_trace_sink(&hasher);
-    s->sched.run_until(sim::TimePoint::from_seconds(3));
-    hashes[i] = hasher.hash();
-    delivered[i] = hasher.delivered();
-  }
-  EXPECT_GT(delivered[0], 0u);
-  EXPECT_EQ(hashes[0], hashes[1]);
-  EXPECT_EQ(hashes[0], hashes[2]);
-  EXPECT_EQ(delivered[0], delivered[1]);
-  EXPECT_EQ(delivered[0], delivered[2]);
 }
 
 TEST(ManyFlows, PendingEventPopulationIsLinearInFlows) {

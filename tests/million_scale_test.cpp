@@ -100,7 +100,6 @@ TEST(WorkloadScale, MillionPresetRelationshipsHold) {
 
   const harness::FanDumbbellConfig fc = harness::million_fan_config(flows);
   EXPECT_EQ(fc.flows, flows);
-  EXPECT_EQ(fc.backend, sim::SchedulerBackend::kTimingWheel);
   // Per-flow bandwidth share keeps each flow near cwnd 1-2 so the event
   // rate floor stays at flows / RTT.
   EXPECT_GT(fc.per_flow_bw_bps, 0.0);

@@ -20,13 +20,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "harness/parallel_run.hpp"
 #include "harness/partition.hpp"
 #include "harness/scenarios.hpp"
-#include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 #include "validate/determinism.hpp"
 #include "validate/fuzzer.hpp"
@@ -64,17 +62,27 @@ ParallelRunConfig mode_config(Mode mode, int lps) {
 
 // Runs `scenario` to `end` and digests its delivery stream; lps == 0 runs
 // the legacy sequential scheduler, lps >= 1 runs through ParallelSim
-// (stamped shards; one shard still sequential).
+// (stamped shards; one shard still sequential). `eager_repartition` swaps
+// the adaptive policy for a test-speed one that measures over a few
+// barriers and migrates at a mild imbalance, so short runs do re-home
+// components mid-run.
 RunDigest run_and_digest(std::unique_ptr<Scenario> scenario,
                          sim::TimePoint end, int lps,
-                         Mode mode = Mode::kConservative) {
+                         Mode mode = Mode::kConservative,
+                         bool eager_repartition = false) {
   RunDigest out;
   DeliveryHasher hasher;
   scenario->network.add_trace_sink(&hasher);
   if (lps == 0) {
     scenario->sched.run_until(end);
   } else {
-    ParallelSim psim(*scenario, mode_config(mode, lps));
+    ParallelRunConfig pc = mode_config(mode, lps);
+    if (eager_repartition) {
+      pc.repartition_skew = 1.05;
+      pc.repartition_cooldown = 4;
+      pc.repartition_min_events = 1000;
+    }
+    ParallelSim psim(*scenario, pc);
     out.realized_lps = psim.lp_count();
     psim.run_until(end);
     out.windows = psim.windows();
@@ -85,58 +93,6 @@ RunDigest run_and_digest(std::unique_ptr<Scenario> scenario,
   out.hash = hasher.hash();
   out.delivered = hasher.delivered();
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Scheduler::next_deadline across backends
-
-TEST(NextDeadline, AgreesAcrossBackendsOnRandomizedSchedule) {
-  const sim::SchedulerBackend backends[] = {
-      sim::SchedulerBackend::kBinaryHeap,
-      sim::SchedulerBackend::kCalendarQueue,
-      sim::SchedulerBackend::kTimingWheel,
-  };
-  std::vector<std::unique_ptr<sim::Scheduler>> scheds;
-  for (const auto b : backends) {
-    scheds.push_back(std::make_unique<sim::Scheduler>(b));
-  }
-
-  // Same randomized schedule into all three; some events cancelled, some
-  // events schedule more events (exercising the lazy stale-skip inside
-  // next_deadline and deadlines discovered mid-run).
-  sim::Rng rng(7);
-  std::vector<std::int64_t> times;
-  std::vector<std::size_t> cancel_picks;
-  for (int i = 0; i < 300; ++i) {
-    times.push_back(static_cast<std::int64_t>(rng.uniform(0.0, 5e8)));
-    if (i % 7 == 0) cancel_picks.push_back(static_cast<std::size_t>(i));
-  }
-  int fired[3] = {0, 0, 0};
-  for (std::size_t s = 0; s < scheds.size(); ++s) {
-    std::vector<sim::EventId> ids;
-    for (const auto t : times) {
-      ids.push_back(scheds[s]->schedule_at(
-          sim::TimePoint::from_nanos(t), [&fired, s] { ++fired[s]; }));
-    }
-    for (const auto pick : cancel_picks) scheds[s]->cancel(ids[pick]);
-  }
-
-  // Drain in lockstep: deadlines must agree before every step.
-  for (;;) {
-    const std::optional<sim::TimePoint> d0 = scheds[0]->next_deadline();
-    for (std::size_t s = 1; s < scheds.size(); ++s) {
-      const auto ds = scheds[s]->next_deadline();
-      ASSERT_EQ(d0.has_value(), ds.has_value());
-      if (d0) {
-        ASSERT_EQ(d0->as_nanos(), ds->as_nanos());
-      }
-    }
-    if (!d0) break;
-    for (auto& sched : scheds) sched->run_until(*d0);
-  }
-  EXPECT_EQ(fired[0], fired[1]);
-  EXPECT_EQ(fired[0], fired[2]);
-  EXPECT_EQ(fired[0], 300 - static_cast<int>(cancel_picks.size()));
 }
 
 // ---------------------------------------------------------------------------
@@ -283,11 +239,52 @@ TEST_P(ParallelMatrix, OptimisticDigestMatchesCanonicalOneShardRun) {
   }
 }
 
+TEST_P(ParallelMatrix, AdaptiveDigestMatchesCanonicalOneShardRun) {
+  // Mid-run repartitioning, alone and under speculation: re-homing
+  // components between shards must leave the trajectory untouched. The
+  // eager policy migrates in every cell at 2 LPs.
+  const auto [variant, topo] = GetParam();
+  const auto end = sim::TimePoint::from_seconds(3.0);
+  const RunDigest seq = run_and_digest(build_topo(topo, variant), end, 1);
+  ASSERT_GT(seq.delivered, 0u);
+  for (const Mode mode : {Mode::kAdaptive, Mode::kAdaptiveOptimistic}) {
+    const int m = static_cast<int>(mode);
+    const RunDigest par = run_and_digest(build_topo(topo, variant), end, 2,
+                                         mode, /*eager_repartition=*/true);
+    EXPECT_EQ(par.realized_lps, 2) << "partition degenerated";
+    EXPECT_GE(par.repartitions, 1u) << "mode " << m << " never migrated";
+    EXPECT_EQ(par.delivered, seq.delivered) << "mode " << m;
+    EXPECT_EQ(par.hash, seq.hash) << "mode " << m;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllVariants, ParallelMatrix,
     ::testing::Combine(::testing::ValuesIn(harness::all_variants()),
                        ::testing::Values(Topo::kDumbbell, Topo::kParkingLot,
                                          Topo::kMultipath)));
+
+// ---------------------------------------------------------------------------
+// Engine counters
+
+TEST(ParallelCounters, ExchangedEqualsPerLpCrossPushesInEveryMode) {
+  // One definition of "cross-LP packets": each packet a source LP pushes
+  // onto a cut link is handed to its destination shard exactly once — by
+  // a barrier exchange or, under optimism, by a settle — so once the run
+  // returns the engine total equals the sum of the per-LP push counts.
+  const Mode modes[] = {Mode::kConservative, Mode::kAdaptive,
+                        Mode::kOptimistic, Mode::kAdaptiveOptimistic};
+  for (const Mode mode : modes) {
+    const int m = static_cast<int>(mode);
+    auto s = harness::make_parking_lot(harness::ParkingLotConfig{});
+    ParallelSim psim(*s, mode_config(mode, 4));
+    psim.run_until(sim::TimePoint::from_seconds(3.0));
+    std::uint64_t pushed = 0;
+    for (const auto& r : psim.lp_reports()) pushed += r.cross_pushed;
+    EXPECT_GT(pushed, 0u) << "mode " << m;
+    EXPECT_EQ(psim.exchanged(), pushed) << "mode " << m;
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Many-flow scale path

@@ -1,10 +1,11 @@
 // Randomized model-based test for the scheduler: a long random sequence of
-// schedule / cancel / run_until operations executed against both backends
-// and checked against a naive reference model (sorted vector + linear
-// scan). Any divergence in execution order, fired set, or clock is a bug.
+// schedule / cancel / run_until operations checked against a naive
+// reference model (sorted vector + linear scan). Any divergence in
+// execution order, fired set, next deadline or clock is a bug.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "sim/random.hpp"
@@ -64,6 +65,15 @@ class Model {
     return tags;
   }
   std::size_t live_count() const { return live_tags().size(); }
+  // Earliest live event time, or nullopt when nothing is live.
+  std::optional<std::int64_t> next_deadline() const {
+    std::optional<std::int64_t> earliest;
+    for (const auto& e : events_) {
+      if (e.cancelled || fired_.count(e.tag)) continue;
+      if (!earliest || e.time_ns < *earliest) earliest = e.time_ns;
+    }
+    return earliest;
+  }
 
  private:
   std::vector<ModelEvent> events_;
@@ -71,13 +81,11 @@ class Model {
   std::uint64_t next_seq_ = 0;
 };
 
-class SchedulerFuzz : public ::testing::TestWithParam<
-                          std::tuple<SchedulerBackend, std::uint64_t>> {};
+class SchedulerFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SchedulerFuzz, MatchesReferenceModel) {
-  const auto [backend, seed] = GetParam();
-  Rng rng(seed);
-  Scheduler sched(backend);
+  Rng rng(GetParam());
+  Scheduler sched;
   Model model;
   std::vector<int> fired;            // scheduler-side execution order
   std::vector<EventId> ids;          // tag -> EventId (index = tag)
@@ -86,6 +94,7 @@ TEST_P(SchedulerFuzz, MatchesReferenceModel) {
 
   for (int op = 0; op < 3000; ++op) {
     const double u = rng.uniform();
+    bool cancelled = false;
     if (u < 0.50) {
       // Schedule at a random future time (clustered near the clock).
       const std::int64_t delta =
@@ -97,8 +106,8 @@ TEST_P(SchedulerFuzz, MatchesReferenceModel) {
                                       [&fired, tag] { fired.push_back(tag); }));
       model.schedule(t, tag);
     } else if (u < 0.55) {
-      // Monotone burst: a run of nondecreasing times, the pattern the heap
-      // backend's sorted-append fast path targets; the next random
+      // Monotone burst: a run of nondecreasing times, the pattern the
+      // heap's sorted-append fast path targets; the next random
       // schedule/cancel exercises the exit back to heap mode.
       std::int64_t t = clock_ns;
       const int burst = 1 + static_cast<int>(rng.uniform_int(30));
@@ -121,6 +130,7 @@ TEST_P(SchedulerFuzz, MatchesReferenceModel) {
       ASSERT_EQ(a, b) << "cancel divergence on tag " << tag << " op " << op;
       ASSERT_FALSE(sched.is_pending(ids[static_cast<std::size_t>(tag)]));
       ASSERT_FALSE(sched.cancel(ids[static_cast<std::size_t>(tag)]));
+      cancelled = true;
     } else if (u < 0.745 && next_tag > 0) {
       // Cancel-sweep: kill every live event so the next run hits the
       // dead-queue fast path (live_count == 0 with stales still queued).
@@ -129,6 +139,7 @@ TEST_P(SchedulerFuzz, MatchesReferenceModel) {
         ASSERT_TRUE(model.cancel(tag));
       }
       ASSERT_EQ(sched.pending_count(), 0u);
+      cancelled = true;
     } else {
       // Advance time and fire.
       clock_ns += static_cast<std::int64_t>(rng.uniform(0, 2e7));
@@ -141,6 +152,17 @@ TEST_P(SchedulerFuzz, MatchesReferenceModel) {
       }
     }
     ASSERT_EQ(sched.pending_count(), model.live_count()) << "op " << op;
+    // next_deadline() pops cancelled stales off the queue front and must
+    // report the model's earliest live event, never a stale. Not probed
+    // right after a cancel, so the next run_until still meets stales at
+    // the front (and a cancel-sweep's whole stale queue).
+    if (cancelled) continue;
+    const std::optional<TimePoint> deadline = sched.next_deadline();
+    const std::optional<std::int64_t> expected = model.next_deadline();
+    ASSERT_EQ(deadline.has_value(), expected.has_value()) << "op " << op;
+    if (deadline) {
+      ASSERT_EQ(deadline->as_nanos(), *expected) << "op " << op;
+    }
   }
   // Drain and compare the tail.
   const std::size_t before = fired.size();
@@ -152,23 +174,12 @@ TEST_P(SchedulerFuzz, MatchesReferenceModel) {
   }
 }
 
-std::string fuzz_case_name(
-    const ::testing::TestParamInfo<SchedulerFuzz::ParamType>& info) {
-  const auto [backend, seed] = info.param;
-  const char* name = backend == SchedulerBackend::kBinaryHeap ? "heap_"
-                     : backend == SchedulerBackend::kCalendarQueue
-                         ? "calendar_"
-                         : "wheel_";
-  return std::string(name) + std::to_string(seed);
-}
-
+// Twelve independent random schedules, one ctest case each (~0.7 s).
 INSTANTIATE_TEST_SUITE_P(
-    BackendsAndSeeds, SchedulerFuzz,
-    ::testing::Combine(::testing::Values(SchedulerBackend::kBinaryHeap,
-                                         SchedulerBackend::kCalendarQueue,
-                                         SchedulerBackend::kTimingWheel),
-                       ::testing::Values(1u, 22u, 333u, 4444u)),
-    fuzz_case_name);
+    Seeds, SchedulerFuzz,
+    ::testing::Values(1u, 22u, 333u, 4444u, 55555u, 666666u, 7777777u,
+                      88888888u, 13u, 404u, 9001u, 31337u),
+    [](const auto& info) { return std::to_string(info.param); });
 
 }  // namespace
 }  // namespace tcppr::sim

@@ -167,54 +167,47 @@ TEST(Scheduler, RunUntilLeavesLaterEvents) {
   EXPECT_DOUBLE_EQ(sched.now().as_seconds(), 10.0);
 }
 
-TEST(Scheduler, RunUntilAlternatingWindowsBothBackends) {
+TEST(Scheduler, RunUntilAlternatingWindows) {
   // Regression for run_until popping past the deadline: the loop must peek
   // before popping so an event beyond the window stays queued and fires in
-  // a later window — on both backends (the old pop-then-reinsert scheme
-  // broke FIFO tie order on the calendar queue).
-  for (const auto backend : {SchedulerBackend::kBinaryHeap,
-                             SchedulerBackend::kCalendarQueue}) {
-    Scheduler sched(backend);
-    std::vector<int> fired;
-    for (int i = 1; i <= 8; ++i) {
-      sched.schedule_at(TimePoint::from_seconds(i),
-                        [&fired, i] { fired.push_back(i); });
-    }
-    sched.run_until(TimePoint::from_seconds(0.5));  // window before any event
-    EXPECT_TRUE(fired.empty());
-    EXPECT_EQ(sched.pending_count(), 8u);
-    sched.run_until(TimePoint::from_seconds(2.5));
-    EXPECT_EQ(fired, (std::vector<int>{1, 2}));
-    sched.run_until(TimePoint::from_seconds(2.75));  // empty window
-    EXPECT_EQ(fired, (std::vector<int>{1, 2}));
-    sched.run_until(TimePoint::from_seconds(6));  // deadline is inclusive
-    EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 4, 5, 6}));
-    sched.run_until(TimePoint::from_seconds(100));
-    EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8}));
-    EXPECT_EQ(sched.pending_count(), 0u);
-    EXPECT_DOUBLE_EQ(sched.now().as_seconds(), 100.0);
+  // a later window.
+  Scheduler sched;
+  std::vector<int> fired;
+  for (int i = 1; i <= 8; ++i) {
+    sched.schedule_at(TimePoint::from_seconds(i),
+                      [&fired, i] { fired.push_back(i); });
   }
+  sched.run_until(TimePoint::from_seconds(0.5));  // window before any event
+  EXPECT_TRUE(fired.empty());
+  EXPECT_EQ(sched.pending_count(), 8u);
+  sched.run_until(TimePoint::from_seconds(2.5));
+  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+  sched.run_until(TimePoint::from_seconds(2.75));  // empty window
+  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+  sched.run_until(TimePoint::from_seconds(6));  // deadline is inclusive
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 4, 5, 6}));
+  sched.run_until(TimePoint::from_seconds(100));
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_EQ(sched.pending_count(), 0u);
+  EXPECT_DOUBLE_EQ(sched.now().as_seconds(), 100.0);
 }
 
 TEST(Scheduler, RunUntilWithInterleavedCancels) {
   // Cancelling events that lie beyond the current window must neither fire
   // them later nor disturb the survivors' order.
-  for (const auto backend : {SchedulerBackend::kBinaryHeap,
-                             SchedulerBackend::kCalendarQueue}) {
-    Scheduler sched(backend);
-    std::vector<int> fired;
-    std::vector<EventId> ids;
-    for (int i = 1; i <= 6; ++i) {
-      ids.push_back(sched.schedule_at(TimePoint::from_seconds(i),
-                                      [&fired, i] { fired.push_back(i); }));
-    }
-    sched.cancel(ids[3]);  // t=4, beyond the first window
-    sched.run_until(TimePoint::from_seconds(2.5));
-    EXPECT_EQ(fired, (std::vector<int>{1, 2}));
-    sched.cancel(ids[4]);  // t=5
-    sched.run_until(TimePoint::from_seconds(10));
-    EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 6}));
+  Scheduler sched;
+  std::vector<int> fired;
+  std::vector<EventId> ids;
+  for (int i = 1; i <= 6; ++i) {
+    ids.push_back(sched.schedule_at(TimePoint::from_seconds(i),
+                                    [&fired, i] { fired.push_back(i); }));
   }
+  sched.cancel(ids[3]);  // t=4, beyond the first window
+  sched.run_until(TimePoint::from_seconds(2.5));
+  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+  sched.cancel(ids[4]);  // t=5
+  sched.run_until(TimePoint::from_seconds(10));
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 6}));
 }
 
 TEST(Scheduler, StaleIdAcrossSlotReuseIsRejected) {

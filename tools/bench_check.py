@@ -80,8 +80,8 @@ GATED_PATTERNS = [
 # scheduler event per delivered packet, and the 4096-flow dumbbell must
 # beat its unbatched twin by at least this factor end to end.
 BATCHED_ROW_RE = re.compile(r"^BM_(BatchDelivery/1$|ScaleFlowsDumbbell/.*batch:1$)")
-BATCH_SPEEDUP_PAIR = ("BM_ScaleFlowsDumbbell/flows:4096/backend:0/batch:1",
-                      "BM_ScaleFlowsDumbbell/flows:4096/backend:0/batch:0")
+BATCH_SPEEDUP_PAIR = ("BM_ScaleFlowsDumbbell/flows:4096/batch:1",
+                      "BM_ScaleFlowsDumbbell/flows:4096/batch:0")
 BATCH_MIN_SPEEDUP = 1.3
 EVENTS_PER_PACKET_MAX = 1.0
 
@@ -97,7 +97,7 @@ CHURN_BYTES_PER_SLOT_MAX = 128.0
 CHURN_MIN_COMPLETED_FRAC = 0.9
 # ru_maxrss is process-lifetime-monotone, so this bounds everything the
 # scale_flows process touched up to and including the churn rows (they
-# register before BM_ScaleFlows1M precisely so its ~9 GB cannot bleed in).
+# register before BM_ScaleFlows1M precisely so its ~6 GB cannot bleed in).
 # Measured ~48 MB; 5x headroom for allocator and libc variation.
 CHURN_PEAK_RSS_MAX = 256e6
 
@@ -105,9 +105,10 @@ CHURN_PEAK_RSS_MAX = 256e6
 # it runs in nightly on whatever runner is available. peak_concurrent
 # proves the row actually held 2^20 flows; bytes_per_slot is the same
 # budget as churn; peak RSS covers the transport objects themselves
-# (sender + receiver + monitor ~6.5 kB per live flow, measured ~8.4 GB at
-# 2^20 — the ceiling is ~1.5x that). completed_frac and events_per_sec
-# ride along as recorded context only.
+# (sender + receiver + monitor, ~5.9 kB per live flow all told: measured
+# 6.2 GB at 2^20 on the heap scheduler, which replaced a timing wheel
+# whose buckets added ~2.5 GB — the ceiling is ~2x that). completed_frac
+# and events_per_sec ride along as recorded context only.
 MILLION_ROW_RE = re.compile(r"^BM_ScaleFlows1M(/|$)")
 MILLION_MIN_CONCURRENT = 1 << 20
 MILLION_BYTES_PER_SLOT_MAX = 128.0

@@ -63,7 +63,7 @@ LPS_RE = re.compile(r"/lps:(\d+)")
 # medians. Everything else stays single-shot for runtime.
 RATIO_GROUPS = [
     # batched-vs-unbatched 4096-flow dumbbell speedup
-    ("scale_flows", r"BM_ScaleFlowsDumbbell/flows:4096/backend:0/batch:[01]$"),
+    ("scale_flows", r"BM_ScaleFlowsDumbbell/flows:4096/batch:[01]$"),
     # telemetry tap overhead vs the untapped forwarding loop
     ("micro_engine", r"BM_TelemetryTap/[01]$|BM_PacketForwardLoop$"),
     # optimistic-vs-conservative engine speedup on the clustered mesh
@@ -202,7 +202,7 @@ def main():
                         help="run only micro_engine (skip scale_flows)")
     parser.add_argument("--skip-1m", action="store_true",
                         help="skip the BM_ScaleFlows1M row (minutes of wall "
-                             "clock and ~8 GB RSS) — the PR-gating bench job "
+                             "clock and ~6 GB RSS) — the PR-gating bench job "
                              "caps itself at the 4096-flow rows and leaves "
                              "the million-flow row to nightly")
     args = parser.parse_args()

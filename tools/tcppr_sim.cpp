@@ -38,7 +38,6 @@ using harness::TcpVariant;
 struct Args {
   std::string topology = "dumbbell";
   std::string variant = "tcp-pr";
-  std::string queue = "heap";
   double epsilon = 0;
   int pr_flows = 2;
   int sack_flows = 2;
@@ -48,7 +47,7 @@ struct Args {
   double duration_s = 60;
   std::optional<double> measured_s;  // default: min(30, duration)
   double bottleneck_mbps = 15;
-  double link_delay_ms = -1;  // topology default
+  std::optional<double> link_delay_ms;  // default: the topology's
   double alpha = 0.995;
   double beta = 3.0;
   std::uint64_t seed = 1;
@@ -59,8 +58,8 @@ struct Args {
   bool telemetry = false;  // per-link reordering taps + summary table
   std::string workload;       // "", poisson, web, onoff, million
   double arrival_rate = 100;  // dynamic-flow arrivals per second
-  int max_concurrent = 0;     // workload cap override (0 = kind default)
-  int id_slots = 0;           // workload id-space override (0 = default)
+  std::optional<int> max_concurrent;  // workload cap override
+  std::optional<int> id_slots;        // workload id-space override
   // Exit nonzero unless the workload's peak concurrency reaches this.
   std::size_t expect_concurrent = 0;
   bool no_batch = false;  // run the unbatched one-event-per-op engine
@@ -73,13 +72,6 @@ struct Args {
   int jobs = 1;
   std::string fuzz_artifacts;
 };
-
-std::optional<sim::SchedulerBackend> parse_backend(const std::string& name) {
-  if (name == "heap") return sim::SchedulerBackend::kBinaryHeap;
-  if (name == "calendar") return sim::SchedulerBackend::kCalendarQueue;
-  if (name == "wheel") return sim::SchedulerBackend::kTimingWheel;
-  return std::nullopt;
-}
 
 // Engine mode encoding shared with validate::FuzzCase::engine_mode:
 // 0 conservative, 1 adaptive, 2 optimistic, 3 both.
@@ -122,7 +114,6 @@ void usage(std::FILE* out) {
       "  --variant <name>      sender for multipath runs (default tcp-pr)\n"
       "                        names: tcp-pr sack reno newreno tahoe td-fr\n"
       "                        dsack-nm inc-by-1 inc-by-n ewma eifel tcp-door\n"
-      "  --queue heap|calendar|wheel  scheduler backend (default heap)\n"
       "  --epsilon <e>         multipath spread parameter (default 0)\n"
       "  --pr-flows <n>        dumbbell/parking-lot TCP-PR flows (default 2)\n"
       "  --sack-flows <n>      dumbbell/parking-lot TCP-SACK flows (default 2)\n"
@@ -166,7 +157,9 @@ void usage(std::FILE* out) {
       "                        the perf-comparison baseline). Also applies\n"
       "                        to --fuzz-seed replays\n"
       "  --par <n>             run on n parallel scheduler shards (LPs);\n"
-      "                        byte-identical to the sequential run. Also\n"
+      "                        byte-identical for every n >= 1. A run\n"
+      "                        without --par breaks same-nanosecond ties\n"
+      "                        by insertion order, so it can differ. Also\n"
       "                        applies to --fuzz and --fuzz-seed runs\n"
       "  --engine <mode>       parallel engine mode with --par:\n"
       "                        conservative|adaptive|optimistic|\n"
@@ -194,8 +187,6 @@ bool parse(int argc, char** argv, Args& args) {
       args.topology = next();
     } else if (flag == "--variant") {
       args.variant = next();
-    } else if (flag == "--queue") {
-      args.queue = next();
     } else if (flag == "--flows") {
       args.flows = std::atoi(next());
     } else if (flag == "--fan-width") {
@@ -290,6 +281,51 @@ std::vector<std::string> check_args(const Args& args) {
   if (!(args.epsilon >= 0 && std::isfinite(args.epsilon))) {
     add("--epsilon must be a finite number >= 0", args.epsilon);
   }
+  if (!(args.bottleneck_mbps > 0 && std::isfinite(args.bottleneck_mbps))) {
+    add("--bottleneck must be a finite number of Mbps > 0",
+        args.bottleneck_mbps);
+  }
+  if (args.link_delay_ms &&
+      !(*args.link_delay_ms > 0 && std::isfinite(*args.link_delay_ms))) {
+    add("--delay must be a finite number of ms > 0", *args.link_delay_ms);
+  }
+  if (!(args.ts_interval_s >= 1e-9 && std::isfinite(args.ts_interval_s))) {
+    add("--ts-interval must be a finite number of seconds >= 1e-9",
+        args.ts_interval_s);
+  }
+  if (!(args.arrival_rate > 0 && std::isfinite(args.arrival_rate))) {
+    add("--arrival-rate must be a finite number > 0", args.arrival_rate);
+  }
+  if (!(args.pr_fraction >= 0 && args.pr_fraction <= 1)) {
+    add("--pr-fraction must be in [0, 1]", args.pr_fraction);
+  }
+  if (args.pr_flows < 0) add("--pr-flows must be >= 0", args.pr_flows);
+  if (args.sack_flows < 0) add("--sack-flows must be >= 0", args.sack_flows);
+  if ((args.topology == "dumbbell" || args.topology == "parking-lot") &&
+      args.workload.empty() && args.pr_flows + args.sack_flows < 1) {
+    add("--pr-flows + --sack-flows must be >= 1 unless --workload adds flows",
+        args.pr_flows + args.sack_flows);
+  }
+  int max_flows = 0;
+  if (args.topology == "many-flows" || args.topology == "many-flows-graph") {
+    max_flows = harness::ManyFlowsConfig::kMaxFlows;
+  } else if (args.topology == "fan-dumbbell") {
+    max_flows = harness::FanDumbbellConfig::kMaxFlows;
+    if (args.fan_width < 1) add("--fan-width must be >= 1", args.fan_width);
+  }
+  if (max_flows > 0 && !(args.flows >= 1 && args.flows <= max_flows)) {
+    char rule[64];
+    std::snprintf(rule, sizeof(rule), "--flows must be in 1..%d for %s",
+                  max_flows, args.topology.c_str());
+    add(rule, args.flows);
+  }
+  if (args.max_concurrent && *args.max_concurrent < 1) {
+    add("--max-concurrent must be >= 1", *args.max_concurrent);
+  }
+  if (args.id_slots && *args.id_slots < 1) {
+    add("--id-slots must be >= 1", *args.id_slots);
+  }
+  if (args.par < 0) add("--par must be >= 0", args.par);
   core::TcpPrConfig pr;
   pr.alpha = args.alpha;
   pr.beta = args.beta;
@@ -298,8 +334,7 @@ std::vector<std::string> check_args(const Args& args) {
   return errors;
 }
 
-std::unique_ptr<harness::Scenario> build(const Args& args,
-                                         sim::SchedulerBackend backend) {
+std::unique_ptr<harness::Scenario> build(const Args& args) {
   core::TcpPrConfig pr;
   pr.alpha = args.alpha;
   pr.beta = args.beta;
@@ -308,40 +343,24 @@ std::unique_ptr<harness::Scenario> build(const Args& args,
     config.topology = args.topology == "many-flows-graph"
                           ? harness::ManyFlowsConfig::Topology::kRandomGraph
                           : harness::ManyFlowsConfig::Topology::kDumbbell;
-    if (args.flows < 1 || args.flows > harness::ManyFlowsConfig::kMaxFlows) {
-      std::fprintf(stderr, "--flows must be in 1..%d\n",
-                   harness::ManyFlowsConfig::kMaxFlows);
-      return nullptr;
-    }
     config.flows = args.flows;
     config.pr_fraction = args.pr_fraction;
-    if (args.link_delay_ms > 0) {
-      config.bottleneck_delay = sim::Duration::millis(args.link_delay_ms);
-      config.graph_delay = sim::Duration::millis(args.link_delay_ms);
+    if (args.link_delay_ms) {
+      config.bottleneck_delay = sim::Duration::millis(*args.link_delay_ms);
+      config.graph_delay = sim::Duration::millis(*args.link_delay_ms);
     }
     config.pr = pr;
     config.seed = args.seed;
-    config.backend = backend;
     return harness::make_many_flows(config);
   }
   if (args.topology == "fan-dumbbell") {
-    if (args.flows < 1 || args.flows > harness::FanDumbbellConfig::kMaxFlows) {
-      std::fprintf(stderr, "--flows must be in 1..%d\n",
-                   harness::FanDumbbellConfig::kMaxFlows);
-      return nullptr;
-    }
     harness::FanDumbbellConfig config = harness::million_fan_config(args.flows);
-    if (args.fan_width < 1) {
-      std::fprintf(stderr, "--fan-width must be >= 1\n");
-      return nullptr;
-    }
     config.fan_width = args.fan_width;
-    if (args.link_delay_ms > 0) {
-      config.bottleneck_delay = sim::Duration::millis(args.link_delay_ms);
+    if (args.link_delay_ms) {
+      config.bottleneck_delay = sim::Duration::millis(*args.link_delay_ms);
     }
     config.pr = pr;
     config.seed = args.seed;
-    config.backend = backend;
     return harness::make_fan_dumbbell(config);
   }
   if (args.topology == "dumbbell") {
@@ -349,24 +368,22 @@ std::unique_ptr<harness::Scenario> build(const Args& args,
     config.pr_flows = args.pr_flows;
     config.sack_flows = args.sack_flows;
     config.bottleneck_bw_bps = args.bottleneck_mbps * 1e6;
-    if (args.link_delay_ms > 0) {
-      config.bottleneck_delay = sim::Duration::millis(args.link_delay_ms);
+    if (args.link_delay_ms) {
+      config.bottleneck_delay = sim::Duration::millis(*args.link_delay_ms);
     }
     config.pr = pr;
     config.seed = args.seed;
-    config.backend = backend;
     return harness::make_dumbbell(config);
   }
   if (args.topology == "parking-lot") {
     harness::ParkingLotConfig config;
     config.pr_flows = args.pr_flows;
     config.sack_flows = args.sack_flows;
-    if (args.link_delay_ms > 0) {
-      config.chain_delay = sim::Duration::millis(args.link_delay_ms);
+    if (args.link_delay_ms) {
+      config.chain_delay = sim::Duration::millis(*args.link_delay_ms);
     }
     config.pr = pr;
     config.seed = args.seed;
-    config.backend = backend;
     return harness::make_parking_lot(config);
   }
   if (args.topology == "multipath") {
@@ -378,12 +395,11 @@ std::unique_ptr<harness::Scenario> build(const Args& args,
     }
     config.variant = *variant;
     config.epsilon = args.epsilon;
-    if (args.link_delay_ms > 0) {
-      config.link_delay = sim::Duration::millis(args.link_delay_ms);
+    if (args.link_delay_ms) {
+      config.link_delay = sim::Duration::millis(*args.link_delay_ms);
     }
     config.pr = pr;
     config.seed = args.seed;
-    config.backend = backend;
     return harness::make_multipath(config);
   }
   std::fprintf(stderr, "unknown topology %s\n", args.topology.c_str());
@@ -403,13 +419,6 @@ int main(int argc, char** argv) {
     usage(stderr);
     return 2;
   }
-  const auto backend = parse_backend(args.queue);
-  if (!backend) {
-    std::fprintf(stderr, "unknown queue backend %s (heap|calendar|wheel)\n",
-                 args.queue.c_str());
-    return 1;
-  }
-
   const auto engine_mode = parse_engine(args.engine);
   if (!engine_mode) {
     std::fprintf(stderr,
@@ -421,7 +430,6 @@ int main(int argc, char** argv) {
 
   if (args.fuzz_seed) {
     auto c = validate::sample_fuzz_case(*args.fuzz_seed);
-    c.backend = *backend;
     c.par_lps = args.par;
     c.batching = !args.no_batch;
     if (!args.engine.empty()) c.engine_mode = *engine_mode;
@@ -445,7 +453,7 @@ int main(int argc, char** argv) {
   if (args.fuzz_count > 0) {
     const int failures = validate::run_fuzz_campaign(
         args.seed, args.fuzz_count, args.jobs, /*quiet=*/false,
-        args.fuzz_artifacts, *backend, args.par,
+        args.fuzz_artifacts, args.par,
         args.engine.empty() ? -1 : *engine_mode);
     std::printf("fuzz: %d/%d seeds clean\n", args.fuzz_count - failures,
                 args.fuzz_count);
@@ -453,7 +461,7 @@ int main(int argc, char** argv) {
   }
 
   net::set_hot_path_batching(!args.no_batch);
-  auto scenario = build(args, *backend);
+  auto scenario = build(args);
   net::set_hot_path_batching(true);
   if (!scenario) return 1;
 
@@ -550,8 +558,8 @@ int main(int argc, char** argv) {
       wc.kind = *kind;
       wc.arrival_rate = args.arrival_rate;
     }
-    if (args.max_concurrent > 0) wc.max_concurrent = args.max_concurrent;
-    if (args.id_slots > 0) wc.id_slots = args.id_slots;
+    if (args.max_concurrent) wc.max_concurrent = *args.max_concurrent;
+    if (args.id_slots) wc.id_slots = *args.id_slots;
     wc.seed = args.seed ^ 0xC4u;
     engine = std::make_unique<workload::WorkloadEngine>(*scenario, wc,
                                                         psim.get());
@@ -570,9 +578,8 @@ int main(int argc, char** argv) {
   if (engine) engine->stop();
   if (checker) checker->finalize();
 
-  std::printf("topology=%s queue=%s duration=%.0fs measured=%.0fs seed=%llu\n",
-              args.topology.c_str(), args.queue.c_str(), args.duration_s,
-              measured_seconds(args),
+  std::printf("topology=%s duration=%.0fs measured=%.0fs seed=%llu\n",
+              args.topology.c_str(), args.duration_s, measured_seconds(args),
               static_cast<unsigned long long>(args.seed));
   if (psim) {
     std::printf("parallel: %d LPs (%d requested), engine=%s, %llu windows, "
