@@ -125,7 +125,8 @@ BENCHMARK(BM_PacketForwardLoop)->Unit(benchmark::kMillisecond);
 // The same three-hop forwarding burst with the batched hot path toggled:
 // Arg 0 = unbatched (per-packet scheduler events), 1 = batched (link-pump
 // carrier events, batched queue ops). The events_per_packet counter is the
-// headline metric — carrier events amortize across whole delivery runs, so
+// headline metric — one carrier event executes every transmission and
+// delivery op that comes due before the next pending scheduler event, so
 // the batched row drops well below one scheduler event per delivered
 // packet while the unbatched row pays several.
 void BM_BatchDelivery(benchmark::State& state) {

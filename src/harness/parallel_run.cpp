@@ -185,17 +185,6 @@ net::LinkPump::Stats ParallelSim::pump_stats() const {
     const net::LinkPump::Stats& s = pump->stats();
     total.events += s.events;
     total.ops += s.ops;
-    total.delivery_runs += s.delivery_runs;
-    total.delivered_in_runs += s.delivered_in_runs;
-  }
-  return total;
-}
-
-net::LinkPump::RunHistogram ParallelSim::pump_histogram() const {
-  net::LinkPump::RunHistogram total = pump_hist_carry_;
-  for (const auto& pump : pumps_) {
-    const net::LinkPump::RunHistogram h = pump->aggregate_histogram();
-    for (std::size_t i = 0; i < total.size(); ++i) total[i] += h[i];
   }
   return total;
 }
@@ -670,7 +659,6 @@ void ParallelSim::migrate_to(Partition next) {
   if (!pumps_.empty()) {
     for (const auto& link : nw.links()) link->detach_pump();
     pump_stats_carry_ = pump_stats();
-    pump_hist_carry_ = pump_histogram();
     for (std::size_t i = 0; i < pumps_.size(); ++i) {
       pumps_[i] = std::make_unique<net::LinkPump>(*shards_[i]);
     }

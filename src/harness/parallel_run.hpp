@@ -168,7 +168,6 @@ class ParallelSim {
   // Aggregate batch-pump counters across the per-LP pumps (all zeros when
   // the scenario's network was built with hot-path batching off).
   net::LinkPump::Stats pump_stats() const;
-  net::LinkPump::RunHistogram pump_histogram() const;
 
  private:
   // Buffers one LP's trace records with the merge key: the record, the
@@ -267,7 +266,6 @@ class ParallelSim {
   std::vector<unsigned char> migrate_buf_;
   // Counters retired pumps hand over across a migration.
   net::LinkPump::Stats pump_stats_carry_{};
-  net::LinkPump::RunHistogram pump_hist_carry_{};
 
   // Per-LP report counters.
   std::vector<std::uint64_t> lp_events_;

@@ -72,9 +72,10 @@ class Link {
   void set_destination(Node* node) { dst_node_ = node; }
   void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
   // Telemetry tap observing this link's delivery stream (one-branch-when-
-  // off, same discipline as the tracer). The tap is invoked from every
-  // delivery call site — unbatched, batched, and cross-shard injected — so
-  // it sees the full stream in delivery order regardless of engine mode.
+  // off, same discipline as the tracer). The tap is invoked from both
+  // delivery call sites — local deliveries (per-event or pumped) and
+  // cross-shard injected ones — so it sees the full stream in delivery
+  // order regardless of engine mode.
   void set_telemetry_tap(telemetry::ReorderTap* tap) { tap_ = tap; }
   // Shares the network-wide recycling pool for in-flight packets. A link
   // constructed standalone (tests) lazily creates its own.
@@ -165,8 +166,8 @@ class Link {
   // destruction; pending packets return to the pool).
   void detach_pump();
   // Current head key of the given op stream, or nullopt when the stream is
-  // empty. The pump validates its index entries against this on every heap
-  // inspection — inline, it's a pair of loads on the hot path.
+  // empty. The pump re-keys the stream's index slot from this after each of
+  // its ops — inline, it's a pair of loads on the hot path.
   std::optional<PumpKey> pump_op_key(PumpOp op) const {
     if (op == PumpOp::kTxComplete) {
       if (!tx_pending_) return std::nullopt;
@@ -179,9 +180,7 @@ class Link {
   // key): frees the transmitter, starts the next transmission, then runs
   // the completed packet's loss lottery / propagation setup.
   void pump_run_tx();
-  // Executes the delivery at the ring head plus every same-time successor
-  // the pump lets ride the current event, handing multi-packet runs to the
-  // destination node as one PacketBatch.
+  // Executes the delivery at the ring head (clock already at its key).
   void pump_run_deliveries();
 
   NodeId from() const { return from_; }

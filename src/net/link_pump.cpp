@@ -3,7 +3,6 @@
 #include <atomic>
 
 #include "net/link.hpp"
-#include "util/check.hpp"
 
 namespace tcppr::net {
 
@@ -28,31 +27,8 @@ LinkPump::~LinkPump() {
 
 std::uint32_t LinkPump::add_link(Link* link) {
   links_.push_back(link);
-  histograms_.emplace_back();
+  index_.add_streams(2);
   return static_cast<std::uint32_t>(links_.size() - 1);
-}
-
-bool LinkPump::entry_valid(const sim::QueuedEvent& e) const {
-  const Link* link = links_[static_cast<std::size_t>(e.id >> 1)];
-  const std::optional<PumpKey> head =
-      link->pump_op_key(static_cast<PumpOp>(e.id & 1));
-  return head && head->at == e.time && head->seq == e.seq;
-}
-
-std::optional<sim::QueuedEvent> LinkPump::pop_valid_min() {
-  for (;;) {
-    auto e = heap_.pop_min();
-    if (!e || entry_valid(*e)) return e;
-  }
-}
-
-std::optional<sim::QueuedEvent> LinkPump::peek_valid_min() {
-  for (;;) {
-    auto e = heap_.peek_min();
-    if (!e) return std::nullopt;
-    if (entry_valid(*e)) return e;
-    heap_.pop_min();
-  }
 }
 
 void LinkPump::park(PumpKey k) {
@@ -71,49 +47,37 @@ void LinkPump::reseed_after_restore() {
   // id is stale by construction — drop it without a cancel round.
   parked_ = sim::EventId{};
   in_batch_ = false;
-  heap_.clear();
+  running_ = kNoStream;
+  index_.clear();
   for (std::size_t i = 0; i < links_.size(); ++i) {
     for (const PumpOp op : {PumpOp::kTxComplete, PumpOp::kDeliver}) {
       const std::optional<PumpKey> k = links_[i]->pump_op_key(op);
-      if (!k) continue;
-      heap_.push(sim::QueuedEvent{
-          k->at, k->seq,
-          (static_cast<std::uint64_t>(i) << 1) |
-              static_cast<std::uint64_t>(op)});
+      if (k) index_.insert(stream_of(static_cast<std::uint32_t>(i), op), *k);
     }
   }
-  const auto min = peek_valid_min();
-  if (min) park(PumpKey{min->time, min->seq});
+  if (!index_.empty()) park(index_.top().key);
 }
 
 void LinkPump::push_op(PumpKey k, std::uint32_t link_id, PumpOp op) {
-  heap_.push(sim::QueuedEvent{
-      k.at, k.seq,
-      (static_cast<std::uint64_t>(link_id) << 1) |
-          static_cast<std::uint64_t>(op)});
+  const std::uint32_t stream = stream_of(link_id, op);
+  if (stream == running_) return;  // on_event re-keys it when the op returns
+  if (index_.contains(stream)) {
+    // Only a jittered delivery that overtook the ring head re-announces an
+    // indexed stream, and it always moves the stream earlier.
+    TCPPR_DCHECK(k < index_.key(stream));
+    index_.update(stream, k);
+  } else {
+    index_.insert(stream, k);
+  }
   if (in_batch_) return;  // the batch loop re-parks when it drains
   if (!parked_.valid()) {
     park(k);
     return;
   }
-  if (k.at < parked_key_.at ||
-      (k.at == parked_key_.at && k.seq < parked_key_.seq)) {
+  if (k < parked_key_) {
     sched_->cancel(parked_);
     park(k);
   }
-}
-
-bool LinkPump::try_extend(PumpKey k) {
-  TCPPR_DCHECK(in_batch_);
-  const auto other = peek_valid_min();
-  if (other && !(k.at < other->time ||
-                 (k.at == other->time && k.seq < other->seq))) {
-    return false;
-  }
-  if (!sched_->would_fire_next(k.at, k.seq)) return false;
-  sched_->advance_batched_op(k.at, k.seq);
-  ++stats_.ops;
-  return true;
 }
 
 void LinkPump::on_event() {
@@ -122,49 +86,36 @@ void LinkPump::on_event() {
   parked_ = sim::EventId{};
   in_batch_ = true;
   ++stats_.events;
-  bool first = true;
-  for (;;) {
-    const auto e = pop_valid_min();
-    if (!e) break;
-    if (!first) sched_->advance_batched_op(e->time, e->seq);
-    first = false;
+  for (bool first = true; !index_.empty(); first = false) {
+    const PumpIndex::Slot head = index_.top();
+    if (!first) {
+      if (!sched_->would_fire_next(head.key.at, head.key.seq)) {
+        in_batch_ = false;
+        park(head.key);
+        return;
+      }
+      // The op rides this event: advance the clock to its key.
+      sched_->advance_batched_op(head.key.at, head.key.seq);
+    }
     ++stats_.ops;
-    Link* link = links_[static_cast<std::size_t>(e->id >> 1)];
-    if (static_cast<PumpOp>(e->id & 1) == PumpOp::kTxComplete) {
+    Link* link = links_[head.stream >> 1];
+    const auto op = static_cast<PumpOp>(head.stream & 1);
+    running_ = head.stream;
+    if (op == PumpOp::kTxComplete) {
       link->pump_run_tx();
     } else {
       link->pump_run_deliveries();
     }
-    const auto next = peek_valid_min();
-    if (!next) break;
-    if (!sched_->would_fire_next(next->time, next->seq)) {
-      in_batch_ = false;
-      park(PumpKey{next->time, next->seq});
-      return;
+    running_ = kNoStream;
+    // The op may have re-rooted the index (a zero-delay op minted by a
+    // lower node id sorts first), so the stream is addressed by id.
+    if (const std::optional<PumpKey> next = link->pump_op_key(op)) {
+      index_.update(head.stream, *next);
+    } else {
+      index_.remove(head.stream);
     }
-    // Loop: the next iteration advances the clock to `next` and executes
-    // it inside this same event.
   }
   in_batch_ = false;
-}
-
-void LinkPump::note_delivery_run(std::uint32_t link_id, std::size_t len) {
-  ++stats_.delivery_runs;
-  stats_.delivered_in_runs += len;
-  std::size_t bucket = 0;
-  while (bucket + 1 < histograms_[link_id].size() &&
-         (std::size_t{1} << (bucket + 1)) <= len) {
-    ++bucket;
-  }
-  ++histograms_[link_id][bucket];
-}
-
-LinkPump::RunHistogram LinkPump::aggregate_histogram() const {
-  RunHistogram total{};
-  for (const RunHistogram& h : histograms_) {
-    for (std::size_t i = 0; i < total.size(); ++i) total[i] += h[i];
-  }
-  return total;
 }
 
 }  // namespace tcppr::net

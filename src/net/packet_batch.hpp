@@ -1,24 +1,18 @@
-// Per-event packet batch: the carrier the batched hot path hands between
-// layers (link delivery runs -> Node::receive_batch -> Agent::deliver_batch,
-// sender send-bursts -> Node::originate_burst -> Link::send_batch).
+// Per-event packet batch: the carrier a sender send-burst travels in
+// (SenderBase's BurstScope -> Node::originate_burst -> Link::send_batch,
+// and Queue::enqueue_batch/dequeue_batch below it).
 //
 // Small-buffer container in the spirit of util::InlineVec, which cannot
 // hold Packet itself (InlineVec is restricted to trivially copyable
-// element types): the first kInline entries live inline in the batch —
-// enough for a typical delivery run or ACK train without touching the
-// allocator — and larger bursts spill to one heap buffer. A released heap
-// buffer is kept as the thread's spare (the largest one seen) for the next
-// batch that spills, so a sender whose bursts regularly outgrow the inline
-// slots stops allocating once warm. Each entry
-// optionally carries the scheduler tie-break sequence of the event the
-// packet's individual delivery would have been (0 when the batch was built
-// outside the pump, e.g. a send-burst), so downstream layers can advance
-// the clock's current-event sequence per packet and keep buffered trace
-// records keyed exactly as the unbatched engine keys them.
+// element types): the first kInline packets live inline in the batch —
+// enough for a typical window burst without touching the allocator — and
+// larger bursts spill to one heap buffer. A released heap buffer is kept
+// as the thread's spare (the largest one seen) for the next batch that
+// spills, so a sender whose bursts regularly outgrow the inline slots
+// stops allocating once warm.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <new>
 #include <utility>
 
@@ -29,11 +23,6 @@ namespace tcppr::net {
 
 class PacketBatch {
  public:
-  struct Entry {
-    Packet pkt;
-    std::uint64_t seq;
-  };
-
   static constexpr std::size_t kInline = 8;
 
   PacketBatch() = default;
@@ -49,9 +38,9 @@ class PacketBatch {
   }
   ~PacketBatch() { destroy(); }
 
-  void push(Packet&& pkt, std::uint64_t seq = 0) {
+  void push(Packet&& pkt) {
     if (size_ == cap_) grow();
-    ::new (static_cast<void*>(data_ + size_)) Entry{std::move(pkt), seq};
+    ::new (static_cast<void*>(data_ + size_)) Packet(std::move(pkt));
     ++size_;
   }
 
@@ -60,15 +49,11 @@ class PacketBatch {
 
   Packet& operator[](std::size_t i) {
     TCPPR_DCHECK(i < size_);
-    return data_[i].pkt;
+    return data_[i];
   }
   const Packet& operator[](std::size_t i) const {
     TCPPR_DCHECK(i < size_);
-    return data_[i].pkt;
-  }
-  std::uint64_t seq(std::size_t i) const {
-    TCPPR_DCHECK(i < size_);
-    return data_[i].seq;
+    return data_[i];
   }
 
   void clear() {
@@ -79,14 +64,14 @@ class PacketBatch {
   }
 
  private:
-  Entry* inline_data() { return reinterpret_cast<Entry*>(inline_); }
+  Packet* inline_data() { return reinterpret_cast<Packet*>(inline_); }
   bool on_heap() const {
-    return data_ != reinterpret_cast<const Entry*>(inline_);
+    return data_ != reinterpret_cast<const Packet*>(inline_);
   }
 
   void grow() {
     std::size_t new_cap = cap_ * 2;
-    Entry* fresh;
+    Packet* fresh;
     Spare& spare = thread_spare();
     if (spare.cap >= new_cap) {
       fresh = spare.data;
@@ -97,8 +82,8 @@ class PacketBatch {
       fresh = allocate(new_cap);
     }
     for (std::size_t i = 0; i < size_; ++i) {
-      ::new (static_cast<void*>(fresh + i)) Entry{std::move(data_[i])};
-      data_[i].~Entry();
+      ::new (static_cast<void*>(fresh + i)) Packet(std::move(data_[i]));
+      data_[i].~Packet();
     }
     if (on_heap()) release(data_, cap_);
     data_ = fresh;
@@ -106,21 +91,21 @@ class PacketBatch {
   }
 
   void destroy() {
-    for (std::size_t i = 0; i < size_; ++i) data_[i].~Entry();
+    for (std::size_t i = 0; i < size_; ++i) data_[i].~Packet();
     if (on_heap()) release(data_, cap_);
   }
 
-  static Entry* allocate(std::size_t cap) {
-    return static_cast<Entry*>(::operator new(
-        sizeof(Entry) * cap, std::align_val_t{alignof(Entry)}));
+  static Packet* allocate(std::size_t cap) {
+    return static_cast<Packet*>(::operator new(
+        sizeof(Packet) * cap, std::align_val_t{alignof(Packet)}));
   }
-  static void deallocate(Entry* data) {
-    ::operator delete(data, std::align_val_t{alignof(Entry)});
+  static void deallocate(Packet* data) {
+    ::operator delete(data, std::align_val_t{alignof(Packet)});
   }
 
   // The thread's heap buffer that no batch is using; freed at thread exit.
   struct Spare {
-    Entry* data = nullptr;
+    Packet* data = nullptr;
     std::size_t cap = 0;
     Spare() = default;
     Spare(const Spare&) = delete;
@@ -134,7 +119,7 @@ class PacketBatch {
     return spare;
   }
   // Keeps the larger of the released buffer and the current spare.
-  static void release(Entry* data, std::size_t cap) {
+  static void release(Packet* data, std::size_t cap) {
     Spare& spare = thread_spare();
     if (cap <= spare.cap) {
       deallocate(data);
@@ -155,8 +140,9 @@ class PacketBatch {
       size_ = other.size_;
       cap_ = kInline;
       for (std::size_t i = 0; i < size_; ++i) {
-        ::new (static_cast<void*>(data_ + i)) Entry{std::move(other.data_[i])};
-        other.data_[i].~Entry();
+        ::new (static_cast<void*>(data_ + i))
+            Packet(std::move(other.data_[i]));
+        other.data_[i].~Packet();
       }
     }
     other.data_ = other.inline_data();
@@ -164,10 +150,10 @@ class PacketBatch {
     other.cap_ = kInline;
   }
 
-  Entry* data_ = inline_data();
+  Packet* data_ = inline_data();
   std::size_t size_ = 0;
   std::size_t cap_ = kInline;
-  alignas(Entry) std::byte inline_[sizeof(Entry) * kInline];
+  alignas(Packet) std::byte inline_[sizeof(Packet) * kInline];
 };
 
 }  // namespace tcppr::net

@@ -1,6 +1,6 @@
 // The scheduler's pending-event set: a cache-friendly 8-ary implicit heap
 // ordered by (time, insertion sequence), so ties break FIFO and a run is
-// deterministic. The link pump keeps its op index in one too.
+// deterministic.
 #pragma once
 
 #include <cstddef>

@@ -42,13 +42,6 @@ class Receiver final : public net::Agent {
   Receiver& operator=(const Receiver&) = delete;
 
   void deliver(net::Packet&& pkt) override;
-  // Batched delivery: processes the run per-packet (identical state
-  // evolution), but stages the ACKs it provokes into one train handed to
-  // the node as a single originate_burst — one scheduler op instead of
-  // one per ACK. Falls back to the per-packet path under delayed ACKs,
-  // whose timer arms would interleave with the staged originations.
-  void deliver_batch(net::PacketBatch& batch, std::size_t begin,
-                     std::size_t end) override;
 
   const ReceiverStats& stats() const { return stats_; }
   FlowId flow() const { return flow_; }
@@ -85,8 +78,7 @@ class Receiver final : public net::Agent {
 
   // Checkpoint/rollback visitor: the receiver's trajectory state,
   // including the delayed-ACK machinery (its pending cause is a full
-  // packet) and the validation hash. The ACK train is empty between
-  // events.
+  // packet) and the validation hash.
   void state(util::StateIO& io) {
     io.pod(rcv_next_);
     io.pod(delivered_hash_);
@@ -192,11 +184,6 @@ class Receiver final : public net::Agent {
   int unacked_segments_ = 0;
   net::Packet pending_cause_;
   bool has_pending_cause_ = false;
-
-  // ACK-train staging (deliver_batch): emitted ACKs park here until the
-  // whole run is processed, then leave as one burst.
-  net::PacketBatch train_;
-  bool train_active_ = false;
 
   ReceiverStats stats_;
   // Disabled until set_metric_registry; emissions cost one predictable

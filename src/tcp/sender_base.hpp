@@ -160,8 +160,8 @@ class SenderBase : public net::Agent {
 
   // RAII send-burst: transmit_segment calls within the scope stage their
   // segments, and scope exit hands the whole burst to the node as one
-  // originate_burst (one routing/admission sweep, and under the batched
-  // engine one coalesced delivery run downstream). Staging only defers the
+  // originate_burst (one routing/admission sweep, and a bulk enqueue once
+  // the first segment occupies the transmitter). Staging only defers the
   // link hand-off past the later segments' construction — construction
   // touches no shared state — so per-packet behavior is identical; scopes
   // nest (the outermost flushes).

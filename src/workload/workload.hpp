@@ -170,8 +170,6 @@ class FlowServer final : public net::Agent {
   void stop();
 
   void deliver(net::Packet&& pkt) override;
-  void deliver_batch(net::PacketBatch& batch, std::size_t begin,
-                     std::size_t end) override;
 
   std::uint64_t receivers_created() const { return created_; }
   std::uint64_t receivers_closed() const { return closed_; }

@@ -653,11 +653,21 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(to));
     }
   }
-  std::printf("\nloss rate %.2f%%, %llu events processed\n",
+  // Scheduler events and pump ops side by side: a batched run executes
+  // most packet ops inside a few carrier events, so the event count alone
+  // says little about the work done.
+  net::LinkPump::Stats pump_stats{};
+  if (psim) {
+    pump_stats = psim->pump_stats();
+  } else if (scenario->network.pump() != nullptr) {
+    pump_stats = scenario->network.pump()->stats();
+  }
+  std::printf("\nloss rate %.2f%%, %llu scheduler events, %llu pump ops\n",
               100.0 * result.loss_rate,
-              static_cast<unsigned long long>(result.events));
+              static_cast<unsigned long long>(result.events),
+              static_cast<unsigned long long>(pump_stats.ops));
   // Engine aggregates: events per delivered packet (the batched hot path
-  // drives this below 1) plus the delivery-run length histogram.
+  // drives this below 1) and pump ops per carrier event.
   const auto snap = scenario->network.conservation();
   const double epp =
       snap.delivered_to_agent > 0
@@ -666,33 +676,13 @@ int main(int argc, char** argv) {
           : 0.0;
   std::printf("engine: %s, %.3f events/packet",
               args.no_batch ? "unbatched" : "batched", epp);
-  net::LinkPump::Stats pump_stats{};
-  net::LinkPump::RunHistogram hist{};
-  if (psim) {
-    pump_stats = psim->pump_stats();
-    hist = psim->pump_histogram();
-  } else if (scenario->network.pump() != nullptr) {
-    pump_stats = scenario->network.pump()->stats();
-    hist = scenario->network.pump()->aggregate_histogram();
-  }
   if (pump_stats.events > 0) {
-    std::printf(", %llu pump ops in %llu carrier events (%.2f ops/event)",
-                static_cast<unsigned long long>(pump_stats.ops),
+    std::printf(", %llu carrier events (%.2f pump ops/event)",
                 static_cast<unsigned long long>(pump_stats.events),
                 static_cast<double>(pump_stats.ops) /
                     static_cast<double>(pump_stats.events));
   }
   std::printf("\n");
-  if (pump_stats.delivery_runs > 0) {
-    std::printf("delivery runs: mean %.2f, len histogram [",
-                static_cast<double>(pump_stats.delivered_in_runs) /
-                    static_cast<double>(pump_stats.delivery_runs));
-    for (std::size_t i = 0; i < hist.size(); ++i) {
-      std::printf("%s%llu", i == 0 ? "" : " ",
-                  static_cast<unsigned long long>(hist[i]));
-    }
-    std::printf("] (log2 buckets: 1, 2-3, 4-7, ..., >=128)\n");
-  }
   if (engine) {
     const auto ws = engine->stats();
     std::printf(
