@@ -430,18 +430,11 @@ void TcpPrSender::on_ack_packet(const net::Packet& ack) {
   dup_credits_ = 0;
   if (memorize_count_ == 0) cburst_ = 0;
 
-  // Table 1 lines 13-14: sample from the packet whose ACK just arrived.
-  // An ACK that covers only declared segments samples from the drop
-  // record (the lost copy's transmit time, still in the slot until the
-  // retransmission goes out). Under the current flush policy that branch
-  // is never taken: outside backoff head repair resends the lowest
-  // declared segment at once, so an advancing ACK always covers an
-  // in-flight copy, and entering backoff clears every drop record.
-  if (any) {
-    update_ewrtt(now() - newest_send);
-  } else if (window_[a - 1].drops > 0) {
-    update_ewrtt(now() - window_[a - 1].transmitted);
-  }
+  // Table 1 lines 13-14: sample from the newest in-flight copy this ACK
+  // covers. An ACK covering only declared (to-be-sent) segments yields no
+  // sample, so when a lost head stalls the whole flight ewrtt cannot learn
+  // an RTT above mxrtt.
+  if (any) update_ewrtt(now() - newest_send);
 
   if (in_backoff_) {
     in_backoff_ = false;

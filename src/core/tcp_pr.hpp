@@ -135,11 +135,6 @@ class TcpPrSender final : public tcp::SenderBase {
     unblock_timer_.rebind(shard);
     unblock_timer_.set_stamp_entity(static_cast<std::uint32_t>(local_node()));
   }
-  void migrate_to_shard(sim::Scheduler& shard) override {
-    tcp::SenderBase::migrate_to_shard(shard);
-    drop_timer_.rebind_for_migration(shard);
-    unblock_timer_.rebind_for_migration(shard);
-  }
 
   enum class Mode { kSlowStart, kCongestionAvoidance };
   Mode mode() const { return mode_; }

@@ -52,7 +52,6 @@ ParallelSim::ParallelSim(Scenario& scenario, const ParallelRunConfig& config)
     scenario_.lp_scheds.push_back(std::make_unique<sim::Scheduler>());
     sim::Scheduler* shard = scenario_.lp_scheds.back().get();
     shard->enable_seq_stamping();
-    if (config_.adaptive) shard->enable_entity_fire_counts();
     shards_.push_back(shard);
     pools_.push_back(net::PacketPool::create());
     if (nw.pump() != nullptr) {
@@ -70,9 +69,40 @@ ParallelSim::ParallelSim(Scenario& scenario, const ParallelRunConfig& config)
   lp_prev_processed_.assign(static_cast<std::size_t>(k), 0);
   lp_rollbacks_.assign(static_cast<std::size_t>(k), 0);
   lp_snapshot_bytes_.assign(static_cast<std::size_t>(k), 0);
-  lp_cross_carry_.assign(static_cast<std::size_t>(k), 0);
 
-  wire_partition();
+  // Wiring happens before the run, while links are idle, so the checked
+  // setters apply.
+  for (int v = 0; v < nw.node_count(); ++v) {
+    const int lp = lp_of(static_cast<net::NodeId>(v));
+    nw.node(static_cast<net::NodeId>(v))
+        .set_tracer(lp_tracers_[static_cast<std::size_t>(lp)].get(),
+                    shards_[static_cast<std::size_t>(lp)]);
+  }
+  // A link's queue/transmit/propagation events all run on its *source*
+  // LP; only the final delivery may cross (mailbox + injected ring armed
+  // on the destination shard, with the destination LP's pool).
+  for (const auto& link : nw.links()) {
+    const int lp = lp_of(link->from());
+    const int dst = lp_of(link->to());
+    link->set_scheduler(*shards_[static_cast<std::size_t>(lp)]);
+    link->set_packet_pool(pools_[static_cast<std::size_t>(lp)]);
+    link->set_tracer(lp_tracers_[static_cast<std::size_t>(lp)].get());
+    link->set_injection_scheduler(shards_[static_cast<std::size_t>(dst)],
+                                  pools_[static_cast<std::size_t>(dst)]);
+    if (!pumps_.empty()) {
+      link->set_pump(pumps_[static_cast<std::size_t>(lp)].get());
+    }
+  }
+  // Each cut link gets a mailbox; its lookahead bounds every window.
+  for (net::Link* cut : partition_.cut_links()) {
+    mailboxes_.emplace_back();
+    Mailbox& mb = mailboxes_.back();
+    mb.link = cut;
+    mb.src_lp = lp_of(cut->from());
+    mb.dst_lp = lp_of(cut->to());
+    mb.lookahead = cut->prop_delay();
+    cut->set_remote_channel(&mb.channel);
+  }
 
   for (const auto& s : scenario_.senders) {
     s->rebind_scheduler(shard_for(s->local_node()));
@@ -124,50 +154,6 @@ ParallelSim::~ParallelSim() {
   }
 }
 
-void ParallelSim::wire_partition() {
-  // Construction-time wiring: links are idle, so the checked setters
-  // apply. (Migration re-wiring uses the rebind_for_migration variants —
-  // state restore puts the in-flight traffic back afterwards.)
-  net::Network& nw = scenario_.network;
-  for (int v = 0; v < nw.node_count(); ++v) {
-    const int lp = lp_of(static_cast<net::NodeId>(v));
-    nw.node(static_cast<net::NodeId>(v))
-        .set_tracer(lp_tracers_[static_cast<std::size_t>(lp)].get(),
-                    shards_[static_cast<std::size_t>(lp)]);
-  }
-  // A link's queue/transmit/propagation events all run on its *source*
-  // LP; only the final delivery may cross (mailbox + injected ring armed
-  // on the destination shard, with the destination LP's pool).
-  for (const auto& link : nw.links()) {
-    const int lp = lp_of(link->from());
-    const int dst = lp_of(link->to());
-    link->set_scheduler(*shards_[static_cast<std::size_t>(lp)]);
-    link->set_packet_pool(pools_[static_cast<std::size_t>(lp)]);
-    link->set_tracer(lp_tracers_[static_cast<std::size_t>(lp)].get());
-    link->set_injection_scheduler(shards_[static_cast<std::size_t>(dst)],
-                                  pools_[static_cast<std::size_t>(dst)]);
-    if (!pumps_.empty()) {
-      link->set_pump(pumps_[static_cast<std::size_t>(lp)].get());
-    }
-  }
-  build_mailboxes();
-}
-
-void ParallelSim::build_mailboxes() {
-  for (net::Link* cut : partition_.cut_links()) {
-    mailboxes_.emplace_back();
-    Mailbox& mb = mailboxes_.back();
-    mb.link = cut;
-    mb.dst_node = &scenario_.network.node(cut->to());
-    mb.src_lp = lp_of(cut->from());
-    mb.dst_lp = lp_of(cut->to());
-    mb.lookahead = cut->prop_delay();
-    cut->set_remote_channel(&mb.channel);
-    cut_edges_.push_back(
-        sim::ParallelEngine::CutEdge{mb.src_lp, mb.lookahead});
-  }
-}
-
 sim::Scheduler& ParallelSim::shard_for(net::NodeId node) {
   return *shards_[static_cast<std::size_t>(lp_of(node))];
 }
@@ -180,7 +166,7 @@ void ParallelSim::set_checker(validate::InvariantChecker* checker) {
 }
 
 net::LinkPump::Stats ParallelSim::pump_stats() const {
-  net::LinkPump::Stats total = pump_stats_carry_;
+  net::LinkPump::Stats total{};
   for (const auto& pump : pumps_) {
     const net::LinkPump::Stats& s = pump->stats();
     total.events += s.events;
@@ -216,7 +202,6 @@ std::vector<ParallelSim::LpReport> ParallelSim::lp_reports() const {
         busiest > 0 ? static_cast<double>(lp_events_[i]) /
                           static_cast<double>(busiest)
                     : 0.0;
-    out[i].cross_pushed = lp_cross_carry_[i];
     out[i].rollbacks = lp_rollbacks_[i];
     out[i].snapshot_bytes = lp_snapshot_bytes_[i];
   }
@@ -258,8 +243,6 @@ void ParallelSim::publish_metrics(obs::MetricRegistry& registry,
                static_cast<double>(rollback_windows_));
   registry.set(t, gauge("par.rollbacks"), net::kInvalidFlow,
                static_cast<double>(rollbacks_));
-  registry.set(t, gauge("par.repartitions"), net::kInvalidFlow,
-               static_cast<double>(repartitions_));
   registry.set(t, gauge("par.speculation_w_us"), net::kInvalidFlow,
                static_cast<double>(last_w_.as_nanos()) / 1e3);
 }
@@ -271,12 +254,6 @@ void ParallelSim::run_until(sim::TimePoint end) {
   hooks.exchange = [this] { return exchange(); };
   hooks.external_backlog = [this] { return external_in_flight(); };
   hooks.at_barrier = [this](sim::TimePoint h) { at_barrier(h); };
-  if (config_.adaptive) {
-    hooks.maybe_repartition =
-        [this](std::vector<sim::ParallelEngine::CutEdge>& cuts) {
-          return maybe_repartition(cuts);
-        };
-  }
   if (config_.optimistic) {
     hooks.can_speculate = [this] { return can_speculate(); };
     hooks.snapshot = [this](int lp) { snapshot_lp(lp); };
@@ -285,14 +262,17 @@ void ParallelSim::run_until(sim::TimePoint end) {
       return settle(h, bound, res);
     };
   }
-  sim::ParallelEngine engine(shards_, cut_edges_, std::move(hooks), ec);
+  std::vector<sim::ParallelEngine::CutEdge> cuts;
+  for (const Mailbox& mb : mailboxes_) {
+    cuts.push_back(sim::ParallelEngine::CutEdge{mb.src_lp, mb.lookahead});
+  }
+  sim::ParallelEngine engine(shards_, std::move(cuts), std::move(hooks), ec);
   engine.run_until(end);
   windows_ += engine.windows();
   exchanged_ += engine.exchanged();
   spec_windows_ += engine.spec_windows();
   rollback_windows_ += engine.rollback_windows();
   rollbacks_ += engine.rollbacks();
-  repartitions_ += engine.repartitions();
   if (config_.optimistic) last_w_ = engine.current_w();
   if (tracing_) flush_traces(sim::TimePoint::max());
 }
@@ -318,7 +298,6 @@ std::uint64_t ParallelSim::exchange() {
 }
 
 void ParallelSim::at_barrier(sim::TimePoint h) {
-  last_barrier_ = h;
   // Committed per-LP event deltas (speculative events only show up once
   // committed — a rolled-back leg restores processed_count below the next
   // sample, never below the previous one).
@@ -552,168 +531,6 @@ int ParallelSim::settle(sim::TimePoint h, sim::TimePoint bound,
     buf.clear();
   }
   return n_rolled;
-}
-
-// --- adaptive repartitioning -----------------------------------------------
-
-bool ParallelSim::maybe_repartition(
-    std::vector<sim::ParallelEngine::CutEdge>& cuts) {
-  ++windows_since_repart_;
-  if (windows_since_repart_ < config_.repartition_cooldown) return false;
-  for (const sim::Scheduler* s : shards_) {
-    // Migration re-seats every pending event from component state, so all
-    // of them must be regenerable; and no shard clock may sit past the
-    // barrier (committed speculation parks clocks ahead — re-homing a
-    // component into such a shard's past would be illegal).
-    if (!s->all_pending_replay_safe()) return false;
-    if (s->now() > last_barrier_) return false;
-  }
-  net::Network& nw = scenario_.network;
-  std::vector<double> weights(static_cast<std::size_t>(nw.node_count()), 0.0);
-  double total = 0.0;
-  for (const sim::Scheduler* s : shards_) {
-    const std::vector<std::uint64_t>& fires = s->entity_fires();
-    const std::size_t lim = std::min(fires.size(), weights.size());
-    for (std::size_t v = 0; v < lim; ++v) {
-      weights[v] += static_cast<double>(fires[v]);
-      total += static_cast<double>(fires[v]);
-    }
-  }
-  if (total < static_cast<double>(config_.repartition_min_events)) {
-    return false;
-  }
-  const auto reset = [this] {
-    for (sim::Scheduler* s : shards_) s->reset_entity_fires();
-    windows_since_repart_ = 0;
-  };
-  std::vector<double> lp_load(shards_.size(), 0.0);
-  for (int v = 0; v < nw.node_count(); ++v) {
-    lp_load[static_cast<std::size_t>(lp_of(static_cast<net::NodeId>(v)))] +=
-        weights[static_cast<std::size_t>(v)];
-  }
-  const double mean = total / static_cast<double>(shards_.size());
-  const double busiest = *std::max_element(lp_load.begin(), lp_load.end());
-  if (busiest <= config_.repartition_skew * mean) {
-    // Inside the hysteresis band: balanced enough, keep the assignment
-    // and restart the measurement window.
-    reset();
-    return false;
-  }
-  PartitionConfig pc;
-  // Never ask for more LPs than we allocated shards for: a re-run of the
-  // partitioner can only reuse the existing shard set.
-  pc.target_lps = static_cast<int>(shards_.size());
-  pc.min_cut_lookahead = config_.min_cut_lookahead;
-  pc.node_extra_weight = std::move(weights);
-  Partition next(nw, pc);
-  bool same = next.lp_count() == partition_.lp_count();
-  for (int v = 0; same && v < nw.node_count(); ++v) {
-    same = next.lp_of(static_cast<net::NodeId>(v)) ==
-           lp_of(static_cast<net::NodeId>(v));
-  }
-  if (same) {
-    reset();
-    return false;
-  }
-  migrate_to(std::move(next));
-  cuts = cut_edges_;
-  reset();
-  return true;
-}
-
-void ParallelSim::serialize_world(util::StateIO& io) {
-  // Partition-independent order (node id, network link order, scenario
-  // agent order): the byte image written under the old assignment reads
-  // back identically under the new one.
-  net::Network& nw = scenario_.network;
-  for (int v = 0; v < nw.node_count(); ++v) {
-    nw.node(static_cast<net::NodeId>(v)).state(io);
-  }
-  for (const auto& link : nw.links()) link->state(io);
-  for (const auto& link : nw.links()) link->injected_state(io);
-  for (const auto& s : scenario_.senders) s->state(io);
-  for (const auto& s : scenario_.cross_senders) s->state(io);
-  for (const auto& r : scenario_.receivers) r->state(io);
-  for (const auto& r : scenario_.cross_receivers) r->state(io);
-}
-
-void ParallelSim::migrate_to(Partition next) {
-  net::Network& nw = scenario_.network;
-  // 1. Whole-world byte image. Pumps and mailbox counters stay out: pump
-  // counters carry over explicitly below, and mailboxes are rebuilt at
-  // zero (pushed == executed and empty buffers at a barrier).
-  {
-    util::StateIO io(migrate_buf_, /*saving=*/true);
-    serialize_world(io);
-  }
-  // 2. Wipe every shard's pending set. Checkpoint-then-restore of the
-  // same state destroys the events but keeps clocks, counters and stamp
-  // mints; the component restore in step 5 regenerates the events — each
-  // into its new shard.
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    LpSnapshot& scratch = snaps_[i];
-    shards_[i]->checkpoint(scratch.cp, scratch.stamp_slots);
-    shards_[i]->restore(scratch.cp, scratch.stamp_slots);
-  }
-  // 3. Old wiring down.
-  if (!pumps_.empty()) {
-    for (const auto& link : nw.links()) link->detach_pump();
-    pump_stats_carry_ = pump_stats();
-    for (std::size_t i = 0; i < pumps_.size(); ++i) {
-      pumps_[i] = std::make_unique<net::LinkPump>(*shards_[i]);
-    }
-  }
-  for (Mailbox& mb : mailboxes_) {
-    lp_cross_carry_[static_cast<std::size_t>(mb.src_lp)] += mb.channel.pushed;
-    mb.link->set_remote_channel(nullptr);
-  }
-  mailboxes_.clear();
-  cut_edges_.clear();
-  // 4. Adopt the new assignment and rewire.
-  partition_ = std::move(next);
-  for (int v = 0; v < nw.node_count(); ++v) {
-    const int lp = lp_of(static_cast<net::NodeId>(v));
-    nw.node(static_cast<net::NodeId>(v))
-        .set_tracer(lp_tracers_[static_cast<std::size_t>(lp)].get(),
-                    shards_[static_cast<std::size_t>(lp)]);
-  }
-  for (const auto& link : nw.links()) {
-    const int lp = lp_of(link->from());
-    const int dst = lp_of(link->to());
-    link->rebind_for_migration(*shards_[static_cast<std::size_t>(lp)]);
-    link->set_packet_pool(pools_[static_cast<std::size_t>(lp)]);
-    link->set_tracer(lp_tracers_[static_cast<std::size_t>(lp)].get());
-    link->set_injection_scheduler(shards_[static_cast<std::size_t>(dst)],
-                                  pools_[static_cast<std::size_t>(dst)]);
-    if (!pumps_.empty()) {
-      link->attach_pump_for_migration(
-          pumps_[static_cast<std::size_t>(lp)].get());
-    }
-  }
-  build_mailboxes();
-  for (const auto& s : scenario_.senders) {
-    s->migrate_to_shard(shard_for(s->local_node()));
-  }
-  for (const auto& s : scenario_.cross_senders) {
-    s->migrate_to_shard(shard_for(s->local_node()));
-  }
-  for (const auto& r : scenario_.receivers) {
-    r->migrate_to_shard(shard_for(r->local_node()));
-  }
-  for (const auto& r : scenario_.cross_receivers) {
-    r->migrate_to_shard(shard_for(r->local_node()));
-  }
-  // 5. Restore: every regenerable event re-seats against its new shard
-  // (all pending keys are at or past the barrier, which every shard clock
-  // sits at or before — checked by the migration gate).
-  {
-    util::StateIO io(migrate_buf_, /*saving=*/false);
-    serialize_world(io);
-    TCPPR_CHECK(io.done());
-  }
-  if (!pumps_.empty()) {
-    for (const auto& pump : pumps_) pump->reseed_after_restore();
-  }
 }
 
 }  // namespace tcppr::harness

@@ -1,8 +1,8 @@
 // Parallel execution harness: binds a built Scenario to the parallel
 // engine (sim/parallel_engine.hpp) so one simulation runs across several
-// scheduler shards and produces byte-identical results — conservatively,
-// with bounded-optimism speculation, with adaptive mid-run repartitioning,
-// or any combination.
+// scheduler shards and produces byte-identical results — conservatively
+// or with bounded-optimism speculation. The partition is fixed for the
+// life of the ParallelSim.
 //
 // Responsibilities, in construction order:
 //
@@ -42,13 +42,6 @@
 // retracts their unsent messages and delivers the rest. Commits are
 // final; delivery stamps are partition- and speculation-independent, so
 // the delivery hash cannot change.
-//
-// Adaptive mode: per-entity fired-event counts (stamp owner bits) are
-// sampled at barriers; on sustained skew the greedy partitioner re-runs
-// with the measured weights and the harness migrates shard contents —
-// serialize everything in a partition-independent order, wipe the pending
-// sets (clocks and stamp mints survive), rewire, deserialize so events
-// regenerate into their new shards.
 #pragma once
 
 #include <cstdint>
@@ -79,20 +72,11 @@ struct ParallelRunConfig {
   // Forwarded to the partitioner: links at or below this propagation
   // delay are never cut (zero-delay links never are, regardless).
   sim::Duration min_cut_lookahead = sim::Duration::zero();
-  // Mid-run repartitioning against measured per-node event rates.
-  bool adaptive = false;
   // Bounded-optimism speculation past the safe horizon.
   bool optimistic = false;
   // Speculation-depth policy (w_init/w_min/w_max/w_step); the optimistic
   // flag above is what actually arms it.
   sim::ParallelEngine::EngineConfig engine;
-  // Adaptive policy: consider repartitioning at most once per `cooldown`
-  // barriers, only after `min_events` measured fires, and only when the
-  // busiest LP carries more than `skew` times the mean load (the
-  // hysteresis band — balanced runs never migrate).
-  double repartition_skew = 1.5;
-  std::uint64_t repartition_cooldown = 64;
-  std::uint64_t repartition_min_events = 20000;
   // Mutation self-test: force one speculative rollback and flip a bit of
   // a receiver's delivery checksum during the snapshot restore, proving
   // the validation layer sees through rollbacks.
@@ -136,11 +120,10 @@ class ParallelSim {
   // exchanges and optimistic settles alike; equals the sum of
   // lp_reports()' cross_pushed once run_until returns.
   std::uint64_t exchanged() const { return exchanged_; }
-  // Optimism / adaptivity telemetry (aggregated over run_until calls).
+  // Optimism telemetry (aggregated over run_until calls).
   std::uint64_t spec_windows() const { return spec_windows_; }
   std::uint64_t rollback_windows() const { return rollback_windows_; }
   std::uint64_t rollbacks() const { return rollbacks_; }
-  std::uint64_t repartitions() const { return repartitions_; }
   // Speculation depth after the last window (zero when never engaged).
   sim::Duration speculation_w() const { return last_w_; }
 
@@ -203,7 +186,6 @@ class ParallelSim {
   struct Mailbox {
     net::CrossLinkChannel channel;
     net::Link* link = nullptr;
-    net::Node* dst_node = nullptr;
     int src_lp = 0;
     int dst_lp = 0;
     // The cut's lookahead, captured at freeze time (prop delay may only
@@ -226,8 +208,6 @@ class ParallelSim {
   // Flushes buffered records strictly below `below` (TimePoint::max() at
   // the end of the run flushes everything).
   void flush_traces(sim::TimePoint below);
-  void build_mailboxes();
-  void wire_partition();
 
   // --- bounded optimism --------------------------------------------------
   bool can_speculate() const;
@@ -239,15 +219,9 @@ class ParallelSim {
   int settle(sim::TimePoint h, sim::TimePoint bound,
              const std::vector<sim::Scheduler::SpecResult>& res);
 
-  // --- adaptive repartitioning -------------------------------------------
-  bool maybe_repartition(std::vector<sim::ParallelEngine::CutEdge>& cuts);
-  void migrate_to(Partition next);
-  // Partition-independent whole-world visitor (migration transport).
-  void serialize_world(util::StateIO& io);
-
   Scenario& scenario_;
   const ParallelRunConfig config_;
-  Partition partition_;
+  const Partition partition_;
   std::vector<sim::Scheduler*> shards_;  // borrowed from scenario_.lp_scheds
   std::vector<std::shared_ptr<net::PacketPool>> pools_;
   // One batch pump per LP when the scenario's network was built batched
@@ -257,26 +231,18 @@ class ParallelSim {
   std::vector<std::unique_ptr<trace::Tracer>> lp_tracers_;
   std::vector<std::unique_ptr<BufferSink>> sinks_;  // empty when not tracing
   std::deque<Mailbox> mailboxes_;  // deque: links hold channel pointers
-  std::vector<sim::ParallelEngine::CutEdge> cut_edges_;
   std::vector<BufferSink::Keyed> merge_;  // flush scratch
   validate::InvariantChecker* checker_ = nullptr;
 
   std::vector<LpSnapshot> snaps_;
   std::vector<char> rolled_;  // settle scratch
-  std::vector<unsigned char> migrate_buf_;
-  // Counters retired pumps hand over across a migration.
-  net::LinkPump::Stats pump_stats_carry_{};
 
   // Per-LP report counters.
   std::vector<std::uint64_t> lp_events_;
   std::vector<std::uint64_t> lp_prev_processed_;
   std::vector<std::uint64_t> lp_rollbacks_;
   std::vector<std::uint64_t> lp_snapshot_bytes_;
-  // Cross-LP pushes retired mailboxes hand over across a migration.
-  std::vector<std::uint64_t> lp_cross_carry_;
 
-  sim::TimePoint last_barrier_;
-  std::uint64_t windows_since_repart_ = 0;
   bool corruption_done_ = false;  // corrupt_snapshot_for_test fired once
 
   std::uint64_t windows_ = 0;
@@ -284,7 +250,6 @@ class ParallelSim {
   std::uint64_t spec_windows_ = 0;
   std::uint64_t rollback_windows_ = 0;
   std::uint64_t rollbacks_ = 0;
-  std::uint64_t repartitions_ = 0;
   sim::Duration last_w_ = sim::Duration::zero();
   bool tracing_ = false;
 };

@@ -587,9 +587,7 @@ std::unique_ptr<Scenario> make_clustered_mesh(
     cl[c].r2 = nw.add_node();
     cl[c].dst = nw.add_node();
 
-    const double scale =
-        c == config.hot_cluster ? config.hot_cluster_bw_scale : 1.0;
-    const double local_bw = config.bw_per_flow_bps * scale * local_flows;
+    const double local_bw = config.bw_per_flow_bps * local_flows;
 
     net::LinkConfig access;
     access.bandwidth_bps = config.access_bw_headroom * local_bw;

@@ -260,9 +260,7 @@ FanDumbbellConfig million_fan_config(int flows);
 // the regime where conservative windows are tiny and bounded-optimism
 // speculation pays. Cross flows (SACK, one per adjacent cluster pair,
 // round-robin) put real straggler traffic on the cuts; zero keeps them
-// silent. hot_cluster_bw_scale skews one cluster's event rate without
-// changing its host count — invisible to the static partition weights,
-// visible to the measured ones (the adaptive repartitioning testbed).
+// silent.
 struct ClusteredMeshConfig {
   static constexpr int kMaxFlows = 4096;
 
@@ -277,10 +275,6 @@ struct ClusteredMeshConfig {
   sim::Duration cut_delay = sim::Duration::micros(100);  // the lookahead
   double cut_bw_bps = 100e6;
   double access_bw_headroom = 2.0;
-
-  // One cluster's flows run at this multiple of bw_per_flow_bps.
-  int hot_cluster = 0;
-  double hot_cluster_bw_scale = 1.0;
 
   tcp::TcpConfig tcp;
   core::TcpPrConfig pr;

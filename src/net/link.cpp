@@ -284,13 +284,6 @@ void Link::injected_state(util::StateIO& io) {
       arm_injected(e.at, e.seq);
       injected_.push_back(std::move(e));
     }
-    // Deliveries re-homed by the state() restore pass (a migration cut
-    // this link mid-flight): sorted-merge them in under their original
-    // keys now that the saved ring is back.
-    for (InjectedEntry& re : rehomed_) {
-      queue_injected(re.at, re.seq, std::move(re.pkt));
-    }
-    rehomed_.clear();
   }
 }
 
@@ -327,26 +320,6 @@ void Link::state(util::StateIO& io) {
       DeliveryEntry e{};
       io.pod(e.at);
       io.pod(e.seq);
-      if (remote_ != nullptr) {
-        // A migration just cut this link with deliveries in flight: the
-        // destination node now lives on another shard, so the entry must
-        // not re-arm here. Re-home it into the destination-side injected
-        // ring under its original (at, seq) key — stamps are partition-
-        // independent, so delivery order is unchanged — and perform the
-        // source-side accounting the cut path does at lottery time.
-        // Buffered, not queued: injected_state() restore runs after this
-        // and clears the ring; it drains the buffer once the saved
-        // entries are back.
-        InjectedEntry re{};
-        re.at = e.at;
-        re.seq = e.seq;
-        io.obj(re.pkt);
-        ++stats_.delivered;
-        stats_.bytes_delivered += re.pkt.size_bytes;
-        if (!skip_transit_decrement_) --in_transit_;
-        rehomed_.push_back(std::move(re));
-        continue;
-      }
       e.pkt = pool().checkout();
       io.obj(*e.pkt);
       ring_.push_back(std::move(e));

@@ -204,28 +204,13 @@ class Link {
     skip_transit_decrement_ = true;
   }
 
-  // --- Checkpoint / migration --------------------------------------------
+  // --- Checkpoint --------------------------------------------------------
   // Source-LP trajectory state: queue contents, transmitter, propagation
   // ring, RNG positions, counters. In-flight pooled packets serialize by
   // value and re-checkout fresh pool slots on restore (slot identity is
   // not observable). The pump index is derived state — the caller reseeds
   // the pump after restoring every link on the shard.
   void state(util::StateIO& io);
-  // Mid-run shard migration: re-points the link at its new owner shard
-  // with traffic in flight (the state()/injected_state() restore pass that
-  // follows regenerates every pending event there). Unlike set_scheduler
-  // this does not require the link to be idle.
-  void rebind_for_migration(sim::Scheduler& sched) {
-    sched_ = &sched;
-    queue_->set_time_source(sched_, bandwidth_bps_);
-  }
-  // Pump re-attachment across a migration: register with the new shard's
-  // pump while mid-transmission (detach_pump first; restore then rebuilds
-  // tx/ring state and the caller reseeds the pump).
-  void attach_pump_for_migration(LinkPump* pump) {
-    pump_ = pump;
-    if (pump_ != nullptr) pump_id_ = pump_->add_link(this);
-  }
 
  private:
   void start_transmission();
@@ -290,18 +275,13 @@ class Link {
   util::RingDeque<DeliveryEntry> ring_;
   // Cross-shard arrivals parked until their delivery time, in (at, seq)
   // order. Popped by per-entry events on injection_sched_ (the destination
-  // node's shard; equals sched_ once a migration makes the link internal).
+  // node's shard).
   struct InjectedEntry {
     sim::TimePoint at;
     std::uint64_t seq = 0;
     Packet pkt;
   };
   util::RingDeque<InjectedEntry> injected_;
-  // In-flight deliveries displaced by a migration that cut this link:
-  // parked by state() restore, drained into injected_ by the
-  // injected_state() restore pass that follows (which clears the ring
-  // before re-reading it). Empty outside a migration restore.
-  std::vector<InjectedEntry> rehomed_;
   sim::Scheduler* injection_sched_ = nullptr;
   std::shared_ptr<PacketPool> injection_pool_;
   // Mint-order bookkeeping: the last transmission-schedule op minted, used

@@ -192,9 +192,8 @@ class LinkPump {
 
   // Rebuilds the op index from the links' own (restored) op-stream state
   // and re-parks the carrier event. Call after Scheduler::restore cleared
-  // the pending set (rollback) or after a migration re-registered the
-  // links: the index and the parked event are pure derived state, so the
-  // pump never needs its own snapshot of them.
+  // the pending set (rollback): the index and the parked event are pure
+  // derived state, so the pump never needs its own snapshot of them.
   void reseed_after_restore();
 
   // Checkpoint visitor for the counters only (the index/carrier are

@@ -125,12 +125,6 @@ void ParallelEngine::run_until(TimePoint end) {
     exchanged_ += hooks_.exchange();
     if (hooks_.at_barrier) hooks_.at_barrier(h);
 
-    // Adaptive repartitioning happens at the committed barrier, before
-    // any speculation, so migrated state is never speculative.
-    if (hooks_.maybe_repartition && hooks_.maybe_repartition(cuts_)) {
-      ++repartitions_;
-    }
-
     if (!optimism_wired || !hooks_.can_speculate()) continue;
     // Bound is exclusive; end + 1ns lets the leg cover the end time
     // itself (final-stretch semantics are inclusive).

@@ -1,7 +1,6 @@
 // Parallel execution of one simulation across scheduler shards: classic
 // conservative PDES with link-delay lookahead, optionally extended with
-// bounded-optimism speculation (Time-Warp-lite) and adaptive
-// repartitioning.
+// bounded-optimism speculation (Time-Warp-lite).
 //
 // The engine owns nothing about the network; it coordinates a set of
 // Scheduler shards (one per logical process) plus the cut-edge metadata
@@ -17,9 +16,7 @@
 //   3. Barrier: workers park; the coordinator drains the cross-shard
 //      mailboxes and flushes buffered trace records through the caller's
 //      exchange hook, then runs the at_barrier hook (invariant sweeps).
-//   4. (adaptive) maybe_repartition may migrate shard contents and
-//      rewrite the cut-edge set against measured load.
-//   5. (optimistic) If every shard's pending set is replay-safe, the
+//   4. (optimistic) If every shard's pending set is replay-safe, the
 //      coordinator snapshots all LPs and the pool runs a *speculative*
 //      window to min(H + W, end]: each shard executes past the horizon
 //      against its snapshot. The settle hook then computes, single-
@@ -73,10 +70,6 @@ class ParallelEngine {
     std::function<std::uint64_t()> external_backlog;
     // Optional: runs after each exchange (invariant sweeps at barriers).
     std::function<void(TimePoint)> at_barrier;
-    // Optional (adaptive mode): inspect measured load, possibly migrate
-    // shard contents, and rewrite `cuts` in place. Returns true when a
-    // repartition actually happened. Coordinator-only.
-    std::function<bool(std::vector<CutEdge>&)> maybe_repartition;
     // Optimistic mode (all three required for speculation to engage):
     // gate — false when any shard holds a non-replay-safe pending event
     // or the harness has a reason to sit the window out.
@@ -114,7 +107,6 @@ class ParallelEngine {
   std::uint64_t spec_windows() const { return spec_windows_; }
   std::uint64_t rollback_windows() const { return rollback_windows_; }
   std::uint64_t rollbacks() const { return rollbacks_; }
-  std::uint64_t repartitions() const { return repartitions_; }
   Duration current_w() const { return w_; }
 
  private:
@@ -133,7 +125,6 @@ class ParallelEngine {
   std::uint64_t spec_windows_ = 0;
   std::uint64_t rollback_windows_ = 0;
   std::uint64_t rollbacks_ = 0;
-  std::uint64_t repartitions_ = 0;
 };
 
 }  // namespace tcppr::sim

@@ -73,7 +73,6 @@ void Scheduler::fire(const QueuedEvent& event) {
   now_ = event.time;
   current_event_seq_ = event.seq;
   last_exec_seq_ = event.seq;
-  if (count_entity_fires_) note_entity_fire(event.seq);
   s.cb();
   current_event_seq_ = 0;
   s.cb.reset();

@@ -181,7 +181,6 @@ class Scheduler {
     now_ = t;
     current_event_seq_ = seq;
     last_exec_seq_ = seq;
-    if (count_entity_fires_) note_entity_fire(seq);
   }
 
   // --- Bounded-optimism support (speculative execution + rollback) ------
@@ -255,19 +254,6 @@ class Scheduler {
   // with the identical (time, seq) key.
   std::uint64_t last_scheduled_seq() const { return last_scheduled_seq_; }
 
-  // --- Adaptive repartitioning support ----------------------------------
-  //
-  // Per-entity fired-event counts, harvested from the owner bits of
-  // runtime stamps. The measured weights drive the adaptive partitioner;
-  // counting is off unless enabled (one branch + indexed add per event).
-  void enable_entity_fire_counts() { count_entity_fires_ = true; }
-  const std::vector<std::uint64_t>& entity_fires() const {
-    return entity_fires_;
-  }
-  void reset_entity_fires() {
-    std::fill(entity_fires_.begin(), entity_fires_.end(), 0);
-  }
-
   // Returns true if the event was pending and is now cancelled.
   bool cancel(EventId id);
   bool is_pending(EventId id) const;
@@ -317,16 +303,6 @@ class Scheduler {
         (static_cast<std::uint64_t>(s.generation) << 32) | index;
     queue_.push(QueuedEvent{t, seq, packed});
     return EventId{packed};
-  }
-
-  // Attributes a fired runtime stamp to its owner entity (build-time
-  // stamps carry no owner and are skipped).
-  void note_entity_fire(std::uint64_t seq) {
-    if (seq < (std::uint64_t{1} << (kStampOpBits + kStampEntityBits))) return;
-    const auto entity = static_cast<std::uint32_t>(
-        (seq >> kStampOpBits) & ((1u << kStampEntityBits) - 1));
-    if (entity >= entity_fires_.size()) entity_fires_.resize(entity + 1, 0);
-    ++entity_fires_[entity];
   }
 
   static constexpr std::uint32_t kFreeListEnd = 0xffffffffu;
@@ -403,8 +379,6 @@ class Scheduler {
   std::size_t safe_count_ = 0;  // live events marked replay-safe
   std::uint64_t last_scheduled_seq_ = 0;
   std::uint64_t last_exec_seq_ = 0;  // furthest executed key (spec runs)
-  bool count_entity_fires_ = false;
-  std::vector<std::uint64_t> entity_fires_;
   HeapQueue queue_;
   std::vector<Slot*> chunks_;  // raw aligned storage, lazily constructed
   std::uint32_t slot_count_ = 0;  // high-water mark of constructed slots
@@ -466,14 +440,6 @@ class Timer {
   // round. Raw Timer shots are not regenerable — the all_pending_replay_safe
   // gate guarantees none was pending at the checkpoint.
   void reset_for_restore() { id_ = EventId{}; }
-
-  // Mid-run shard migration: re-point with the old id already stale (the
-  // previous shard's pending set was destroyed). The migration gate
-  // guarantees no shot was pending.
-  void rebind_for_migration(Scheduler& sched) {
-    id_ = EventId{};
-    sched_ = &sched;
-  }
 
   // Checkpoint visitor: a raw Timer carries no serializable shot (the
   // speculation gate guarantees none is pending when a checkpoint is
@@ -555,9 +521,9 @@ class DeadlineTimer {
     return id_.valid() && sched_->is_pending(id_);
   }
 
-  // Checkpoint/restore + shard migration. The physical shot is regenerated
-  // from (scheduled_at, shot_seq) via schedule_at_stamped, so a replayed
-  // or migrated run keeps the byte-identical (time, seq) execution key.
+  // Checkpoint/restore. The physical shot is regenerated from
+  // (scheduled_at, shot_seq) via schedule_at_stamped, so a replayed run
+  // keeps the byte-identical (time, seq) execution key.
   struct SavedState {
     bool armed = false;
     bool has_shot = false;
@@ -568,8 +534,8 @@ class DeadlineTimer {
   SavedState save() const {
     return SavedState{armed_, id_.valid(), scheduled_at_, target_, shot_seq_};
   }
-  // Only legal after Scheduler::restore() (rollback) or a migration drain
-  // cleared the pending set — the stale id is dropped, not cancelled.
+  // Only legal after Scheduler::restore() (rollback) cleared the pending
+  // set — the stale id is dropped, not cancelled.
   void restore(const SavedState& st) {
     id_ = EventId{};
     armed_ = st.armed;
@@ -582,13 +548,6 @@ class DeadlineTimer {
       sched_->mark_replay_safe(id_);
     }
   }
-  // Re-points at the shard that now owns this timer's node; pair with
-  // save()/restore() across the migration barrier.
-  void rebind_for_migration(Scheduler& sched) {
-    id_ = EventId{};
-    sched_ = &sched;
-  }
-
   // Checkpoint visitor: restore re-seats the physical shot, so the owning
   // scheduler must already be restored (clock + stamp state) when this
   // runs in restore direction.

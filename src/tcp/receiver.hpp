@@ -67,12 +67,6 @@ class Receiver final : public net::Agent {
     delack_timer_.rebind(shard);
     delack_timer_.set_stamp_entity(static_cast<std::uint32_t>(local_));
   }
-  // Mid-run shard migration: the delayed-ACK timer switches with its stale
-  // id dropped (the migration gate guarantees it was not pending).
-  void migrate_to_shard(sim::Scheduler& shard) {
-    sched_override_ = &shard;
-    delack_timer_.rebind_for_migration(shard);
-  }
   // Count of segments buffered above the in-order point.
   std::size_t ooo_buffered() const { return buffered_; }
 

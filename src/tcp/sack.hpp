@@ -42,10 +42,6 @@ class SackSender : public SenderBase {
     rto_timer_.rebind(shard);
     rto_timer_.set_stamp_entity(static_cast<std::uint32_t>(local_node()));
   }
-  void migrate_to_shard(sim::Scheduler& shard) override {
-    SenderBase::migrate_to_shard(shard);
-    rto_timer_.rebind_for_migration(shard);
-  }
 
   void state(util::StateIO& io) override {
     SenderBase::state(io);

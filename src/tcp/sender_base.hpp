@@ -123,14 +123,6 @@ class SenderBase : public net::Agent {
     TCPPR_CHECK(!started_);
     sched_override_ = &shard;
   }
-  // Mid-run shard migration (adaptive repartitioning): re-points a RUNNING
-  // sender at its new owner shard. Timers switch with armed flags intact
-  // and stale ids dropped; the state() restore pass that follows re-seats
-  // every physical shot into the new shard. Variants with timers override
-  // and chain up.
-  virtual void migrate_to_shard(sim::Scheduler& shard) {
-    sched_override_ = &shard;
-  }
   virtual double cwnd() const = 0;
   // Name of the variant, for experiment tables.
   virtual const char* algorithm() const = 0;

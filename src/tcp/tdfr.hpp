@@ -37,10 +37,6 @@ class TdFrSender final : public NewRenoSender {
     fr_timer_.rebind(shard);
     fr_timer_.set_stamp_entity(static_cast<std::uint32_t>(local_node()));
   }
-  void migrate_to_shard(sim::Scheduler& shard) override {
-    NewRenoSender::migrate_to_shard(shard);
-    fr_timer_.rebind_for_migration(shard);
-  }
 
   void state(util::StateIO& io) override {
     NewRenoSender::state(io);

@@ -1,6 +1,5 @@
 // Byte-stream component-state serializer behind checkpoint/rollback
-// (bounded-optimism speculation) and mid-run shard migration (adaptive
-// repartitioning).
+// (bounded-optimism speculation).
 //
 // One visitor method per component — `void state(util::StateIO& io)` —
 // lists every member that defines the component's simulation trajectory;

@@ -74,21 +74,8 @@ FuzzCase sample_fuzz_case(std::uint64_t seed) {
   c.telemetry = rng.bernoulli(0.35);
   // Engine mode draws after telemetry: same seed-prefix rule, newest
   // dimension last. Only observable when the case runs with par_lps >= 1.
-  c.engine_mode = static_cast<int>(rng.uniform_int(3));
+  c.optimistic = rng.uniform_int(3) == 2;
   return c;
-}
-
-const char* engine_mode_name(int mode) {
-  switch (mode) {
-    case 1:
-      return "adaptive";
-    case 2:
-      return "optimistic";
-    case 3:  // never sampled; forced by --engine adaptive+optimistic
-      return "adaptive+optimistic";
-    default:
-      return "conservative";
-  }
 }
 
 std::string describe(const FuzzCase& c) {
@@ -115,7 +102,7 @@ std::string describe(const FuzzCase& c) {
       c.cross_traffic ? 1 : 0, c.loss_rate, c.jitter_ms, c.flap ? 1 : 0,
       c.flap_mean_up_s, c.flap_mean_down_s, c.reconfigure_mid_run ? 1 : 0,
       c.epsilon, c.graph_nodes, c.batching ? 1 : 0, c.par_lps, churn,
-      c.telemetry ? 1 : 0, engine_mode_name(c.engine_mode));
+      c.telemetry ? 1 : 0, c.optimistic ? "optimistic" : "conservative");
   return buf;
 }
 
@@ -294,8 +281,7 @@ FuzzResult run_fuzz_case(const FuzzCase& c) {
   if (c.par_lps >= 1) {
     harness::ParallelRunConfig pc;
     pc.lps = c.par_lps;
-    pc.adaptive = c.engine_mode == 1 || c.engine_mode == 3;
-    pc.optimistic = c.engine_mode == 2 || c.engine_mode == 3;
+    pc.optimistic = c.optimistic;
     pc.corrupt_snapshot_for_test = c.corrupt_snapshot_for_test;
     psim = std::make_unique<harness::ParallelSim>(s, pc);
     psim->set_checker(&checker);
@@ -387,12 +373,12 @@ FuzzCase minimize_fuzz_case(const FuzzCase& failing, int max_runs) {
   while (changed && runs < max_runs) {
     changed = false;
     // Engine mode first: dropping back to conservative barriers removes
-    // speculation and migration from the picture entirely, so a failure
-    // that survives was never an optimism/repartition bug and every later
-    // simplification runs under the simplest engine.
+    // speculation from the picture entirely, so a failure that survives
+    // was never an optimism bug and every later simplification runs under
+    // the simplest engine.
     FuzzCase e = best;
-    if (best.engine_mode != 0) {
-      e.engine_mode = 0;
+    if (best.optimistic) {
+      e.optimistic = false;
       e.corrupt_snapshot_for_test = false;
       if (still_fails(e)) { best = e; changed = true; continue; }
     }
@@ -457,7 +443,7 @@ FuzzCase minimize_fuzz_case(const FuzzCase& failing, int max_runs) {
 
 int run_fuzz_campaign(std::uint64_t first_seed, int count, int jobs,
                       bool quiet, const std::string& artifact_dir,
-                      int par_lps, int engine_mode) {
+                      int par_lps, std::optional<bool> optimistic) {
   struct CellResult {
     bool ok = true;
     std::string failure;
@@ -467,7 +453,7 @@ int run_fuzz_campaign(std::uint64_t first_seed, int count, int jobs,
     const std::uint64_t seed = first_seed + static_cast<std::uint64_t>(i);
     FuzzCase c = sample_fuzz_case(seed);
     c.par_lps = par_lps;
-    if (engine_mode >= 0) c.engine_mode = engine_mode;
+    if (optimistic) c.optimistic = *optimistic;
     const FuzzResult r = run_fuzz_case(c);
     if (!r.ok) {
       results[static_cast<std::size_t>(i)].ok = false;
@@ -483,7 +469,7 @@ int run_fuzz_campaign(std::uint64_t first_seed, int count, int jobs,
     const std::uint64_t seed = first_seed + static_cast<std::uint64_t>(i);
     FuzzCase c = sample_fuzz_case(seed);
     c.par_lps = par_lps;
-    if (engine_mode >= 0) c.engine_mode = engine_mode;
+    if (optimistic) c.optimistic = *optimistic;
     std::fprintf(stderr, "FUZZ FAIL: tcppr_sim --fuzz-seed %llu  # %s\n",
                  static_cast<unsigned long long>(seed), describe(c).c_str());
     std::fprintf(stderr, "  first violation: %s\n",

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -55,16 +56,17 @@ struct FuzzCase {
   // AFTER churn (the seed-prefix rule above: seeds 1..N still expand to
   // the cases they produced before this dimension existed).
   bool telemetry = false;
-  // Parallel engine mode (0 = conservative barriers, 1 = adaptive
-  // repartitioning, 2 = bounded-optimism speculation). Sampled AFTER
-  // telemetry — the newest dimension, drawn last so the seed-prefix rule
-  // keeps every older seed expanding to the case it always produced. The
-  // mode only matters when par_lps >= 1 (sequential runs have no engine);
-  // all three modes must produce the identical delivery hash, so the
-  // fuzzer sweeping them is a free differential oracle. Mode 3
-  // (adaptive+optimistic combined) is never sampled but can be forced by
-  // the campaign override / --engine.
-  int engine_mode = 0;
+  // Parallel engine mode: bounded-optimism speculation when true,
+  // conservative barriers otherwise. Sampled AFTER telemetry — the newest
+  // dimension, drawn last so the seed-prefix rule keeps every older seed
+  // expanding to the case it always produced. The draw is uniform over
+  // {0, 1, 2} with only 2 meaning optimistic, which keeps every seed's
+  // scenario and every optimistic seed fixed across engine-mode changes
+  // (~1/3 of seeds speculate). The mode only matters when par_lps >= 1
+  // (sequential runs have no engine); both modes must produce the
+  // identical delivery hash, so the fuzzer sweeping them is a free
+  // differential oracle.
+  bool optimistic = false;
   // Logical processes for the parallel engine. 0 = legacy sequential run
   // on the build scheduler; 1 = canonical stamped run on a single shard;
   // >= 2 = threaded. Never sampled (any LP count >= 1 must produce the
@@ -85,7 +87,7 @@ struct FuzzCase {
   bool corrupt_telemetry_for_test = false;  // requires telemetry = true
   // Flips one validating receiver's delivery hash on restore from the
   // first optimistic rollback (ParallelRunConfig::corrupt_snapshot_for_test);
-  // requires engine_mode = 2 and par_lps >= 2 plus a case that actually
+  // requires optimistic = true and par_lps >= 2 plus a case that actually
   // speculates and rolls back.
   bool corrupt_snapshot_for_test = false;
 };
@@ -126,12 +128,12 @@ FuzzCase minimize_fuzz_case(const FuzzCase& failing, int max_runs = 40);
 // carries its own repro.
 // Every sampled case runs on `par_lps` logical processes (the sampler
 // itself never varies it — see the FuzzCase field).
-// `engine_mode` = -1 keeps each case's sampled mode; 0/1/2 force
-// conservative/adaptive/optimistic for the whole campaign (nightly runs
-// one campaign per forced mode).
+// An empty `optimistic` keeps each case's sampled engine mode; a value
+// forces conservative (false) or optimistic (true) for the whole campaign
+// (nightly runs one campaign per forced mode).
 int run_fuzz_campaign(
     std::uint64_t first_seed, int count, int jobs, bool quiet = false,
     const std::string& artifact_dir = "", int par_lps = 0,
-    int engine_mode = -1);
+    std::optional<bool> optimistic = std::nullopt);
 
 }  // namespace tcppr::validate

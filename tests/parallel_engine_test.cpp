@@ -46,49 +46,35 @@ struct RunDigest {
   std::uint64_t windows = 0;
   std::uint64_t spec_windows = 0;
   std::uint64_t rollbacks = 0;
-  std::uint64_t repartitions = 0;
 };
 
-enum class Mode { kConservative, kAdaptive, kOptimistic, kAdaptiveOptimistic };
+enum class Mode { kConservative, kOptimistic };
 
 ParallelRunConfig mode_config(Mode mode, int lps) {
   ParallelRunConfig pc;
   pc.lps = lps;
-  pc.adaptive = mode == Mode::kAdaptive || mode == Mode::kAdaptiveOptimistic;
-  pc.optimistic =
-      mode == Mode::kOptimistic || mode == Mode::kAdaptiveOptimistic;
+  pc.optimistic = mode == Mode::kOptimistic;
   return pc;
 }
 
 // Runs `scenario` to `end` and digests its delivery stream; lps == 0 runs
 // the legacy sequential scheduler, lps >= 1 runs through ParallelSim
-// (stamped shards; one shard still sequential). `eager_repartition` swaps
-// the adaptive policy for a test-speed one that measures over a few
-// barriers and migrates at a mild imbalance, so short runs do re-home
-// components mid-run.
+// (stamped shards; one shard still sequential).
 RunDigest run_and_digest(std::unique_ptr<Scenario> scenario,
                          sim::TimePoint end, int lps,
-                         Mode mode = Mode::kConservative,
-                         bool eager_repartition = false) {
+                         Mode mode = Mode::kConservative) {
   RunDigest out;
   DeliveryHasher hasher;
   scenario->network.add_trace_sink(&hasher);
   if (lps == 0) {
     scenario->sched.run_until(end);
   } else {
-    ParallelRunConfig pc = mode_config(mode, lps);
-    if (eager_repartition) {
-      pc.repartition_skew = 1.05;
-      pc.repartition_cooldown = 4;
-      pc.repartition_min_events = 1000;
-    }
-    ParallelSim psim(*scenario, pc);
+    ParallelSim psim(*scenario, mode_config(mode, lps));
     out.realized_lps = psim.lp_count();
     psim.run_until(end);
     out.windows = psim.windows();
     out.spec_windows = psim.spec_windows();
     out.rollbacks = psim.rollbacks();
-    out.repartitions = psim.repartitions();
   }
   out.hash = hasher.hash();
   out.delivered = hasher.delivered();
@@ -239,25 +225,6 @@ TEST_P(ParallelMatrix, OptimisticDigestMatchesCanonicalOneShardRun) {
   }
 }
 
-TEST_P(ParallelMatrix, AdaptiveDigestMatchesCanonicalOneShardRun) {
-  // Mid-run repartitioning, alone and under speculation: re-homing
-  // components between shards must leave the trajectory untouched. The
-  // eager policy migrates in every cell at 2 LPs.
-  const auto [variant, topo] = GetParam();
-  const auto end = sim::TimePoint::from_seconds(3.0);
-  const RunDigest seq = run_and_digest(build_topo(topo, variant), end, 1);
-  ASSERT_GT(seq.delivered, 0u);
-  for (const Mode mode : {Mode::kAdaptive, Mode::kAdaptiveOptimistic}) {
-    const int m = static_cast<int>(mode);
-    const RunDigest par = run_and_digest(build_topo(topo, variant), end, 2,
-                                         mode, /*eager_repartition=*/true);
-    EXPECT_EQ(par.realized_lps, 2) << "partition degenerated";
-    EXPECT_GE(par.repartitions, 1u) << "mode " << m << " never migrated";
-    EXPECT_EQ(par.delivered, seq.delivered) << "mode " << m;
-    EXPECT_EQ(par.hash, seq.hash) << "mode " << m;
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     AllVariants, ParallelMatrix,
     ::testing::Combine(::testing::ValuesIn(harness::all_variants()),
@@ -272,9 +239,7 @@ TEST(ParallelCounters, ExchangedEqualsPerLpCrossPushesInEveryMode) {
   // onto a cut link is handed to its destination shard exactly once — by
   // a barrier exchange or, under optimism, by a settle — so once the run
   // returns the engine total equals the sum of the per-LP push counts.
-  const Mode modes[] = {Mode::kConservative, Mode::kAdaptive,
-                        Mode::kOptimistic, Mode::kAdaptiveOptimistic};
-  for (const Mode mode : modes) {
+  for (const Mode mode : {Mode::kConservative, Mode::kOptimistic}) {
     const int m = static_cast<int>(mode);
     auto s = harness::make_parking_lot(harness::ParkingLotConfig{});
     ParallelSim psim(*s, mode_config(mode, 4));
@@ -404,28 +369,22 @@ RunDigest run_mesh(const harness::ClusteredMeshConfig& cfg, sim::TimePoint end,
   scenario->network.add_trace_sink(&hasher);
   ParallelRunConfig pc = mode_config(mode, lps);
   pc.min_cut_lookahead = cfg.min_cut_lookahead();
-  // Test-speed adaptive policy: decide early, on modest evidence.
-  pc.repartition_cooldown = 8;
-  pc.repartition_min_events = 5000;
   ParallelSim psim(*scenario, pc);
   out.realized_lps = psim.lp_count();
   psim.run_until(end);
   out.windows = psim.windows();
   out.spec_windows = psim.spec_windows();
   out.rollbacks = psim.rollbacks();
-  out.repartitions = psim.repartitions();
   out.hash = hasher.hash();
   out.delivered = hasher.delivered();
   return out;
 }
 
-harness::ClusteredMeshConfig mesh_config(int cross_flows,
-                                         double hot_scale = 1.0) {
+harness::ClusteredMeshConfig mesh_config(int cross_flows) {
   harness::ClusteredMeshConfig cfg;
   cfg.clusters = 4;
   cfg.flows = 64;
   cfg.cross_flows = cross_flows;
-  cfg.hot_cluster_bw_scale = hot_scale;
   cfg.max_start_stagger = sim::Duration::seconds(0.3);
   return cfg;
 }
@@ -479,34 +438,6 @@ TEST(ClusteredMesh, InjectedStragglersRollBackAndReplayIdentically) {
   }
 }
 
-TEST(ClusteredMesh, AdaptiveRepartitionRebalancesHotClusterIdentically) {
-  const auto end = sim::TimePoint::from_seconds(1.0);
-  // Cluster 0 runs 8x the bandwidth of the others: invisible to the
-  // static host-count weights (2 LPs get two clusters each), obvious to
-  // the measured fire counts (the hot LP carries ~8/11 of the load).
-  const RunDigest seq =
-      run_mesh(mesh_config(0, 8.0), end, 1, Mode::kConservative);
-  ASSERT_GT(seq.delivered, 0u);
-  const RunDigest ada = run_mesh(mesh_config(0, 8.0), end, 2, Mode::kAdaptive);
-  EXPECT_GE(ada.repartitions, 1u);
-  EXPECT_EQ(ada.hash, seq.hash);
-  EXPECT_EQ(ada.delivered, seq.delivered);
-}
-
-TEST(ClusteredMesh, AdaptivePlusOptimisticDigestMatchesCanonicalRun) {
-  const auto end = sim::TimePoint::from_seconds(1.0);
-  const RunDigest seq =
-      run_mesh(mesh_config(2, 4.0), end, 1, Mode::kConservative);
-  ASSERT_GT(seq.delivered, 0u);
-  for (const int lps : {2, 4}) {
-    const RunDigest both =
-        run_mesh(mesh_config(2, 4.0), end, lps, Mode::kAdaptiveOptimistic);
-    EXPECT_GT(both.spec_windows, 0u) << "lps=" << lps;
-    EXPECT_EQ(both.hash, seq.hash) << "lps=" << lps;
-    EXPECT_EQ(both.delivered, seq.delivered) << "lps=" << lps;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Invariants under parallel execution (conservation swept at barriers)
 
@@ -529,6 +460,35 @@ TEST(ParallelInvariants, CheckerIsCleanAtBarriersAndTeardown) {
   EXPECT_GT(psim.exchanged(), 0u);
 }
 
+// Every variant x topology cell of the equivalence matrix, at 4 LPs in
+// both engine modes, under the checker: conservation (with packets riding
+// mailboxes and injected rings), sender/receiver and queue invariants must
+// hold at every barrier — and, under optimism, across every rollback.
+class ParallelInvariantMatrix
+    : public ::testing::TestWithParam<std::tuple<TcpVariant, Topo, Mode>> {};
+
+TEST_P(ParallelInvariantMatrix, CheckerIsCleanAtEveryBarrier) {
+  const auto [variant, topo, mode] = GetParam();
+  auto s = build_topo(topo, variant);
+  validate::InvariantChecker checker(*s);
+  ParallelSim psim(*s, mode_config(mode, 4));
+  ASSERT_TRUE(psim.parallel());
+  psim.set_checker(&checker);
+  psim.run_until(sim::TimePoint::from_seconds(3.0));
+  checker.finalize();
+  EXPECT_TRUE(checker.ok()) << checker.report();
+  EXPECT_GT(checker.sweeps(), 1u);
+  EXPECT_GT(psim.exchanged(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllVariants, ParallelInvariantMatrix,
+    ::testing::Combine(::testing::ValuesIn(harness::all_variants()),
+                       ::testing::Values(Topo::kDumbbell, Topo::kParkingLot,
+                                         Topo::kMultipath),
+                       ::testing::Values(Mode::kConservative,
+                                         Mode::kOptimistic)));
+
 // ---------------------------------------------------------------------------
 // Fuzz equivalence: sampled adversarial cases (loss, jitter, flapping,
 // mid-run reconfiguration, all four topologies) must digest identically
@@ -537,16 +497,16 @@ TEST(ParallelInvariants, CheckerIsCleanAtBarriersAndTeardown) {
 
 void expect_seed_equivalent(std::uint64_t seed, int lps) {
   validate::FuzzCase c = validate::sample_fuzz_case(seed);
-  const int sampled_mode = c.engine_mode;
+  const bool sampled_optimistic = c.optimistic;
   c.par_lps = 1;  // canonical one-shard baseline (ties keyed by node)
-  c.engine_mode = 0;  // ... under conservative barriers
+  c.optimistic = false;  // ... under conservative barriers
   const validate::FuzzResult seq = validate::run_fuzz_case(c);
   EXPECT_TRUE(seq.ok) << "seed " << seed << ": " << seq.first_violation;
   c.par_lps = lps;
   // The threaded run keeps the sampled engine mode, so the sweep also
-  // pits adaptive repartitioning and bounded optimism (~1/3 of seeds
-  // each) against the conservative canonical hash.
-  c.engine_mode = sampled_mode;
+  // pits bounded optimism (~1/3 of seeds) against the conservative
+  // canonical hash.
+  c.optimistic = sampled_optimistic;
   const validate::FuzzResult par = validate::run_fuzz_case(c);
   EXPECT_TRUE(par.ok) << "seed " << seed << " lps " << lps << ": "
                       << par.first_violation;
@@ -554,28 +514,6 @@ void expect_seed_equivalent(std::uint64_t seed, int lps) {
       << "seed " << seed << " lps " << lps << " ("
       << validate::describe(c) << ")";
   EXPECT_EQ(par.delivered, seq.delivered) << "seed " << seed;
-}
-
-TEST(ParallelFuzz, AdaptiveMigrationRehomesInFlightDeliveriesOnNewCuts) {
-  // Regression: seed 46 samples a lossy, jittered random graph whose
-  // mid-run repartition cuts a link while its delivery ring holds packets
-  // in flight. Those entries must re-home into the destination shard's
-  // injected ring under their original (at, seq) keys — left on the
-  // source shard they deliver cross-shard from the wrong LP and the
-  // trajectory diverges.
-  validate::FuzzCase c = validate::sample_fuzz_case(46);
-  c.par_lps = 1;
-  c.engine_mode = 0;
-  const validate::FuzzResult seq = validate::run_fuzz_case(c);
-  ASSERT_TRUE(seq.ok) << seq.first_violation;
-  for (const int mode : {1, 3}) {
-    c.par_lps = 2;
-    c.engine_mode = mode;
-    const validate::FuzzResult par = validate::run_fuzz_case(c);
-    EXPECT_TRUE(par.ok) << "mode " << mode << ": " << par.first_violation;
-    EXPECT_EQ(par.delivery_hash, seq.delivery_hash) << "mode " << mode;
-    EXPECT_EQ(par.delivered, seq.delivered) << "mode " << mode;
-  }
 }
 
 TEST(ParallelFuzz, HundredSeedsMatchSequentialAtTwoAndFourLps) {

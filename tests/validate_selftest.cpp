@@ -63,7 +63,7 @@ TEST(ValidateSelfTest, CorruptedTelemetrySketchIsCaught) {
 TEST(ValidateSelfTest, ParallelOptimisticBaselineIsClean) {
   FuzzCase c = base_case();
   c.par_lps = 2;
-  c.engine_mode = 2;  // optimistic
+  c.optimistic = true;
   const FuzzResult r = run_fuzz_case(c);
   EXPECT_TRUE(r.ok) << r.first_violation;
   EXPECT_EQ(r.delivery_hash, run_fuzz_case(base_case()).delivery_hash);
@@ -76,7 +76,7 @@ TEST(ValidateSelfTest, CorruptedSnapshotRestoreIsCaught) {
   // does not round-trip. The checker must flag the checksum divergence.
   FuzzCase c = base_case();
   c.par_lps = 2;
-  c.engine_mode = 2;  // optimistic: the knob needs a speculative window
+  c.optimistic = true;  // the knob needs a speculative window
   c.corrupt_snapshot_for_test = true;
   const FuzzResult r = run_fuzz_case(c);
   EXPECT_FALSE(r.ok);
@@ -91,11 +91,11 @@ TEST(ValidateSelfTest, MinimizerDisablesEngineModeFirst) {
   // conservative barriers.
   FuzzCase c = base_case();
   c.par_lps = 2;
-  c.engine_mode = 2;
+  c.optimistic = true;
   c.corrupt_transit_for_test = true;
   const FuzzCase min = minimize_fuzz_case(c, /*max_runs=*/10);
   EXPECT_FALSE(run_fuzz_case(min).ok);
-  EXPECT_EQ(min.engine_mode, 0);
+  EXPECT_FALSE(min.optimistic);
 }
 
 TEST(ValidateSelfTest, MinimizerDisablesTelemetryFirst) {

@@ -68,7 +68,7 @@ RATIO_GROUPS = [
     ("micro_engine", r"BM_TelemetryTap/[01]$|BM_PacketForwardLoop$"),
     # optimistic-vs-conservative engine speedup on the clustered mesh
     # (plus the 1-LP canonical row the parallel-efficiency floor divides by)
-    ("scale_flows", r"BM_ScaleFlowsEngine/lps:[14]/mode:[0123]$"),
+    ("scale_flows", r"BM_ScaleFlowsEngine/lps:[14]/mode:[02]$"),
 ]
 SPEEDUP_PAIR_REPS = 5
 SPEEDUP_PAIR_FLAGS = [

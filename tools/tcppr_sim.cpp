@@ -64,32 +64,15 @@ struct Args {
   std::size_t expect_concurrent = 0;
   bool no_batch = false;  // run the unbatched one-event-per-op engine
   int par = 0;  // 0 = sequential, >= 1 = parallel harness with N LPs
-  // Parallel engine mode; empty = conservative (and "as sampled" for fuzz
-  // runs, where the mode is a sampled dimension).
+  // Parallel engine mode (conservative|optimistic, needs --par); empty =
+  // conservative, or "as sampled" for fuzz runs, where the mode is a
+  // sampled dimension.
   std::string engine;
   int fuzz_count = 0;
   std::optional<std::uint64_t> fuzz_seed;
   int jobs = 1;
   std::string fuzz_artifacts;
 };
-
-// Engine mode encoding shared with validate::FuzzCase::engine_mode:
-// 0 conservative, 1 adaptive, 2 optimistic, 3 both.
-std::optional<int> parse_engine(const std::string& name) {
-  if (name.empty() || name == "conservative") return 0;
-  if (name == "adaptive") return 1;
-  if (name == "optimistic") return 2;
-  if (name == "adaptive+optimistic" || name == "optimistic+adaptive") {
-    return 3;
-  }
-  return std::nullopt;
-}
-
-const char* engine_name(int mode) {
-  static const char* names[] = {"conservative", "adaptive", "optimistic",
-                                "adaptive+optimistic"};
-  return names[mode & 3];
-}
 
 std::optional<TcpVariant> parse_variant(const std::string& name) {
   for (const TcpVariant v : harness::all_variants()) {
@@ -161,12 +144,11 @@ void usage(std::FILE* out) {
       "                        without --par breaks same-nanosecond ties\n"
       "                        by insertion order, so it can differ. Also\n"
       "                        applies to --fuzz and --fuzz-seed runs\n"
-      "  --engine <mode>       parallel engine mode with --par:\n"
-      "                        conservative|adaptive|optimistic|\n"
-      "                        adaptive+optimistic (default conservative;\n"
-      "                        all modes are byte-identical). For --fuzz\n"
-      "                        and --fuzz-seed it overrides the sampled\n"
-      "                        engine-mode dimension\n"
+      "  --engine <mode>       parallel engine mode, needs --par:\n"
+      "                        conservative|optimistic (default\n"
+      "                        conservative; both are byte-identical).\n"
+      "                        For --fuzz and --fuzz-seed it overrides the\n"
+      "                        sampled engine-mode dimension\n"
       "  --fuzz <n>            fuzz campaign over seeds [--seed, --seed+n)\n"
       "  --fuzz-seed <n>       replay one fuzz case under the checker\n"
       "  --fuzz-artifacts <dir>  write per-seed reproducer files for\n"
@@ -326,6 +308,16 @@ std::vector<std::string> check_args(const Args& args) {
     add("--id-slots must be >= 1", *args.id_slots);
   }
   if (args.par < 0) add("--par must be >= 0", args.par);
+  if (!args.engine.empty()) {
+    if (args.engine != "conservative" && args.engine != "optimistic") {
+      errors.push_back("--engine must be conservative or optimistic, got " +
+                       args.engine);
+    }
+    if (args.par < 1) {
+      add("--engine needs --par >= 1 (a run without --par has no engine)",
+          args.par);
+    }
+  }
   core::TcpPrConfig pr;
   pr.alpha = args.alpha;
   pr.beta = args.beta;
@@ -419,20 +411,16 @@ int main(int argc, char** argv) {
     usage(stderr);
     return 2;
   }
-  const auto engine_mode = parse_engine(args.engine);
-  if (!engine_mode) {
-    std::fprintf(stderr,
-                 "unknown engine mode %s "
-                 "(conservative|adaptive|optimistic|adaptive+optimistic)\n",
-                 args.engine.c_str());
-    return 1;
-  }
+  // Unset keeps a fuzz case's sampled engine mode; a plain run is then
+  // conservative.
+  std::optional<bool> optimistic;
+  if (!args.engine.empty()) optimistic = args.engine == "optimistic";
 
   if (args.fuzz_seed) {
     auto c = validate::sample_fuzz_case(*args.fuzz_seed);
     c.par_lps = args.par;
     c.batching = !args.no_batch;
-    if (!args.engine.empty()) c.engine_mode = *engine_mode;
+    if (optimistic) c.optimistic = *optimistic;
     std::printf("fuzz seed %llu: %s\n",
                 static_cast<unsigned long long>(*args.fuzz_seed),
                 validate::describe(c).c_str());
@@ -453,8 +441,7 @@ int main(int argc, char** argv) {
   if (args.fuzz_count > 0) {
     const int failures = validate::run_fuzz_campaign(
         args.seed, args.fuzz_count, args.jobs, /*quiet=*/false,
-        args.fuzz_artifacts, args.par,
-        args.engine.empty() ? -1 : *engine_mode);
+        args.fuzz_artifacts, args.par, optimistic);
     std::printf("fuzz: %d/%d seeds clean\n", args.fuzz_count - failures,
                 args.fuzz_count);
     return failures == 0 ? 0 : 1;
@@ -528,8 +515,7 @@ int main(int argc, char** argv) {
   if (args.par >= 1) {
     harness::ParallelRunConfig pc;
     pc.lps = args.par;
-    pc.adaptive = *engine_mode == 1 || *engine_mode == 3;
-    pc.optimistic = *engine_mode == 2 || *engine_mode == 3;
+    pc.optimistic = optimistic.value_or(false);
     psim = std::make_unique<harness::ParallelSim>(*scenario, pc);
     if (checker) psim->set_checker(checker.get());
   } else if (checker) {
@@ -584,16 +570,16 @@ int main(int argc, char** argv) {
   if (psim) {
     std::printf("parallel: %d LPs (%d requested), engine=%s, %llu windows, "
                 "%llu cross-LP packets\n",
-                psim->lp_count(), args.par, engine_name(*engine_mode),
+                psim->lp_count(), args.par,
+                optimistic.value_or(false) ? "optimistic" : "conservative",
                 static_cast<unsigned long long>(psim->windows()),
                 static_cast<unsigned long long>(psim->exchanged()));
-    if (*engine_mode != 0) {
+    if (optimistic.value_or(false)) {
       std::printf("  engine: %llu spec windows (%llu rolled back, "
-                  "%llu LP rollbacks), %llu repartitions, W=%.0fus\n",
+                  "%llu LP rollbacks), W=%.0fus\n",
                   static_cast<unsigned long long>(psim->spec_windows()),
                   static_cast<unsigned long long>(psim->rollback_windows()),
                   static_cast<unsigned long long>(psim->rollbacks()),
-                  static_cast<unsigned long long>(psim->repartitions()),
                   static_cast<double>(psim->speculation_w().as_nanos()) / 1e3);
     }
     // Per-LP barrier report: window utilization against the busiest LP,
