@@ -77,8 +77,7 @@ void CbrSource::emit() {
     pkt.size_bytes = config_.packet_bytes;
     pkt.type = net::PacketType::kCbr;
     pkt.tcp.flow = flow_;
-    pkt.sent_at = t;
-    network_.node(local_).originate(std::move(pkt));
+    network_.node(local_).originate(pkt);
     ++sent_;
   }
   timer_.schedule_in(interval(), [this] { emit(); });

@@ -74,21 +74,21 @@ ParallelSim::ParallelSim(Scenario& scenario, const ParallelRunConfig& config)
   // setters apply.
   for (int v = 0; v < nw.node_count(); ++v) {
     const int lp = lp_of(static_cast<net::NodeId>(v));
-    nw.node(static_cast<net::NodeId>(v))
-        .set_tracer(lp_tracers_[static_cast<std::size_t>(lp)].get(),
+    net::Node& node = nw.node(static_cast<net::NodeId>(v));
+    node.set_tracer(lp_tracers_[static_cast<std::size_t>(lp)].get(),
                     shards_[static_cast<std::size_t>(lp)]);
+    node.set_packet_pool(pools_[static_cast<std::size_t>(lp)]);
   }
   // A link's queue/transmit/propagation events all run on its *source*
   // LP; only the final delivery may cross (mailbox + injected ring armed
-  // on the destination shard, with the destination LP's pool).
+  // on the destination shard, writing into the destination node's pool).
   for (const auto& link : nw.links()) {
     const int lp = lp_of(link->from());
     const int dst = lp_of(link->to());
     link->set_scheduler(*shards_[static_cast<std::size_t>(lp)]);
     link->set_packet_pool(pools_[static_cast<std::size_t>(lp)]);
     link->set_tracer(lp_tracers_[static_cast<std::size_t>(lp)].get());
-    link->set_injection_scheduler(shards_[static_cast<std::size_t>(dst)],
-                                  pools_[static_cast<std::size_t>(dst)]);
+    link->set_injection_scheduler(shards_[static_cast<std::size_t>(dst)]);
     if (!pumps_.empty()) {
       link->set_pump(pumps_[static_cast<std::size_t>(lp)].get());
     }
@@ -149,7 +149,9 @@ ParallelSim::~ParallelSim() {
     link->set_tracer(&nw.tracer());
     // Drop any batched in-flight state before the per-LP pumps die; the
     // links keep their shard schedulers (like the timers), so re-pointing
-    // them at the network's build-scheduler pump would be wrong.
+    // them at the network's build-scheduler pump would be wrong. Links and
+    // nodes keep their LP pools too: queued packets still live there, and
+    // the shared ownership holds each pool until its last link dies.
     if (!pumps_.empty()) link->detach_pump();
   }
 }
@@ -252,7 +254,6 @@ void ParallelSim::run_until(sim::TimePoint end) {
   ec.optimistic = config_.optimistic;
   sim::ParallelEngine::Hooks hooks;
   hooks.exchange = [this] { return exchange(); };
-  hooks.external_backlog = [this] { return external_in_flight(); };
   hooks.at_barrier = [this](sim::TimePoint h) { at_barrier(h); };
   if (config_.optimistic) {
     hooks.can_speculate = [this] { return can_speculate(); };
@@ -288,7 +289,7 @@ std::uint64_t ParallelSim::exchange() {
       // The ring entry arms one replay-safe event on the destination
       // shard at the stamp minted on the source shard — exactly the op
       // position the sequential delivery-schedule call occupies.
-      mb.link->queue_injected(msg.at, msg.stamp, std::move(msg.pkt));
+      mb.link->queue_injected(msg.at, msg.stamp, msg.pkt);
       ++mb.channel.executed;
       ++injected;
     }
@@ -524,7 +525,7 @@ int ParallelSim::settle(sim::TimePoint h, sim::TimePoint bound,
       continue;
     }
     for (net::CrossLinkMsg& m : buf) {
-      mb.link->queue_injected(m.at, m.stamp, std::move(m.pkt));
+      mb.link->queue_injected(m.at, m.stamp, m.pkt);
       ++mb.channel.executed;
       ++exchanged_;  // delivered here instead of by exchange()
     }

@@ -77,53 +77,51 @@ void Link::detach_pump() {
   ring_.clear();
 }
 
-void Link::send(Packet&& pkt) {
-  if (down_ || (drop_filter_ && drop_filter_(pkt))) {
+void Link::send(PooledPacket pkt) {
+  if (down_ || (drop_filter_ && drop_filter_(*pkt))) {
     ++stats_.lost;
     if (tracer_) {
-      tracer_->emit(sched_->now(), trace::EventType::kLossDrop, pkt, from_,
+      tracer_->emit(sched_->now(), trace::EventType::kLossDrop, *pkt, from_,
                     to_);
     }
     return;
   }
-  pkt.enqueued_at = sched_->now();
+  // The slot stays put whether the queue admits the handle or not, so the
+  // trace reads it after the decision.
+  const Packet& slot = *pkt;
+  const bool accepted = queue_->admit(pkt);
   if (tracer_ != nullptr && tracer_->active()) {
-    // The queue consumes the packet either way; keep a copy so a rejection
-    // can still be traced.
-    Packet copy = pkt;
-    const bool accepted = queue_->enqueue(std::move(pkt));
     tracer_->emit(sched_->now(),
                   accepted ? trace::EventType::kEnqueue
                            : trace::EventType::kQueueDrop,
-                  copy, from_, to_);
-    if (!accepted) {
-      TCPPR_LOG_DEBUG("link", "queue drop on %d->%d", from_, to_);
-      return;
-    }
-  } else if (!queue_->enqueue(std::move(pkt))) {
+                  slot, from_, to_);
+  }
+  if (!accepted) {
     TCPPR_LOG_DEBUG("link", "queue drop on %d->%d", from_, to_);
     return;
   }
   if (!busy_) start_transmission();
 }
 
-PacketPool& Link::pool() {
-  if (pool_ == nullptr) pool_ = PacketPool::create();
-  return *pool_;
-}
+namespace {
+
+// An in-flight packet riding one scheduler event of the unbatched engine.
+// The event can be destroyed unrun after its network is gone (a
+// Scenario's scheduler outlives its network), so it keeps the pool alive
+// itself; members die in reverse order, the handle first.
+struct CarriedPacket {
+  std::shared_ptr<PacketPool> pool;
+  PooledPacket pkt;
+};
+
+}  // namespace
 
 void Link::start_transmission() {
-  if (queue_->length_packets() == 0) {
+  PooledPacket pkt = queue_->pop();
+  if (pkt == nullptr) {
     busy_ = false;
     return;
   }
-  // Dequeue straight into a recycled pool slot: dequeue_into overwrites
-  // the slot wholesale, so the ~300-byte Packet moves once instead of
-  // bouncing through an optional and a second pool move.
-  PooledPacket pkt = pool().checkout();
-  const bool dequeued = queue_->dequeue_into(*pkt);
-  TCPPR_DCHECK(dequeued);
-  (void)dequeued;
   busy_ = true;
   ++in_transit_;
   if (tracer_ != nullptr && tracer_->active()) {
@@ -144,12 +142,12 @@ void Link::start_transmission() {
     pump_->push_op(tx_key_, pump_id_, PumpOp::kTxComplete);
     return;
   }
-  // The packet rides the scheduler in its pool slot: the {this, pooled
-  // pointer} capture fits the event slot's inline callback buffer, so the
-  // completion event allocates nothing.
-  sched_->schedule_at_stamped(at, seq, [this, p = std::move(pkt)]() mutable {
-    on_tx_complete(std::move(p));
-  });
+  // {this, pool, handle} is 48 bytes: the event slot's inline callback
+  // buffer, so the completion event allocates nothing.
+  sched_->schedule_at_stamped(
+      at, seq, [this, c = CarriedPacket{pool_, std::move(pkt)}]() mutable {
+        on_tx_complete(std::move(c.pkt));
+      });
 }
 
 void Link::on_tx_complete(PooledPacket pkt) {
@@ -200,8 +198,8 @@ void Link::complete_packet(PooledPacket pkt) {
     remote_->buf.push_back(
         CrossLinkMsg{sched_->now() + delivery_delay,
                      sched_->make_stamp(static_cast<std::uint32_t>(from_)),
-                     std::move(*pkt)});
-    return;  // the pooled shell returns to this shard's pool
+                     *pkt});
+    return;  // the packet crosses by value; its slot returns to this pool
   }
   const sim::TimePoint at = sched_->now() + delivery_delay;
   const std::uint64_t seq =
@@ -217,9 +215,10 @@ void Link::complete_packet(PooledPacket pkt) {
     insert_delivery(at, seq, std::move(pkt));
     return;
   }
-  sched_->schedule_at_stamped(at, seq, [this, p = std::move(pkt)]() mutable {
-    deliver_one(std::move(p));
-  });
+  sched_->schedule_at_stamped(
+      at, seq, [this, c = CarriedPacket{pool_, std::move(pkt)}]() mutable {
+        deliver_one(std::move(c.pkt));
+      });
 }
 
 void Link::deliver_one(PooledPacket p) {
@@ -228,13 +227,12 @@ void Link::deliver_one(PooledPacket p) {
   if (!skip_transit_decrement_) --in_transit_;
   if (tap_ != nullptr) tap_->on_deliver(*p);
   TCPPR_DCHECK(dst_node_ != nullptr);
-  dst_node_->receive(std::move(*p));
-  // p's release into the pool recycles the packet for the next hop.
+  dst_node_->receive(std::move(p));
 }
 
 void Link::queue_injected(sim::TimePoint at, std::uint64_t seq,
-                          Packet&& pkt) {
-  injected_.push_back(InjectedEntry{at, seq, std::move(pkt)});
+                          const Packet& pkt) {
+  injected_.push_back(InjectedEntry{at, seq, pkt});
   // Same sorted-merge discipline as insert_delivery: barrier drains push
   // in mailbox order, delivery order comes from the (at, seq) keys.
   std::size_t i = injected_.size() - 1;
@@ -257,13 +255,11 @@ void Link::arm_injected(sim::TimePoint at, std::uint64_t seq) {
 
 void Link::pop_injected() {
   TCPPR_DCHECK(!injected_.empty());
-  InjectedEntry e = injected_.pop_front();
-  TCPPR_DCHECK(injection_pool_ != nullptr);
-  PooledPacket p = injection_pool_->checkout();
-  *p = std::move(e.pkt);
-  if (tap_ != nullptr) tap_->on_deliver(*p);
   TCPPR_DCHECK(dst_node_ != nullptr);
-  dst_node_->receive(std::move(*p));
+  PooledPacket p = dst_node_->packet_pool().make(injected_.front().pkt);
+  injected_.drop_front();
+  if (tap_ != nullptr) tap_->on_deliver(*p);
+  dst_node_->receive(std::move(p));
 }
 
 void Link::injected_state(util::StateIO& io) {
@@ -298,12 +294,11 @@ void Link::state(util::StateIO& io) {
   io.pod(stats_);
   io.pod(last_tx_mint_valid_);
   io.pod(last_tx_mint_);
-  queue_->state(io);
+  queue_->state(io, pool());
   io.pod(tx_pending_);
   io.pod(tx_key_);
   if (tx_pending_) {
-    if (!io.saving()) tx_pkt_ = pool().checkout();
-    io.obj(*tx_pkt_);
+    pooled_state(io, tx_pkt_, pool());
   } else if (!io.saving()) {
     tx_pkt_.reset();
   }
@@ -320,8 +315,7 @@ void Link::state(util::StateIO& io) {
       DeliveryEntry e{};
       io.pod(e.at);
       io.pod(e.seq);
-      e.pkt = pool().checkout();
-      io.obj(*e.pkt);
+      pooled_state(io, e.pkt, pool());
       ring_.push_back(std::move(e));
     }
   }
@@ -351,23 +345,6 @@ void Link::pump_run_deliveries() {
   TCPPR_DCHECK(!ring_.empty());
   // The pump re-keys this stream from the new ring head when we return.
   deliver_one(ring_.pop_front().pkt);
-}
-
-void Link::send_batch(PacketBatch& batch, std::size_t begin, std::size_t end) {
-  std::size_t i = begin;
-  for (; i < end && !busy_; ++i) send(std::move(batch[i]));
-  if (i >= end) return;
-  if (down_ || drop_filter_ || (tracer_ != nullptr && tracer_->active())) {
-    // Entry drops and per-packet trace records need the full per-packet
-    // path; these are cold configurations (fault injection, tracing runs).
-    for (; i < end; ++i) send(std::move(batch[i]));
-    return;
-  }
-  // Transmitter busy and nothing can drop at entry: no dequeue can
-  // interleave with these admissions, so the queue takes the whole
-  // remainder in one batched call (identical per-packet decisions).
-  for (std::size_t k = i; k < end; ++k) batch[k].enqueued_at = sched_->now();
-  queue_->enqueue_batch(batch, i, end);
 }
 
 }  // namespace tcppr::net

@@ -14,7 +14,6 @@
 
 #include "net/link_pump.hpp"
 #include "net/packet.hpp"
-#include "net/packet_batch.hpp"
 #include "net/packet_pool.hpp"
 #include "net/queue.hpp"
 #include "sim/random.hpp"
@@ -48,7 +47,9 @@ struct LinkStats {
 // the coordinator drains at the barrier (the window/barrier phase
 // alternation is the synchronization — no locking). `stamp` is the
 // tie-break sequence minted on the source shard at push time, i.e. the
-// position the delivery-schedule op holds in the sequential run.
+// position the delivery-schedule op holds in the sequential run. The
+// packet rides by value: it leaves the source LP's pool here and enters
+// the destination node's pool when its injected-ring entry pops.
 struct CrossLinkMsg {
   sim::TimePoint at;
   std::uint64_t stamp = 0;
@@ -77,11 +78,15 @@ class Link {
   // cross-shard injected ones — so it sees the full stream in delivery
   // order regardless of engine mode.
   void set_telemetry_tap(telemetry::ReorderTap* tap) { tap_ = tap; }
-  // Shares the network-wide recycling pool for in-flight packets. A link
-  // constructed standalone (tests) lazily creates its own.
+  // The pool of the link's source node: every packet the link holds lives
+  // there (Network wires its own pool, ParallelSim the source LP's), and
+  // restored checkpoints check their packets out of it. Only legal while
+  // the link holds no packets.
   void set_packet_pool(std::shared_ptr<PacketPool> pool) {
+    TCPPR_CHECK(queue_->length_packets() == 0 && in_transit_ == 0);
     pool_ = std::move(pool);
   }
+  const PacketPool& packet_pool() const { return *pool_; }
   // Changes the propagation delay for future transmissions (mobility /
   // route-change models). Once the lookahead is frozen (parallel mode cut
   // link) the delay may only grow: the safe-horizon computation baked the
@@ -128,15 +133,14 @@ class Link {
   // lambda. Source-side stats and in-transit accounting already happened
   // at push time in complete_packet; delivery observation (telemetry tap,
   // node hand-off) happens on pop, at the same layer as local deliveries.
-  // The pool is the destination LP's: pops run on the destination shard's
-  // thread, and pools are not thread-safe.
-  void set_injection_scheduler(sim::Scheduler* sched,
-                               std::shared_ptr<PacketPool> pool) {
+  // A pop writes the packet into the destination node's pool: pops run on
+  // the destination shard's thread, and pools are not thread-safe.
+  void set_injection_scheduler(sim::Scheduler* sched) {
     injection_sched_ = sched;
-    injection_pool_ = std::move(pool);
   }
   bool has_telemetry_tap() const { return tap_ != nullptr; }
-  void queue_injected(sim::TimePoint at, std::uint64_t seq, Packet&& pkt);
+  void queue_injected(sim::TimePoint at, std::uint64_t seq,
+                      const Packet& pkt);
   // Entries parked in the ring (counted into the conservation sweep's
   // external in-flight term alongside the mailbox residency).
   std::uint64_t injected_pending() const { return injected_.size(); }
@@ -146,14 +150,8 @@ class Link {
   void injected_state(util::StateIO& io);
 
   // Hands a packet to this link; may drop it immediately if the queue is
-  // full.
-  void send(Packet&& pkt);
-  // Hands batch entries [begin, end) to this link in order. Packets are
-  // fed one at a time while the transmitter is idle (each may start a
-  // transmission, which the next admission must observe); once the
-  // transmitter is busy the rest takes the bulk-enqueue path, whose
-  // per-packet admission decisions are identical.
-  void send_batch(PacketBatch& batch, std::size_t begin, std::size_t end);
+  // full. The handle must come from the link's pool (set_packet_pool).
+  void send(PooledPacket pkt);
 
   // --- Batched hot path (LinkPump) ---------------------------------------
   // Routes this link's packet ops (tx completions, deliveries) through the
@@ -206,10 +204,10 @@ class Link {
 
   // --- Checkpoint --------------------------------------------------------
   // Source-LP trajectory state: queue contents, transmitter, propagation
-  // ring, RNG positions, counters. In-flight pooled packets serialize by
-  // value and re-checkout fresh pool slots on restore (slot identity is
-  // not observable). The pump index is derived state — the caller reseeds
-  // the pump after restoring every link on the shard.
+  // ring, RNG positions, counters. Held packets serialize by value and
+  // check fresh pool slots out on restore (pooled_state). The pump index
+  // is derived state — the caller reseeds the pump after restoring every
+  // link on the shard.
   void state(util::StateIO& io);
 
  private:
@@ -232,7 +230,10 @@ class Link {
   // append is O(1) for in-order deliveries, jittered ones swap backward).
   void insert_delivery(sim::TimePoint at, std::uint64_t seq,
                        PooledPacket pkt);
-  PacketPool& pool();
+  PacketPool& pool() {
+    TCPPR_DCHECK(pool_ != nullptr);
+    return *pool_;
+  }
 
   sim::Scheduler* sched_;
   NodeId from_;
@@ -242,8 +243,9 @@ class Link {
   CrossLinkChannel* remote_ = nullptr;
   bool lookahead_frozen_ = false;
   sim::Duration frozen_lookahead_ = sim::Duration::zero();
-  std::unique_ptr<Queue> queue_;
+  // Declared before every member holding handles, so it dies after them.
   std::shared_ptr<PacketPool> pool_;
+  std::unique_ptr<Queue> queue_;
   Node* dst_node_ = nullptr;
   bool busy_ = false;
   bool down_ = false;
@@ -283,7 +285,6 @@ class Link {
   };
   util::RingDeque<InjectedEntry> injected_;
   sim::Scheduler* injection_sched_ = nullptr;
-  std::shared_ptr<PacketPool> injection_pool_;
   // Mint-order bookkeeping: the last transmission-schedule op minted, used
   // to assert that a delivery op minted in the same instant (i.e. after
   // the loss lottery that follows the mint) sorts after it — the op-order

@@ -1,7 +1,9 @@
 #include "net/network.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "util/check.hpp"
 
@@ -11,6 +13,7 @@ NodeId Network::add_node() {
   const NodeId id = static_cast<NodeId>(nodes_.size());
   nodes_.push_back(std::make_unique<Node>(id));
   nodes_.back()->set_tracer(&tracer_, &sched_);
+  nodes_.back()->set_packet_pool(pool_);
   return id;
 }
 
@@ -102,11 +105,17 @@ Network::ConservationSnapshot Network::conservation() const {
     snap.delivered_to_agent += ns.delivered_to_agent;
     snap.unroutable += ns.unroutable;
   }
+  std::vector<const PacketPool*> pools;
   for (const auto& link : links_) {
     snap.link_lost += link->stats().lost;
     snap.queue_dropped += link->queue().stats().dropped;
     snap.in_queues += link->queue().length_packets();
     snap.in_transit += link->in_transit();
+    const PacketPool* pool = &link->packet_pool();
+    if (std::find(pools.begin(), pools.end(), pool) == pools.end()) {
+      pools.push_back(pool);
+      snap.live += pool->live();
+    }
   }
   return snap;
 }

@@ -69,8 +69,9 @@ class Network {
     return next_uid_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // Recycling pool shared by every link: packets in flight across the
-  // whole network draw from one free list.
+  // The pool every node and link is built with: packets in flight across
+  // the whole network draw from one free list (ParallelSim re-points each
+  // LP at its own).
   const std::shared_ptr<PacketPool>& packet_pool() const { return pool_; }
 
   // Batch carrier for the sequential engine; null when the network was
@@ -91,7 +92,9 @@ class Network {
   // conservation invariant the validation layer checks is
   //   originated == delivered_to_agent + unroutable + link_lost
   //              + queue_dropped + in_queues + in_transit
-  // which must hold at every instant the scheduler is between events.
+  // which must hold at every instant the scheduler is between events. So
+  // must live == in_queues + in_transit: between events every held packet
+  // is queued or in a transmitter/propagating, each in its own slot.
   struct ConservationSnapshot {
     std::uint64_t originated = 0;
     std::uint64_t delivered_to_agent = 0;
@@ -100,6 +103,8 @@ class Network {
     std::uint64_t queue_dropped = 0;  // rejected at enqueue
     std::uint64_t in_queues = 0;      // sitting in link queues
     std::uint64_t in_transit = 0;     // in transmitters / propagating
+    // Checked-out slots, summed over the distinct pools the links use.
+    std::uint64_t live = 0;
     std::uint64_t accounted() const {
       return delivered_to_agent + unroutable + link_lost + queue_dropped +
              in_queues + in_transit;
@@ -111,6 +116,7 @@ class Network {
  private:
   sim::Scheduler& sched_;
   trace::Tracer tracer_;
+  // Declared before nodes_ and links_: outlives every handle they hold.
   std::shared_ptr<PacketPool> pool_ = PacketPool::create();
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Link>> links_;

@@ -65,20 +65,20 @@ void Node::warn_no_agent(FlowId flow) {
                      : "");
 }
 
-void Node::receive(Packet&& pkt) {
-  if (pkt.dst == id_) {
-    Agent* agent = find_agent(pkt.tcp.flow);
+void Node::receive(PooledPacket pkt) {
+  if (pkt->dst == id_) {
+    Agent* agent = find_agent(pkt->tcp.flow);
     if (agent == nullptr) {
       ++stats_.unroutable;
-      warn_no_agent(pkt.tcp.flow);
+      warn_no_agent(pkt->tcp.flow);
       return;
     }
     ++stats_.delivered_to_agent;
     if (tracer_ != nullptr && tracer_->active()) {
-      tracer_->emit(sched_->now(), trace::EventType::kDeliver, pkt, id_, id_);
+      tracer_->emit(sched_->now(), trace::EventType::kDeliver, *pkt, id_, id_);
     }
-    agent->deliver(std::move(pkt));
-    return;
+    agent->deliver(std::move(*pkt));
+    return;  // the slot is released here
   }
   forward(std::move(pkt));
 }
@@ -88,9 +88,8 @@ void Node::originate_prologue(Packet& pkt) {
   pkt.src = id_;
   if (routing_policy_ != nullptr) {
     if (auto choice = routing_policy_->choose_route(pkt.dst)) {
-      pkt.source_route = std::move(choice->route);
+      pkt.source_route = choice->route;
       pkt.route_pos = 0;
-      pkt.path_id = choice->path_id;
     }
   }
   if (tracer_ != nullptr && tracer_->active()) {
@@ -99,57 +98,55 @@ void Node::originate_prologue(Packet& pkt) {
   }
 }
 
-void Node::originate(Packet&& pkt) {
-  originate_prologue(pkt);
-  if (pkt.dst == id_) {  // loopback, mostly for tests
+void Node::originate(PooledPacket pkt) {
+  originate_prologue(*pkt);
+  if (pkt->dst == id_) {  // loopback, mostly for tests
     receive(std::move(pkt));
     return;
   }
   forward(std::move(pkt));
 }
 
-void Node::originate_burst(PacketBatch&& batch) {
-  const std::size_t n = batch.size();
-  for (std::size_t i = 0; i < n; ++i) {
+void Node::originate_burst(std::span<PooledPacket> burst) {
+  for (const PooledPacket& pkt : burst) {
     // Loopback packets re-enter agent processing between routing
     // decisions; that interleaving only the per-packet path preserves.
-    if (batch[i].dst == id_) {
-      for (std::size_t k = 0; k < n; ++k) originate(std::move(batch[k]));
+    if (pkt->dst == id_) {
+      for (PooledPacket& p : burst) originate(std::move(p));
       return;
     }
   }
   // Per-packet prologue and routing decision run in order (policy and ECMP
-  // RNG draws keep their sequence); consecutive packets choosing the same
-  // link flush as one send_batch. Relative to the per-packet path this
-  // only moves link admissions after later routing decisions — admissions
-  // touch no RNG and no routing state, so every per-packet outcome is
-  // unchanged.
+  // RNG draws keep their sequence); a run of consecutive packets choosing
+  // the same link is admitted once the next packet picks another link.
+  // Relative to the per-packet path this only moves link admissions after
+  // later routing decisions — admissions touch no RNG and no routing
+  // state, so every per-packet outcome is unchanged.
   Link* run_link = nullptr;
   std::size_t run_begin = 0;
-  auto flush = [&](std::size_t run_end) {
-    if (run_link == nullptr || run_end == run_begin) return;
-    if (run_end - run_begin == 1) {
-      run_link->send(std::move(batch[run_begin]));
-    } else {
-      run_link->send_batch(batch, run_begin, run_end);
+  const auto admit_run = [&](std::size_t run_end) {
+    if (run_link == nullptr) return;
+    for (std::size_t k = run_begin; k < run_end; ++k) {
+      run_link->send(std::move(burst[k]));
     }
   };
-  for (std::size_t i = 0; i < n; ++i) {
-    originate_prologue(batch[i]);
-    Link* link = pick_link(batch[i]);
+  for (std::size_t i = 0; i < burst.size(); ++i) {
+    originate_prologue(*burst[i]);
+    Link* link = pick_link(*burst[i]);
     if (link != run_link) {
-      flush(i);
+      admit_run(i);
       run_link = link;
       run_begin = i;
     }
   }
-  flush(n);
+  admit_run(burst.size());
 }
 
 Link* Node::pick_link(Packet& pkt) {
   NodeId next = kInvalidNode;
-  if (!pkt.source_route.empty() && pkt.route_pos < pkt.source_route.size()) {
-    next = pkt.source_route[pkt.route_pos++];
+  if (pkt.source_route != nullptr &&
+      pkt.route_pos < pkt.source_route->size()) {
+    next = (*pkt.source_route)[pkt.route_pos++];
   } else if (!ecmp_table_.empty()) {
     if (const auto ecmp = ecmp_table_.find(pkt.dst);
         ecmp != ecmp_table_.end()) {
@@ -178,8 +175,8 @@ Link* Node::pick_link(Packet& pkt) {
   return link;
 }
 
-void Node::forward(Packet&& pkt) {
-  Link* link = pick_link(pkt);
+void Node::forward(PooledPacket pkt) {
+  Link* link = pick_link(*pkt);
   if (link != nullptr) link->send(std::move(pkt));
 }
 

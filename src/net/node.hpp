@@ -6,14 +6,16 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "net/link.hpp"
 #include "net/packet.hpp"
-#include "net/packet_batch.hpp"
+#include "net/packet_pool.hpp"
 
 namespace tcppr::trace {
 class Tracer;
@@ -21,7 +23,8 @@ class Tracer;
 
 namespace tcppr::net {
 
-// A transport endpoint attached to a node.
+// A transport endpoint attached to a node. The packet is read in its pool
+// slot; the slot is released when deliver() returns.
 class Agent {
  public:
   virtual ~Agent() = default;
@@ -34,7 +37,9 @@ class Agent {
 class SourceRoutingPolicy {
  public:
   struct Choice {
-    RouteVec route;  // nodes after this one, ending at dst
+    // Nodes after this one, ending at dst. Points into a table the policy
+    // owns for its whole life; packets carry the pointer.
+    const RouteVec* route = nullptr;
     int path_id = -1;
   };
   virtual ~SourceRoutingPolicy() = default;
@@ -58,6 +63,13 @@ class Node {
   Node& operator=(const Node&) = delete;
 
   NodeId id() const { return id_; }
+
+  // The pool packets originated here are written into: the network's, or
+  // the node's LP's under ParallelSim (pools are not thread-safe).
+  void set_packet_pool(std::shared_ptr<PacketPool> pool) {
+    pool_ = std::move(pool);
+  }
+  PacketPool& packet_pool() { return *pool_; }
 
   void add_out_link(Link* link);
   void set_next_hop(NodeId dst, NodeId next_hop);
@@ -92,13 +104,18 @@ class Node {
                           sim::Rng rng);
 
   // Entry point for packets arriving from a link.
-  void receive(Packet&& pkt);
-  // Entry point for locally generated packets.
-  void originate(Packet&& pkt);
-  // Burst entry point: a sender window-burst. Runs the per-packet
-  // originate prologue (stats, routing policy, trace) in order, then hands
-  // consecutive same-link runs to Link::send_batch.
-  void originate_burst(PacketBatch&& batch);
+  void receive(PooledPacket pkt);
+  // Entry point for locally generated packets, already written into this
+  // node's pool.
+  void originate(PooledPacket pkt);
+  // Writes pkt into this node's pool, then originates it.
+  void originate(const Packet& pkt) { originate(pool_->make(pkt)); }
+  // Burst entry point: a sender window-burst, in this node's pool. Runs
+  // the per-packet originate prologue (stats, routing policy, trace) and
+  // routing decision in order, and admits each run of consecutive
+  // same-link packets to its link once the run is routed. Packets it
+  // cannot route stay in `burst` for the caller to release.
+  void originate_burst(std::span<PooledPacket> burst);
 
   Link* link_to(NodeId neighbor) const;
   std::optional<NodeId> next_hop(NodeId dst) const;
@@ -129,7 +146,7 @@ class Node {
     Link* link = nullptr;
   };
 
-  void forward(Packet&& pkt);
+  void forward(PooledPacket pkt);
   // Forwarding decision only (source route / ECMP / next-hop table, with
   // the same stats and route_pos mutations as forward()); nullptr when
   // unroutable.
@@ -164,6 +181,7 @@ class Node {
   std::uint32_t no_agent_warnings_ = 0;
   std::unordered_map<NodeId, std::vector<NodeId>> ecmp_table_;
   SourceRoutingPolicy* routing_policy_ = nullptr;
+  std::shared_ptr<PacketPool> pool_;
   trace::Tracer* tracer_ = nullptr;
   sim::Scheduler* sched_ = nullptr;
   sim::Rng ecmp_rng_{0};

@@ -6,10 +6,12 @@
 // and queue byte accounting.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <type_traits>
+#include <vector>
 
-#include "sim/time.hpp"
 #include "util/inline_vec.hpp"
 #include "util/state_io.hpp"
 
@@ -35,21 +37,23 @@ struct SackBlock {
   friend constexpr bool operator==(const SackBlock&, const SackBlock&) = default;
 };
 
-// RFC 2018 caps a SACK option at 3 blocks (4 with the RFC 2883 D-SACK
-// slot), so four inline slots cover every ACK without touching the heap.
-using SackVec = util::InlineVec<SackBlock, 4>;
-// Source routes in the paper's topologies are a handful of hops; eight
-// inline slots cover the parking-lot and multipath configurations.
-using RouteVec = util::InlineVec<NodeId, 8>;
+// RFC 2018 caps a SACK option at 3 blocks (the RFC 2883 D-SACK block
+// rides in its own field), so an ACK's blocks fit a fixed inline array.
+inline constexpr std::size_t kMaxSackBlocks = 3;
+using SackVec = util::InlineVec<SackBlock, kMaxSackBlocks>;
+// A source route: the nodes after the originating one, ending at dst.
+// Packets point into a table their routing policy builds once from its
+// fixed path set, so a route is never copied per packet.
+using RouteVec = std::vector<NodeId>;
 
 // TCP header fields relevant at packet granularity. A real header is 40
 // bytes; options (SACK blocks, timestamps) ride along for the variants that
 // need them and are ignored by the ones that don't.
 struct TcpHeader {
   FlowId flow = kInvalidFlow;
+  bool is_retransmission = false;
   SeqNo seq = 0;         // data: segment number
   SeqNo ack = 0;         // ack: next expected segment (cumulative)
-  bool is_retransmission = false;
   // Transmission serial of the data segment (distinguishes original from
   // retransmission; stands in for the Eifel timestamp / retransmit count).
   std::uint32_t tx_serial = 0;
@@ -63,14 +67,14 @@ struct TcpHeader {
 
   void state(util::StateIO& io) {
     io.pod(flow);
+    io.pod(is_retransmission);
     io.pod(seq);
     io.pod(ack);
-    io.pod(is_retransmission);
     io.pod(tx_serial);
     io.pod(echo_serial);
     io.pod(ts_value);
     io.pod(ts_echo);
-    io.ivec(sack);
+    io.pod(sack);
     io.pod(dsack);
   }
 };
@@ -83,22 +87,20 @@ struct Packet {
   PacketType type = PacketType::kTcpData;
   TcpHeader tcp;
 
-  // Source route (list of node ids, excluding src, ending at dst). When
-  // non-empty, forwarding follows it instead of per-node routing tables —
-  // this is how per-packet multi-path routing is realized.
-  RouteVec source_route;
+  // Source route. When set, forwarding follows it instead of per-node
+  // routing tables — this is how per-packet multi-path routing is
+  // realized. The table it points into belongs to the routing policy,
+  // which is built with the topology and outlives the run.
+  const RouteVec* source_route = nullptr;
   std::uint32_t route_pos = 0;
-  int path_id = -1;  // which multipath member was sampled (stats/debug)
-
-  sim::TimePoint sent_at;          // time handed to the first link
-  sim::TimePoint enqueued_at;      // last queue entry time (queue stats)
   int hops = 0;
 
   bool is_ack() const { return type == PacketType::kTcpAck; }
 
   // Checkpoint/rollback support: every field that defines the packet's
   // forward trajectory (uid included — it is the packet's identity in
-  // delivery hashes and conservation accounting).
+  // delivery hashes and conservation accounting). The route pointer is
+  // saved as is: snapshots never leave the process that took them.
   void state(util::StateIO& io) {
     io.pod(uid);
     io.pod(src);
@@ -106,13 +108,15 @@ struct Packet {
     io.pod(size_bytes);
     io.pod(type);
     io.obj(tcp);
-    io.ivec(source_route);
+    io.pod(source_route);
     io.pod(route_pos);
-    io.pod(path_id);
-    io.pod(sent_at);
-    io.pod(enqueued_at);
     io.pod(hops);
   }
 };
+
+// Packets live in PacketPool slots and are copied only into and out of a
+// cut link's mailbox; keep them one memcpy wide.
+static_assert(std::is_trivially_copyable_v<Packet>);
+static_assert(sizeof(Packet) <= 176);
 
 }  // namespace tcppr::net

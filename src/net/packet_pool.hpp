@@ -1,35 +1,31 @@
-// Free-list recycling pool for in-flight packets.
+// Free-list pool that holds every in-flight packet.
 //
-// The event hot path hands a packet to the scheduler twice per hop
-// (transmission completion, then propagation); capturing the ~300-byte
-// Packet by value in those callbacks would overflow the scheduler's inline
-// callback buffer and put a heap allocation back on every event. Instead
-// the link checks packets out of a pool and captures a PooledPacket — a
-// unique_ptr whose 32 bytes fit the inline buffer with room for `this`.
+// A packet is written into a pool slot once, when a node originates it,
+// and stays in that slot until it is delivered to an agent or dropped:
+// queues, transmitters, delivery rings and sender bursts pass only the
+// slot's handle (PooledPacket, a unique_ptr whose deleter is the pool
+// pointer plus the slot index). The one copy left is at a parallel cut
+// link, where the packet crosses into another LP's pool by value.
 //
-// Slots are indexed and generation-tagged: the free list holds 32-bit slot
-// indices, and each slot carries a generation that bumps every time the
-// slot is released. A Ref{index, generation} taken by the bulk API
-// (alloc_n/free_n — one free-list splice for a whole batch, no per-packet
-// branch) is therefore safe across bulk cycles: a stale Ref whose slot was
-// recycled fails the generation check instead of aliasing the new
-// occupant.
+// Slots are individually allocated, so a handle's pointer stays valid
+// while the pool grows; the free list holds 32-bit slot indices, LIFO, so
+// a warm pool allocates nothing and hands out the most recently touched
+// slot first.
 //
-// Ownership: the pool is held by shared_ptr. Each PooledPacket's deleter
-// keeps a reference, so a callback that is destroyed without running (a
-// scheduler torn down with pending deliveries after its network is gone —
-// the teardown order of Scenario) still releases into live pool memory.
-// The pool owns every Packet it ever allocated; packets released after the
-// last external reference drops simply die with the pool.
+// Ownership: handles do not keep their pool alive (no refcount traffic on
+// the per-hop path). Whatever holds handles must therefore die before the
+// pool: a Network declares its pool before its links, a Link holds its
+// source node's pool and declares it before its queue and rings, and the
+// unbatched engine's per-packet events carry their pool alongside the
+// handle (a Scenario's scheduler outlives its network).
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "net/packet.hpp"
-#include "util/check.hpp"
+#include "util/state_io.hpp"
 
 namespace tcppr::net {
 
@@ -37,118 +33,67 @@ class PacketPool;
 
 // Deleter that returns the packet's slot to its pool instead of freeing it.
 struct PacketReturner {
-  std::shared_ptr<PacketPool> pool;
+  PacketPool* pool = nullptr;
   std::uint32_t index = 0;
   void operator()(Packet* pkt) const;
 };
 
 using PooledPacket = std::unique_ptr<Packet, PacketReturner>;
 
-class PacketPool : public std::enable_shared_from_this<PacketPool> {
+class PacketPool {
  public:
-  // Handle to a bulk-reserved slot. Valid until the slot is released
-  // (adopt + PooledPacket destruction, free_n, or release); any later use
-  // trips the generation check.
-  struct Ref {
-    std::uint32_t index = 0;
-    std::uint32_t generation = 0;
-  };
+  PacketPool() = default;
+  PacketPool(const PacketPool&) = delete;
+  PacketPool& operator=(const PacketPool&) = delete;
 
   static std::shared_ptr<PacketPool> create() {
     return std::make_shared<PacketPool>();
   }
 
-  // Checks a packet out of the free list (allocating only when the pool is
-  // empty) and moves src into it. InlineVec fields keep any heap capacity
-  // the recycled packet had, so a warm pool allocates nothing.
-  PooledPacket make(Packet&& src) {
-    const std::uint32_t index = acquire();
-    Packet* pkt = storage_[index].get();
-    *pkt = std::move(src);
-    return PooledPacket{pkt, PacketReturner{shared_from_this(), index}};
-  }
-
-  // Checks a slot out without touching its contents: the recycled packet's
-  // stale fields are still there, so the caller must overwrite the slot
-  // wholesale (e.g. Queue::dequeue_into) before the packet is read.
+  // Checks a slot out without touching its contents: the recycled
+  // packet's stale fields are still there, so the caller must overwrite
+  // the slot wholesale before the packet is read.
   PooledPacket checkout() {
-    const std::uint32_t index = acquire();
-    return PooledPacket{storage_[index].get(),
-                        PacketReturner{shared_from_this(), index}};
-  }
-
-  // Reserves n slots in one free-list splice: after a (cold-pool-only)
-  // growth loop tops the free list up, the refs are carved off its tail
-  // with a single resize — no per-packet empty-check branch.
-  void alloc_n(std::size_t n, Ref* out) {
-    while (free_.size() < n) {
+    std::uint32_t index;
+    if (free_.empty()) {
+      index = static_cast<std::uint32_t>(storage_.size());
       storage_.push_back(std::make_unique<Packet>());
-      gens_.push_back(1);
-      free_.push_back(static_cast<std::uint32_t>(storage_.size() - 1));
+    } else {
+      index = free_.back();
+      free_.pop_back();
     }
-    const std::size_t base = free_.size() - n;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t index = free_[base + i];
-      out[i] = Ref{index, gens_[index]};
-    }
-    free_.resize(base);
+    return PooledPacket{storage_[index].get(), PacketReturner{this, index}};
   }
 
-  // Returns n bulk-reserved slots in one splice; every ref dies here (the
-  // generation bump invalidates copies).
-  void free_n(const Ref* refs, std::size_t n) {
-    const std::size_t base = free_.size();
-    free_.resize(base + n);
-    for (std::size_t i = 0; i < n; ++i) {
-      TCPPR_DCHECK(current(refs[i]));
-      bump_generation(refs[i].index);
-      free_[base + i] = refs[i].index;
-    }
+  // Checks a slot out and writes `src` into it.
+  PooledPacket make(const Packet& src) {
+    PooledPacket pkt = checkout();
+    *pkt = src;
+    return pkt;
   }
 
-  // True while the ref's slot has not been recycled since it was reserved.
-  bool current(Ref r) const {
-    return r.index < gens_.size() && gens_[r.index] == r.generation;
-  }
-
-  // Moves src into a bulk-reserved slot and binds it to a PooledPacket,
-  // which releases the slot on destruction exactly like make().
-  PooledPacket adopt(Ref r, Packet&& src) {
-    TCPPR_DCHECK(current(r));
-    Packet* pkt = storage_[r.index].get();
-    *pkt = std::move(src);
-    return PooledPacket{pkt, PacketReturner{shared_from_this(), r.index}};
-  }
-
-  void release(std::uint32_t index) {
-    bump_generation(index);
-    free_.push_back(index);
-  }
+  void release(std::uint32_t index) { free_.push_back(index); }
 
   std::size_t allocated() const { return storage_.size(); }
   std::size_t idle() const { return free_.size(); }
+  // Slots checked out: packets queued, transmitting or propagating, plus
+  // any a sender is staging (none between events).
+  std::size_t live() const { return storage_.size() - free_.size(); }
 
  private:
-  std::uint32_t acquire() {
-    if (free_.empty()) {
-      storage_.push_back(std::make_unique<Packet>());
-      gens_.push_back(1);
-      return static_cast<std::uint32_t>(storage_.size() - 1);
-    }
-    const std::uint32_t index = free_.back();
-    free_.pop_back();
-    return index;
-  }
-
-  void bump_generation(std::uint32_t index) {
-    if (++gens_[index] == 0) gens_[index] = 1;
-  }
-
   std::vector<std::unique_ptr<Packet>> storage_;
-  std::vector<std::uint32_t> gens_;  // parallel to storage_
   std::vector<std::uint32_t> free_;  // slot indices, LIFO
 };
 
 inline void PacketReturner::operator()(Packet*) const { pool->release(index); }
+
+// Checkpoint visitor for a held packet: saves it by value; restore checks
+// a fresh slot out of `pool` (slot identity is not observable) and
+// releases the one `pkt` held.
+inline void pooled_state(util::StateIO& io, PooledPacket& pkt,
+                         PacketPool& pool) {
+  if (!io.saving()) pkt = pool.checkout();
+  io.obj(*pkt);
+}
 
 }  // namespace tcppr::net

@@ -9,78 +9,47 @@
 
 namespace tcppr::net {
 
+void Queue::ring_state(util::StateIO& io, Ring& ring, PacketPool& pool) {
+  const std::uint64_t n = io.size_token(ring.size());
+  if (io.saving()) {
+    for (std::size_t i = 0; i < ring.size(); ++i) io.obj(*ring[i]);
+    return;
+  }
+  ring.clear();
+  for (std::uint64_t i = 0; i < n; ++i) {
+    PooledPacket pkt;
+    pooled_state(io, pkt, pool);
+    ring.push_back(std::move(pkt));
+  }
+}
+
 DropTailQueue::DropTailQueue(std::size_t limit_packets,
                              std::uint64_t limit_bytes)
     : limit_(limit_packets), limit_bytes_(limit_bytes) {
   TCPPR_CHECK(limit_packets > 0);
 }
 
-bool DropTailQueue::enqueue(Packet&& pkt) {
+bool DropTailQueue::admit(PooledPacket& pkt) {
   if (q_.size() >= limit_ ||
-      (limit_bytes_ > 0 && bytes_ + pkt.size_bytes > limit_bytes_)) {
+      (limit_bytes_ > 0 && bytes_ + pkt->size_bytes > limit_bytes_)) {
     ++stats_.dropped;
-    stats_.bytes_dropped += pkt.size_bytes;
+    stats_.bytes_dropped += pkt->size_bytes;
     return false;
   }
   ++stats_.enqueued;
-  stats_.bytes_enqueued += pkt.size_bytes;
-  bytes_ += pkt.size_bytes;
+  stats_.bytes_enqueued += pkt->size_bytes;
+  bytes_ += pkt->size_bytes;
   q_.push_back(std::move(pkt));
   return true;
 }
 
-std::optional<Packet> DropTailQueue::dequeue() {
-  if (q_.empty()) return std::nullopt;
-  Packet pkt = q_.pop_front();
-  bytes_ -= pkt.size_bytes;
+PooledPacket DropTailQueue::pop() {
+  if (q_.empty()) return nullptr;
+  PooledPacket pkt = q_.pop_front();
+  bytes_ -= pkt->size_bytes;
   ++stats_.dequeued;
-  stats_.bytes_dequeued += pkt.size_bytes;
+  stats_.bytes_dequeued += pkt->size_bytes;
   return pkt;
-}
-
-bool DropTailQueue::dequeue_into(Packet& out) {
-  if (q_.empty()) return false;
-  Packet& front = q_.front();
-  bytes_ -= front.size_bytes;
-  ++stats_.dequeued;
-  stats_.bytes_dequeued += front.size_bytes;
-  out = std::move(front);
-  q_.drop_front();
-  return true;
-}
-
-std::size_t DropTailQueue::enqueue_batch(PacketBatch& batch, std::size_t begin,
-                                         std::size_t end) {
-  // With the byte cap off, admission depends only on the packet count, so
-  // the whole burst splits into an accepted prefix and a dropped suffix in
-  // one limit check — same outcomes, stats folded per half.
-  if (limit_bytes_ != 0) return Queue::enqueue_batch(batch, begin, end);
-  const std::size_t room = limit_ > q_.size() ? limit_ - q_.size() : 0;
-  const std::size_t n = end - begin;
-  const std::size_t accepted = n < room ? n : room;
-  for (std::size_t i = begin; i < begin + accepted; ++i) {
-    bytes_ += batch[i].size_bytes;
-    stats_.bytes_enqueued += batch[i].size_bytes;
-    q_.push_back(std::move(batch[i]));
-  }
-  stats_.enqueued += accepted;
-  for (std::size_t i = begin + accepted; i < end; ++i) {
-    stats_.bytes_dropped += batch[i].size_bytes;
-  }
-  stats_.dropped += n - accepted;
-  return accepted;
-}
-
-std::size_t DropTailQueue::dequeue_batch(std::size_t max_n, PacketBatch& out) {
-  const std::size_t moved = max_n < q_.size() ? max_n : q_.size();
-  for (std::size_t i = 0; i < moved; ++i) {
-    Packet pkt = q_.pop_front();
-    bytes_ -= pkt.size_bytes;
-    stats_.bytes_dequeued += pkt.size_bytes;
-    out.push(std::move(pkt));
-  }
-  stats_.dequeued += moved;
-  return moved;
 }
 
 PriorityQueue::PriorityQueue(int bands, std::size_t limit_per_band,
@@ -94,42 +63,42 @@ PriorityQueue::PriorityQueue(int bands, std::size_t limit_per_band,
   TCPPR_CHECK(classifier_ != nullptr);
 }
 
-bool PriorityQueue::enqueue(Packet&& pkt) {
-  const int band = classifier_(pkt);
+bool PriorityQueue::admit(PooledPacket& pkt) {
+  const int band = classifier_(*pkt);
   TCPPR_CHECK(band >= 0 && band < static_cast<int>(bands_.size()));
   auto& q = bands_[static_cast<std::size_t>(band)];
   QueueStats& bs = band_stats_[static_cast<std::size_t>(band)];
   if (q.size() >= limit_per_band_) {
     ++stats_.dropped;
-    stats_.bytes_dropped += pkt.size_bytes;
+    stats_.bytes_dropped += pkt->size_bytes;
     ++bs.dropped;
-    bs.bytes_dropped += pkt.size_bytes;
+    bs.bytes_dropped += pkt->size_bytes;
     return false;
   }
   ++stats_.enqueued;
-  stats_.bytes_enqueued += pkt.size_bytes;
+  stats_.bytes_enqueued += pkt->size_bytes;
   ++bs.enqueued;
-  bs.bytes_enqueued += pkt.size_bytes;
-  bytes_ += pkt.size_bytes;
+  bs.bytes_enqueued += pkt->size_bytes;
+  bytes_ += pkt->size_bytes;
   q.push_back(std::move(pkt));
   return true;
 }
 
-std::optional<Packet> PriorityQueue::dequeue() {
+PooledPacket PriorityQueue::pop() {
   for (std::size_t band = 0; band < bands_.size(); ++band) {
     auto& q = bands_[band];
     if (!q.empty()) {
-      Packet pkt = q.pop_front();
-      bytes_ -= pkt.size_bytes;
+      PooledPacket pkt = q.pop_front();
+      bytes_ -= pkt->size_bytes;
       ++stats_.dequeued;
-      stats_.bytes_dequeued += pkt.size_bytes;
+      stats_.bytes_dequeued += pkt->size_bytes;
       QueueStats& bs = band_stats_[band];
       ++bs.dequeued;
-      bs.bytes_dequeued += pkt.size_bytes;
+      bs.bytes_dequeued += pkt->size_bytes;
       return pkt;
     }
   }
-  return std::nullopt;
+  return nullptr;
 }
 
 std::size_t PriorityQueue::length_packets() const {
@@ -166,7 +135,7 @@ void RedQueue::set_time_source(const sim::Scheduler* sched,
   }
 }
 
-bool RedQueue::enqueue(Packet&& pkt) {
+bool RedQueue::admit(PooledPacket& pkt) {
   if (idle_ && sched_ != nullptr) {
     // Floyd/Jacobson idle adjustment: decay the average by (1-w)^m, where
     // m estimates how many (small) packets the link could have transmitted
@@ -205,22 +174,22 @@ bool RedQueue::enqueue(Packet&& pkt) {
 
   if (drop) {
     ++stats_.dropped;
-    stats_.bytes_dropped += pkt.size_bytes;
+    stats_.bytes_dropped += pkt->size_bytes;
     return false;
   }
   ++stats_.enqueued;
-  stats_.bytes_enqueued += pkt.size_bytes;
-  bytes_ += pkt.size_bytes;
+  stats_.bytes_enqueued += pkt->size_bytes;
+  bytes_ += pkt->size_bytes;
   q_.push_back(std::move(pkt));
   return true;
 }
 
-std::optional<Packet> RedQueue::dequeue() {
-  if (q_.empty()) return std::nullopt;
-  Packet pkt = q_.pop_front();
-  bytes_ -= pkt.size_bytes;
+PooledPacket RedQueue::pop() {
+  if (q_.empty()) return nullptr;
+  PooledPacket pkt = q_.pop_front();
+  bytes_ -= pkt->size_bytes;
   ++stats_.dequeued;
-  stats_.bytes_dequeued += pkt.size_bytes;
+  stats_.bytes_dequeued += pkt->size_bytes;
   if (q_.empty() && sched_ != nullptr) {
     idle_ = true;
     idle_since_ = sched_->now();

@@ -5,16 +5,21 @@
 // PriorityQueue models the DiffServ-style differentiated forwarding that
 // the paper's introduction names as a reordering source — packets of one
 // flow marked into different bands leave the router out of order.
+//
+// Queues hold pool handles (net/packet_pool.hpp), not packets: admission
+// moves the 24-byte handle in, pop() moves it out to the transmitter, and
+// the packet itself never leaves its slot. A checkpoint serializes each
+// queued packet by value; restore checks fresh slots out of the pool the
+// caller names and releases the ones the queue held.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "net/packet.hpp"
-#include "net/packet_batch.hpp"
+#include "net/packet_pool.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
 #include "util/ring_deque.hpp"
@@ -39,47 +44,12 @@ class Queue {
  public:
   virtual ~Queue() = default;
 
-  // Takes ownership of pkt; returns false (and drops) when full.
-  virtual bool enqueue(Packet&& pkt) = 0;
-  virtual std::optional<Packet> dequeue() = 0;
-  // Dequeues directly into `out` (overwriting it wholesale); returns false
-  // when nothing is queued. Decisions and stats are identical to dequeue();
-  // the point is skipping the optional<Packet> round-trip — the link
-  // dequeues straight into a recycled pool slot. The default wraps
-  // dequeue(); disciplines with a FIFO fast path override.
-  virtual bool dequeue_into(Packet& out) {
-    auto pkt = dequeue();
-    if (!pkt) return false;
-    out = std::move(*pkt);
-    return true;
-  }
-
-  // Batched variants for burst admission/service. Per-packet admission
-  // decisions and stats are identical to calling enqueue()/dequeue() in a
-  // loop — the default does exactly that — so disciplines whose decisions
-  // are per-packet by nature (RED's drop lottery, Priority's classifier)
-  // inherit it unchanged, while DropTail hoists its limit checks out of
-  // the loop. enqueue_batch consumes entries [begin, end) of the batch and
-  // returns how many were accepted; dequeue_batch appends up to max_n
-  // packets to out and returns how many it moved.
-  virtual std::size_t enqueue_batch(PacketBatch& batch, std::size_t begin,
-                                    std::size_t end) {
-    std::size_t accepted = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      if (enqueue(std::move(batch[i]))) ++accepted;
-    }
-    return accepted;
-  }
-  virtual std::size_t dequeue_batch(std::size_t max_n, PacketBatch& out) {
-    std::size_t moved = 0;
-    while (moved < max_n) {
-      auto pkt = dequeue();
-      if (!pkt) break;
-      out.push(std::move(*pkt));
-      ++moved;
-    }
-    return moved;
-  }
+  // Takes the packet (leaving `pkt` empty) and returns true when the
+  // discipline admits it; returns false and leaves it with the caller,
+  // which releases it, when the discipline drops it.
+  virtual bool admit(PooledPacket& pkt) = 0;
+  // Removes the head packet; an empty handle when nothing is queued.
+  virtual PooledPacket pop() = 0;
   virtual std::size_t length_packets() const = 0;
   virtual std::uint64_t length_bytes() const = 0;
 
@@ -97,9 +67,16 @@ class Queue {
   // Checkpoint/rollback visitor: every discipline serializes its queued
   // packets plus whatever per-discipline trajectory state it keeps (RED's
   // average, the RNG stream position). Time-source wiring is not state.
-  virtual void state(util::StateIO& io) { io.pod(stats_); }
+  // Restored packets are checked out of `pool`.
+  virtual void state(util::StateIO& io, PacketPool& pool) {
+    (void)pool;
+    io.pod(stats_);
+  }
 
  protected:
+  using Ring = util::RingDeque<PooledPacket>;
+  static void ring_state(util::StateIO& io, Ring& ring, PacketPool& pool);
+
   QueueStats stats_;
 };
 
@@ -110,27 +87,23 @@ class DropTailQueue final : public Queue {
   explicit DropTailQueue(std::size_t limit_packets,
                          std::uint64_t limit_bytes = 0);
 
-  bool enqueue(Packet&& pkt) override;
-  std::optional<Packet> dequeue() override;
-  bool dequeue_into(Packet& out) override;
-  std::size_t enqueue_batch(PacketBatch& batch, std::size_t begin,
-                            std::size_t end) override;
-  std::size_t dequeue_batch(std::size_t max_n, PacketBatch& out) override;
+  bool admit(PooledPacket& pkt) override;
+  PooledPacket pop() override;
   std::size_t length_packets() const override { return q_.size(); }
   std::uint64_t length_bytes() const override { return bytes_; }
   std::size_t limit_packets() const { return limit_; }
 
-  void state(util::StateIO& io) override {
-    Queue::state(io);
+  void state(util::StateIO& io, PacketPool& pool) override {
+    Queue::state(io, pool);
     io.pod(bytes_);
-    io.obj_ring(q_);
+    ring_state(io, q_, pool);
   }
 
  private:
   std::size_t limit_;
   std::uint64_t limit_bytes_;
   std::uint64_t bytes_ = 0;
-  util::RingDeque<Packet> q_;
+  Ring q_;
 };
 
 // Strict-priority bands (band 0 served first). The classifier maps each
@@ -142,8 +115,8 @@ class PriorityQueue final : public Queue {
 
   PriorityQueue(int bands, std::size_t limit_per_band, Classifier classifier);
 
-  bool enqueue(Packet&& pkt) override;
-  std::optional<Packet> dequeue() override;
+  bool admit(PooledPacket& pkt) override;
+  PooledPacket pop() override;
   std::size_t length_packets() const override;
   std::uint64_t length_bytes() const override { return bytes_; }
   std::size_t band_length(int band) const;
@@ -151,10 +124,10 @@ class PriorityQueue final : public Queue {
   // which band rejected the packet).
   const QueueStats& band_stats(int band) const;
 
-  void state(util::StateIO& io) override {
-    Queue::state(io);
+  void state(util::StateIO& io, PacketPool& pool) override {
+    Queue::state(io, pool);
     io.pod(bytes_);
-    for (auto& band : bands_) io.obj_ring(band);
+    for (auto& band : bands_) ring_state(io, band, pool);
     io.pod_vector(band_stats_);
   }
 
@@ -162,7 +135,7 @@ class PriorityQueue final : public Queue {
   std::size_t limit_per_band_;
   Classifier classifier_;
   std::uint64_t bytes_ = 0;
-  std::vector<util::RingDeque<Packet>> bands_;
+  std::vector<Ring> bands_;
   std::vector<QueueStats> band_stats_;
 };
 
@@ -184,23 +157,23 @@ class RedQueue final : public Queue {
 
   RedQueue(Params params, sim::Rng rng);
 
-  bool enqueue(Packet&& pkt) override;
-  std::optional<Packet> dequeue() override;
+  bool admit(PooledPacket& pkt) override;
+  PooledPacket pop() override;
   std::size_t length_packets() const override { return q_.size(); }
   std::uint64_t length_bytes() const override { return bytes_; }
   void set_time_source(const sim::Scheduler* sched,
                        double bandwidth_bps) override;
   double average_queue() const { return avg_; }
 
-  void state(util::StateIO& io) override {
-    Queue::state(io);
+  void state(util::StateIO& io, PacketPool& pool) override {
+    Queue::state(io, pool);
     io.pod(rng_);
     io.pod(avg_);
     io.pod(count_since_drop_);
     io.pod(bytes_);
     io.pod(idle_);
     io.pod(idle_since_);
-    io.obj_ring(q_);
+    ring_state(io, q_, pool);
   }
 
  private:
@@ -218,7 +191,7 @@ class RedQueue final : public Queue {
   double bandwidth_bps_ = 0;
   bool idle_ = false;
   sim::TimePoint idle_since_;
-  util::RingDeque<Packet> q_;
+  Ring q_;
 };
 
 }  // namespace tcppr::net

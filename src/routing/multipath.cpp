@@ -20,9 +20,17 @@ PathSet PathSet::disjoint_paths(const net::Network& network, NodeId src,
   return set;
 }
 
+std::vector<net::RouteVec> PathSet::source_routes() const {
+  std::vector<net::RouteVec> routes;
+  routes.reserve(paths.size());
+  for (const auto& p : paths) routes.emplace_back(p.begin() + 1, p.end());
+  return routes;
+}
+
 MultipathSelector::MultipathSelector(PathSet paths, double epsilon,
                                      sim::Rng rng)
     : paths_(std::move(paths)),
+      routes_(paths_.source_routes()),
       picks_(paths_.paths.size(), 0),
       rng_(rng) {
   TCPPR_CHECK(!paths_.paths.empty());
@@ -43,17 +51,14 @@ MultipathSelector::choose_route(NodeId dst) {
   const int idx = rng_.categorical(weights_.data(),
                                    static_cast<int>(weights_.size()));
   ++picks_[static_cast<std::size_t>(idx)];
-  const auto& full = paths_.paths[static_cast<std::size_t>(idx)];
-  Choice choice;
-  choice.route.assign(full.begin() + 1, full.end());  // skip src itself
-  choice.path_id = idx;
-  return choice;
+  return Choice{&routes_[static_cast<std::size_t>(idx)], idx};
 }
 
 RouteFlapPolicy::RouteFlapPolicy(sim::Scheduler& sched, PathSet paths,
                                  sim::Duration flap_interval)
     : sched_(sched),
       paths_(std::move(paths)),
+      routes_(paths_.source_routes()),
       interval_(flap_interval),
       started_(sched.now()) {
   TCPPR_CHECK(!paths_.paths.empty());
@@ -66,11 +71,7 @@ RouteFlapPolicy::choose_route(NodeId dst) {
   const auto elapsed = sched_.now() - started_;
   current_ = static_cast<int>((elapsed.as_nanos() / interval_.as_nanos()) %
                               static_cast<std::int64_t>(paths_.paths.size()));
-  const auto& full = paths_.paths[static_cast<std::size_t>(current_)];
-  Choice choice;
-  choice.route.assign(full.begin() + 1, full.end());
-  choice.path_id = current_;
-  return choice;
+  return Choice{&routes_[static_cast<std::size_t>(current_)], current_};
 }
 
 }  // namespace tcppr::routing

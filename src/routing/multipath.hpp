@@ -30,6 +30,9 @@ struct PathSet {
   // Enumerates node-disjoint paths of the network graph.
   static PathSet disjoint_paths(const net::Network& network, NodeId src,
                                 NodeId dst);
+  // Each path as a source route (src itself dropped), in path order: the
+  // table a policy's choices point into.
+  std::vector<net::RouteVec> source_routes() const;
 };
 
 class MultipathSelector final : public net::SourceRoutingPolicy {
@@ -49,6 +52,7 @@ class MultipathSelector final : public net::SourceRoutingPolicy {
 
  private:
   PathSet paths_;
+  std::vector<net::RouteVec> routes_;  // built once; packets point here
   std::vector<double> weights_;
   std::vector<std::uint64_t> picks_;
   sim::Rng rng_;
@@ -70,6 +74,7 @@ class RouteFlapPolicy final : public net::SourceRoutingPolicy {
  private:
   sim::Scheduler& sched_;
   PathSet paths_;
+  std::vector<net::RouteVec> routes_;  // built once; packets point here
   sim::Duration interval_;
   sim::TimePoint started_;
   int current_ = 0;

@@ -65,9 +65,6 @@ class ParallelEngine {
     // buffered trace records downstream. Runs on the coordinator with all
     // workers parked. Returns the number of events injected.
     std::function<std::uint64_t()> exchange;
-    // Cross-shard messages pushed but whose delivery event has not yet
-    // executed; the final stretch loops until this reaches zero.
-    std::function<std::uint64_t()> external_backlog;
     // Optional: runs after each exchange (invariant sweeps at barriers).
     std::function<void(TimePoint)> at_barrier;
     // Optimistic mode (all three required for speculation to engage):

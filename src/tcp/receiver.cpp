@@ -189,6 +189,7 @@ void Receiver::on_data(const net::Packet& pkt) {
 
   // Duplicate or out-of-order arrivals must be acknowledged immediately
   // (RFC 5681); delayed ACKs only apply to in-order arrivals.
+  const AckCause cause{seq, pkt.tcp.tx_serial, pkt.tcp.ts_value};
   const bool immediate = duplicate || buffered_ > 0 || !config_.delayed_ack;
   if (immediate) {
     if (has_pending_cause_) {  // flush any pending delayed ACK state
@@ -196,18 +197,18 @@ void Receiver::on_data(const net::Packet& pkt) {
       unacked_segments_ = 0;
       delack_timer_.cancel();
     }
-    send_ack(pkt, duplicate);
+    send_ack(cause, duplicate);
     return;
   }
 
   // Delayed ACK: every second in-order segment, or after the timeout.
-  pending_cause_ = pkt;
+  pending_cause_ = cause;
   has_pending_cause_ = true;
   if (++unacked_segments_ >= 2) {
     has_pending_cause_ = false;
     unacked_segments_ = 0;
     delack_timer_.cancel();
-    send_ack(pkt, false);
+    send_ack(cause, false);
     return;
   }
   delack_timer_.schedule_in(config_.delack_timeout, [this] {
@@ -218,7 +219,7 @@ void Receiver::on_data(const net::Packet& pkt) {
   });
 }
 
-void Receiver::send_ack(const net::Packet& cause, bool is_duplicate_arrival) {
+void Receiver::send_ack(const AckCause& cause, bool is_duplicate_arrival) {
   net::Packet ack;
   ack.uid = network_.allocate_uid();
   ack.src = local_;
@@ -228,28 +229,27 @@ void Receiver::send_ack(const net::Packet& cause, bool is_duplicate_arrival) {
   ack.tcp.flow = flow_;
   ack.tcp.ack = rcv_next_;
   if (config_.echo_timestamps) {
-    ack.tcp.echo_serial = cause.tcp.tx_serial;
-    ack.tcp.ts_echo = cause.tcp.ts_value;
+    ack.tcp.echo_serial = cause.tx_serial;
+    ack.tcp.ts_echo = cause.ts_value;
   }
   if (config_.generate_dsack && is_duplicate_arrival) {
     // RFC 2883: first block reports the duplicate segment.
-    ack.tcp.dsack = net::SackBlock{cause.tcp.seq, cause.tcp.seq + 1};
+    ack.tcp.dsack = net::SackBlock{cause.seq, cause.seq + 1};
   }
   if (config_.generate_sack) {
-    int n = 0;
     for (std::uint32_t r = run_head_;
-         r != kNoRun && n < config_.max_sack_blocks; r = runs_[r].next, ++n) {
+         r != kNoRun && ack.tcp.sack.size() < net::kMaxSackBlocks;
+         r = runs_[r].next) {
       ack.tcp.sack.push_back(net::SackBlock{runs_[r].begin, runs_[r].end});
     }
   }
-  emit_ack(std::move(ack));
+  emit_ack(ack);
 }
 
-void Receiver::emit_ack(net::Packet&& ack) {
+void Receiver::emit_ack(const net::Packet& ack) {
   ++stats_.acks_sent;
-  ack.sent_at = sched().now();
   if (ack_tap_) ack_tap_(ack);
-  network_.node(local_).originate(std::move(ack));
+  network_.node(local_).originate(ack);
 }
 
 }  // namespace tcppr::tcp

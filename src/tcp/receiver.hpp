@@ -29,7 +29,6 @@ struct ReceiverConfig {
   sim::Duration delack_timeout = sim::Duration::millis(100);
   std::uint32_t ack_bytes = 40;
   std::uint32_t segment_bytes = 1000;  // for goodput accounting
-  int max_sack_blocks = 3;
 };
 
 class Receiver final : public net::Agent {
@@ -71,8 +70,7 @@ class Receiver final : public net::Agent {
   std::size_t ooo_buffered() const { return buffered_; }
 
   // Checkpoint/rollback visitor: the receiver's trajectory state,
-  // including the delayed-ACK machinery (its pending cause is a full
-  // packet) and the validation hash.
+  // including the delayed-ACK machinery and the validation hash.
   void state(util::StateIO& io) {
     io.pod(rcv_next_);
     io.pod(delivered_hash_);
@@ -83,7 +81,7 @@ class Receiver final : public net::Agent {
     if (!io.saving()) restore_runs(runs);
     io.obj(delack_timer_);
     io.pod(unacked_segments_);
-    io.obj(pending_cause_);
+    io.pod(pending_cause_);
     io.pod(has_pending_cause_);
     io.pod(stats_);
   }
@@ -124,9 +122,16 @@ class Receiver final : public net::Agent {
   void set_metric_registry(obs::MetricRegistry& registry);
 
  private:
+  // What an ACK echoes of the data segment that caused it.
+  struct AckCause {
+    SeqNo seq = 0;
+    std::uint32_t tx_serial = 0;
+    double ts_value = 0.0;
+  };
+
   void on_data(const net::Packet& pkt);
-  void send_ack(const net::Packet& cause, bool force_dup_info);
-  void emit_ack(net::Packet&& ack);
+  void send_ack(const AckCause& cause, bool force_dup_info);
+  void emit_ack(const net::Packet& ack);
   void buffer_segment(SeqNo seq);
   bool is_buffered(SeqNo seq) const {
     return seq < buffered_end_ && present_[seq] != 0;
@@ -176,7 +181,7 @@ class Receiver final : public net::Agent {
   // Delayed-ACK state.
   sim::Timer delack_timer_;
   int unacked_segments_ = 0;
-  net::Packet pending_cause_;
+  AckCause pending_cause_;
   bool has_pending_cause_ = false;
 
   ReceiverStats stats_;

@@ -63,7 +63,6 @@ void SenderBase::transmit_segment(SeqNo seq, bool is_retransmission,
   pkt.tcp.is_retransmission = is_retransmission;
   pkt.tcp.tx_serial = tx_serial;
   pkt.tcp.ts_value = now().as_seconds();
-  pkt.sent_at = now();
 
   ++stats_.data_packets_sent;
   if (is_retransmission) {
@@ -72,23 +71,23 @@ void SenderBase::transmit_segment(SeqNo seq, bool is_retransmission,
   }
   TCPPR_LOG(LogLevel::kTrace, "tcp", "flow %d send seq %lld rtx=%d", flow_,
             static_cast<long long>(seq), is_retransmission ? 1 : 0);
+  net::Node& node = network_.node(local_);
   if (burst_depth_ > 0) {
-    burst_.push(std::move(pkt));
+    burst_.push_back(node.packet_pool().make(pkt));
     return;
   }
-  network_.node(local_).originate(std::move(pkt));
+  node.originate(pkt);
 }
 
 void SenderBase::flush_burst() {
   if (burst_.empty()) return;
-  if (burst_.size() == 1) {
-    net::Packet pkt = std::move(burst_[0]);
-    burst_.clear();
-    network_.node(local_).originate(std::move(pkt));
-    return;
-  }
-  net::PacketBatch burst = std::move(burst_);
-  network_.node(local_).originate_burst(std::move(burst));
+  // The staged handles leave the member first: a loopback delivery can
+  // re-enter this sender and stage (and flush) a burst of its own.
+  std::vector<net::PooledPacket> burst;
+  burst.swap(burst_);
+  network_.node(local_).originate_burst(burst);
+  burst.clear();  // releases any unroutable packets
+  burst_.swap(burst);  // keep the warm buffer
 }
 
 void SenderBase::note_progress(SeqNo cum_ack) {

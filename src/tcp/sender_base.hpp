@@ -6,6 +6,7 @@
 
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "net/network.hpp"
 #include "net/node.hpp"
@@ -150,13 +151,12 @@ class SenderBase : public net::Agent {
   void transmit_segment(SeqNo seq, bool is_retransmission,
                         std::uint32_t tx_serial);
 
-  // RAII send-burst: transmit_segment calls within the scope stage their
-  // segments, and scope exit hands the whole burst to the node as one
-  // originate_burst (one routing/admission sweep, and a bulk enqueue once
-  // the first segment occupies the transmitter). Staging only defers the
-  // link hand-off past the later segments' construction — construction
-  // touches no shared state — so per-packet behavior is identical; scopes
-  // nest (the outermost flushes).
+  // RAII send-burst: transmit_segment calls within the scope write their
+  // segments into the node's pool and stage the handles, and scope exit
+  // hands the whole burst to the node as one originate_burst. Staging
+  // only defers the link hand-off past the later segments' construction —
+  // construction touches no shared state — so per-packet behavior is
+  // identical; scopes nest (the outermost flushes).
   class BurstScope {
    public:
     explicit BurstScope(SenderBase& sender) : sender_(sender) {
@@ -201,7 +201,8 @@ class SenderBase : public net::Agent {
 
   net::Network& network_;
   sim::Scheduler* sched_override_ = nullptr;  // parallel mode: LP shard
-  net::PacketBatch burst_;   // segments staged by the active BurstScope
+  // Segments staged by the active BurstScope; empty between events.
+  std::vector<net::PooledPacket> burst_;
   int burst_depth_ = 0;
   net::NodeId local_;
   net::NodeId remote_;

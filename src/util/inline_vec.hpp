@@ -1,17 +1,14 @@
-// Small vector with inline storage for trivially copyable element types.
+// Fixed-capacity small vector for trivially copyable element types.
 //
-// Packet headers carry short variable-length lists (SACK blocks capped at
-// 3-4 by RFC 2018, source routes a handful of hops) that std::vector puts
-// on the heap; at millions of packets per simulated second those
-// allocations dominate the forwarding cost. InlineVec keeps up to N
-// elements in the object itself and only touches the heap beyond that.
-// clear() keeps any heap capacity, so pooled packets that once overflowed
-// stay allocation-free on reuse.
+// Packet headers carry short lists with a hard cap (RFC 2018 allows at
+// most 3 SACK blocks per ACK). InlineVec keeps up to N elements in the
+// object itself and never touches the heap, so it is trivially copyable
+// whenever T is: a header holding one copies with a memcpy and
+// checkpoints with StateIO::pod. Pushing past N is a bug (CHECK).
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
-#include <initializer_list>
+#include <cstdint>
 #include <type_traits>
 
 #include "util/check.hpp"
@@ -22,127 +19,31 @@ template <typename T, std::size_t N>
 class InlineVec {
   static_assert(std::is_trivially_copyable_v<T>,
                 "InlineVec is restricted to trivially copyable types");
-  static_assert(N > 0);
+  static_assert(N > 0 && N <= UINT8_MAX);
 
  public:
   using value_type = T;
-  using iterator = T*;
   using const_iterator = const T*;
 
-  InlineVec() = default;
-  InlineVec(std::initializer_list<T> init) { assign(init.begin(), init.end()); }
-
-  InlineVec(const InlineVec& other) { assign(other.begin(), other.end()); }
-
-  InlineVec(InlineVec&& other) noexcept {
-    if (other.heap_ != nullptr) {
-      heap_ = other.heap_;
-      capacity_ = other.capacity_;
-      size_ = other.size_;
-      other.heap_ = nullptr;
-      other.capacity_ = N;
-      other.size_ = 0;
-    } else {
-      std::copy(other.inline_, other.inline_ + other.size_, inline_);
-      size_ = other.size_;
-      other.size_ = 0;
-    }
-  }
-
-  InlineVec& operator=(const InlineVec& other) {
-    if (this != &other) assign(other.begin(), other.end());
-    return *this;
-  }
-
-  InlineVec& operator=(InlineVec&& other) noexcept {
-    if (this == &other) return *this;
-    if (other.heap_ != nullptr) {
-      delete[] heap_;
-      heap_ = other.heap_;
-      capacity_ = other.capacity_;
-      size_ = other.size_;
-      other.heap_ = nullptr;
-      other.capacity_ = N;
-      other.size_ = 0;
-    } else {
-      size_ = 0;  // keep our heap block (if any) for reuse
-      std::copy(other.inline_, other.inline_ + other.size_, data());
-      size_ = other.size_;
-      other.size_ = 0;
-    }
-    return *this;
-  }
-
-  InlineVec& operator=(std::initializer_list<T> init) {
-    assign(init.begin(), init.end());
-    return *this;
-  }
-
-  ~InlineVec() { delete[] heap_; }
-
-  T* data() { return heap_ != nullptr ? heap_ : inline_; }
-  const T* data() const { return heap_ != nullptr ? heap_ : inline_; }
-
-  iterator begin() { return data(); }
-  iterator end() { return data() + size_; }
-  const_iterator begin() const { return data(); }
-  const_iterator end() const { return data() + size_; }
+  const_iterator begin() const { return data_; }
+  const_iterator end() const { return data_ + size_; }
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  std::size_t capacity() const { return capacity_; }
-  static constexpr std::size_t inline_capacity() { return N; }
 
-  T& operator[](std::size_t i) {
-    TCPPR_DCHECK(i < size_);
-    return data()[i];
-  }
   const T& operator[](std::size_t i) const {
     TCPPR_DCHECK(i < size_);
-    return data()[i];
+    return data_[i];
   }
-
-  T& front() { return (*this)[0]; }
-  const T& front() const { return (*this)[0]; }
-  T& back() { return (*this)[size_ - 1]; }
-  const T& back() const { return (*this)[size_ - 1]; }
-
-  // Drops the elements but keeps heap capacity for reuse.
-  void clear() { size_ = 0; }
 
   void push_back(const T& value) {
-    if (size_ == capacity_) grow(capacity_ * 2);
-    data()[size_++] = value;
-  }
-
-  void pop_back() {
-    TCPPR_DCHECK(size_ > 0);
-    --size_;
-  }
-
-  template <typename It>
-  void assign(It first, It last) {
-    clear();
-    for (; first != last; ++first) push_back(*first);
-  }
-
-  friend bool operator==(const InlineVec& a, const InlineVec& b) {
-    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+    TCPPR_CHECK(size_ < N);
+    data_[size_++] = value;
   }
 
  private:
-  void grow(std::size_t new_capacity) {
-    T* block = new T[new_capacity];
-    std::copy(data(), data() + size_, block);
-    delete[] heap_;
-    heap_ = block;
-    capacity_ = new_capacity;
-  }
-
-  T inline_[N];
-  T* heap_ = nullptr;
-  std::size_t size_ = 0;
-  std::size_t capacity_ = N;
+  T data_[N]{};
+  std::uint8_t size_ = 0;
 };
 
 }  // namespace tcppr::util

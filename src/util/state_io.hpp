@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "util/check.hpp"
-#include "util/inline_vec.hpp"
 
 namespace tcppr::util {
 
@@ -65,22 +64,6 @@ class StateIO {
   template <typename T>
   void obj(T& v) {
     v.state(*this);
-  }
-
-  template <typename T, std::size_t N>
-  void ivec(InlineVec<T, N>& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    std::uint64_t n = size_token(v.size());
-    if (saving_) {
-      for (std::size_t i = 0; i < v.size(); ++i) pod(v[i]);
-    } else {
-      v.clear();
-      for (std::uint64_t i = 0; i < n; ++i) {
-        T e{};
-        pod(e);
-        v.push_back(e);
-      }
-    }
   }
 
   template <typename T>

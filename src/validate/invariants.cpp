@@ -222,6 +222,10 @@ std::string InvariantChecker::report() const {
 
 void InvariantChecker::check_conservation() {
   auto snap = scenario_.network.conservation();
+  // Packets on links and in queues, before the parallel harness adds the
+  // ones riding cut-link mailboxes and injected rings (held by value,
+  // outside every pool).
+  const std::uint64_t link_held = snap.in_queues + snap.in_transit;
   if (external_in_flight_) snap.in_transit += external_in_flight_();
   if (!snap.balanced()) {
     add_violation(format(
@@ -236,6 +240,15 @@ void InvariantChecker::check_conservation() {
         static_cast<unsigned long long>(snap.queue_dropped),
         static_cast<unsigned long long>(snap.in_queues),
         static_cast<unsigned long long>(snap.in_transit)));
+  }
+  // Pool occupancy: between events every checked-out slot holds a packet
+  // that is queued or on a link (sender bursts are empty), so a leaked or
+  // double-held slot breaks the equality.
+  if (snap.live != link_held) {
+    add_violation(format(
+        "pool occupancy: live=%llu != queued + on-link=%llu",
+        static_cast<unsigned long long>(snap.live),
+        static_cast<unsigned long long>(link_held)));
   }
 }
 

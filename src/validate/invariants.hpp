@@ -6,7 +6,8 @@
 //   network    packet conservation — every packet ever originated is
 //              delivered, dropped (queue / loss model / unroutable), or
 //              still in flight (queued or in a transmitter), at all times
-//              and at teardown;
+//              and at teardown — and pool occupancy: the packet pools'
+//              live slots are exactly the queued and on-link packets;
 //   senders    the per-variant state-machine invariants exported through
 //              tcp::SenderInvariantView (cwnd >= 1, ssthresh above the
 //              variant's floor, snd_una <= snd_nxt, window bookkeeping

@@ -463,8 +463,7 @@ void WorkloadEngine::send_close(net::FlowId flow) {
   close.size_bytes = 40;
   close.type = net::PacketType::kTcpClose;
   close.tcp.flow = flow;
-  close.sent_at = src_sched_->now();
-  scenario_.network.node(src_).originate(std::move(close));
+  scenario_.network.node(src_).originate(close);
 }
 
 void WorkloadEngine::teardown(std::uint32_t slot, std::uint32_t gen) {

@@ -4,9 +4,9 @@
 // what CI tiers on: the sanitize preset excludes `MillionScale` (see
 // CMakePresets.json) and runs only the 2^16 variant; the TSan preset's
 // include filter never selects either. Expect the 2^20 case to take tens
-// of seconds and ~8 GB RSS in a RelWithDebInfo build — it is the gate
-// that the simulator genuinely sustains a million concurrent flows, not a
-// benchmark.
+// of seconds and about 2.2 GB RSS in a RelWithDebInfo build — it is the
+// gate that the simulator genuinely sustains a million concurrent flows,
+// not a benchmark.
 #include <gtest/gtest.h>
 
 #include <cstddef>

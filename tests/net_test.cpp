@@ -1,14 +1,20 @@
-// Unit tests for the network substrate: queues, links (serialization and
-// propagation timing), node forwarding, and Network route computation.
+// Unit tests for the network substrate: queues, pool slots and the
+// handles queues hold (including queue checkpoint/restore), links
+// (serialization and propagation timing), node forwarding, and Network
+// route computation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include "app/sources.hpp"
 #include "net/network.hpp"
+#include "net/packet_pool.hpp"
 #include "net/queue.hpp"
 #include "sim/scheduler.hpp"
+#include "test_util.hpp"
+#include "util/state_io.hpp"
 
 namespace tcppr::net {
 namespace {
@@ -26,36 +32,36 @@ TEST(DropTailQueue, FifoOrder) {
   for (int i = 0; i < 5; ++i) {
     Packet pkt = make_packet(0, 100);
     pkt.tcp.seq = i;
-    EXPECT_TRUE(q.enqueue(std::move(pkt)));
+    EXPECT_TRUE(testutil::admit_copy(q, pkt));
   }
   for (int i = 0; i < 5; ++i) {
-    auto pkt = q.dequeue();
-    ASSERT_TRUE(pkt.has_value());
+    auto pkt = q.pop();
+    ASSERT_TRUE(pkt != nullptr);
     EXPECT_EQ(pkt->tcp.seq, i);
   }
-  EXPECT_FALSE(q.dequeue().has_value());
+  EXPECT_EQ(q.pop(), nullptr);
 }
 
 TEST(DropTailQueue, DropsWhenFull) {
   DropTailQueue q(3);
   for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(q.enqueue(make_packet(0, 100)));
+    EXPECT_TRUE(testutil::admit_copy(q, make_packet(0, 100)));
   }
-  EXPECT_FALSE(q.enqueue(make_packet(0, 100)));
+  EXPECT_FALSE(testutil::admit_copy(q, make_packet(0, 100)));
   EXPECT_EQ(q.stats().dropped, 1u);
   EXPECT_EQ(q.stats().enqueued, 3u);
   EXPECT_EQ(q.length_packets(), 3u);
   // Draining one opens a slot again.
-  q.dequeue();
-  EXPECT_TRUE(q.enqueue(make_packet(0, 100)));
+  q.pop();
+  EXPECT_TRUE(testutil::admit_copy(q, make_packet(0, 100)));
 }
 
 TEST(DropTailQueue, ByteAccounting) {
   DropTailQueue q(10);
-  ASSERT_TRUE(q.enqueue(make_packet(0, 100)));
-  ASSERT_TRUE(q.enqueue(make_packet(0, 250)));
+  ASSERT_TRUE(testutil::admit_copy(q, make_packet(0, 100)));
+  ASSERT_TRUE(testutil::admit_copy(q, make_packet(0, 250)));
   EXPECT_EQ(q.length_bytes(), 350u);
-  q.dequeue();
+  q.pop();
   EXPECT_EQ(q.length_bytes(), 250u);
 }
 
@@ -66,7 +72,7 @@ TEST(RedQueue, AcceptsBelowMinThreshold) {
   params.max_thresh = 30;
   RedQueue q(params, sim::Rng(1));
   for (int i = 0; i < 5; ++i) {
-    EXPECT_TRUE(q.enqueue(make_packet(0, 100)));
+    EXPECT_TRUE(testutil::admit_copy(q, make_packet(0, 100)));
   }
   EXPECT_EQ(q.stats().dropped, 0u);
 }
@@ -80,7 +86,7 @@ TEST(RedQueue, DropsProbabilisticallyWhenCongested) {
   RedQueue q(params, sim::Rng(1));
   int dropped = 0;
   for (int i = 0; i < 200; ++i) {
-    if (!q.enqueue(make_packet(0, 100))) ++dropped;
+    if (!testutil::admit_copy(q, make_packet(0, 100))) ++dropped;
   }
   EXPECT_GT(dropped, 0);
   EXPECT_LT(q.length_packets(), 101u);
@@ -94,9 +100,170 @@ TEST(RedQueue, HardLimitEnforced) {
   RedQueue q(params, sim::Rng(1));
   int accepted = 0;
   for (int i = 0; i < 50; ++i) {
-    if (q.enqueue(make_packet(0, 100))) ++accepted;
+    if (testutil::admit_copy(q, make_packet(0, 100))) ++accepted;
   }
   EXPECT_LE(accepted, 10);
+}
+
+// --- Pool slots and the handles queues hold -----------------------------
+
+TEST(PacketPool, ReleasedSlotsAreReusedMostRecentFirst) {
+  PacketPool pool;
+  PooledPacket a = pool.make(make_packet(1, 100));
+  PooledPacket b = pool.make(make_packet(2, 200));
+  PooledPacket c = pool.make(make_packet(3, 300));
+  EXPECT_EQ(pool.allocated(), 3u);
+  EXPECT_EQ(pool.live(), 3u);
+  const Packet* b_slot = b.get();
+  const Packet* c_slot = c.get();
+  b.reset();
+  c.reset();
+  EXPECT_EQ(pool.live(), 1u);
+  EXPECT_EQ(pool.idle(), 2u);
+  // The slot released last is handed out first, and a warm pool adds no
+  // storage.
+  PooledPacket d = pool.make(make_packet(4, 400));
+  PooledPacket e = pool.make(make_packet(5, 500));
+  EXPECT_EQ(d.get(), c_slot);
+  EXPECT_EQ(e.get(), b_slot);
+  EXPECT_EQ(d->dst, 4);
+  EXPECT_EQ(e->size_bytes, 500u);
+  EXPECT_EQ(a->dst, 1);
+  EXPECT_EQ(pool.allocated(), 3u);
+  EXPECT_EQ(pool.live(), 3u);
+}
+
+TEST(PacketPool, MovedHandleReleasesItsSlotOnce) {
+  PacketPool pool;
+  {
+    PooledPacket first = pool.make(make_packet(1, 100));
+    const Packet* slot = first.get();
+    PooledPacket second = std::move(first);
+    EXPECT_EQ(first, nullptr);
+    EXPECT_EQ(second.get(), slot);
+    std::vector<PooledPacket> held;
+    held.push_back(std::move(second));
+    EXPECT_EQ(held.front().get(), slot);
+    EXPECT_EQ(pool.live(), 1u);
+  }
+  // Three handles held the slot in turn; it went back exactly once.
+  EXPECT_EQ(pool.live(), 0u);
+  EXPECT_EQ(pool.idle(), 1u);
+}
+
+TEST(PacketPool, HandlesStayValidWhileThePoolGrows) {
+  PacketPool pool;
+  PooledPacket first = pool.make(make_packet(7, 123));
+  const Packet* slot = first.get();
+  std::vector<PooledPacket> more;
+  for (int i = 0; i < 1000; ++i) more.push_back(pool.make(make_packet(i, 64)));
+  EXPECT_EQ(pool.allocated(), 1001u);
+  EXPECT_EQ(first.get(), slot);
+  EXPECT_EQ(first->dst, 7);
+  EXPECT_EQ(first->size_bytes, 123u);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(more[static_cast<std::size_t>(i)]->dst, i);
+  }
+}
+
+TEST(DropTailQueue, AdmitTakesTheHandleOnlyWhenItAccepts) {
+  PacketPool pool;
+  DropTailQueue q(1);
+  PooledPacket first = pool.make(make_packet(0, 100));
+  const Packet* slot = first.get();
+  ASSERT_TRUE(q.admit(first));
+  EXPECT_EQ(first, nullptr);
+  PooledPacket second = pool.make(make_packet(0, 100));
+  ASSERT_FALSE(q.admit(second));  // full: the packet stays with the caller
+  ASSERT_NE(second, nullptr);
+  EXPECT_EQ(pool.live(), 2u);
+  second.reset();
+  EXPECT_EQ(pool.live(), 1u);
+  // The queued packet never left its slot.
+  PooledPacket out = q.pop();
+  EXPECT_EQ(out.get(), slot);
+  EXPECT_EQ(q.length_packets(), 0u);
+  EXPECT_EQ(pool.live(), 1u);
+}
+
+TEST(DropTailQueue, RestoreReleasesTheSlotsItReplaces) {
+  PacketPool pool;
+  DropTailQueue q(10);
+  const auto offer = [&](SeqNo seq, std::uint32_t bytes) {
+    Packet pkt = make_packet(0, bytes);
+    pkt.tcp.seq = seq;
+    PooledPacket handle = pool.make(pkt);
+    return q.admit(handle);
+  };
+  for (SeqNo s = 0; s < 3; ++s) {
+    ASSERT_TRUE(offer(s, 100 + static_cast<std::uint32_t>(s)));
+  }
+  std::vector<unsigned char> checkpoint;
+  {
+    util::StateIO io(checkpoint, /*saving=*/true);
+    q.state(io, pool);
+  }
+  // Run on past the checkpoint: drain one, admit two more.
+  q.pop();
+  ASSERT_TRUE(offer(10, 500));
+  ASSERT_TRUE(offer(11, 500));
+  EXPECT_EQ(pool.live(), 4u);
+  {
+    util::StateIO io(checkpoint, /*saving=*/false);
+    q.state(io, pool);
+    EXPECT_TRUE(io.done());
+  }
+  // The checkpoint's packets are back, each in a fresh slot, and every
+  // slot the queue held before the restore went back to the pool.
+  EXPECT_EQ(q.length_packets(), 3u);
+  EXPECT_EQ(q.length_bytes(), 303u);
+  EXPECT_EQ(q.stats().enqueued, 3u);
+  EXPECT_EQ(pool.live(), 3u);
+  for (SeqNo s = 0; s < 3; ++s) {
+    PooledPacket out = q.pop();
+    ASSERT_NE(out, nullptr);
+    EXPECT_EQ(out->tcp.seq, s);
+    EXPECT_EQ(out->size_bytes, 100u + static_cast<std::uint32_t>(s));
+  }
+  EXPECT_EQ(q.pop(), nullptr);
+  EXPECT_EQ(pool.live(), 0u);
+}
+
+TEST(RedQueue, RestoreReplaysTheDropLottery) {
+  RedQueue::Params params;
+  params.limit_packets = 100;
+  params.min_thresh = 5;
+  params.max_thresh = 15;
+  params.weight = 0.5;
+  PacketPool pool;
+  RedQueue q(params, sim::Rng(7));
+  const auto offer = [&] {
+    PooledPacket handle = pool.make(make_packet(0, 100));
+    return q.admit(handle);
+  };
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(offer());
+  std::vector<unsigned char> checkpoint;
+  {
+    util::StateIO io(checkpoint, /*saving=*/true);
+    q.state(io, pool);
+  }
+  std::vector<bool> first_pass;
+  for (int i = 0; i < 30; ++i) first_pass.push_back(offer());
+  {
+    util::StateIO io(checkpoint, /*saving=*/false);
+    q.state(io, pool);
+    EXPECT_TRUE(io.done());
+  }
+  EXPECT_EQ(q.length_packets(), 10u);
+  EXPECT_EQ(pool.live(), 10u);
+  // The average, the RNG position and the queue came back together, so
+  // the same arrivals meet the same lottery.
+  std::vector<bool> second_pass;
+  for (int i = 0; i < 30; ++i) second_pass.push_back(offer());
+  EXPECT_EQ(second_pass, first_pass);
+  EXPECT_NE(std::count(first_pass.begin(), first_pass.end(), false), 0);
+  EXPECT_NE(std::count(first_pass.begin(), first_pass.end(), true), 0);
+  EXPECT_EQ(pool.live(), q.length_packets());
 }
 
 class TwoNodeFixture : public ::testing::Test {
@@ -219,8 +386,9 @@ TEST(Network, SourceRouteOverridesTables) {
   app::PacketSink sink(network, n3, 1);
 
   // Shortest-path routing would go through n1; force the n2 path.
+  const RouteVec route = {n2, n3};
   Packet pkt = make_packet(n3, 100);
-  pkt.source_route = {n2, n3};
+  pkt.source_route = &route;
   network.node(n0).originate(std::move(pkt));
   sched.run();
   EXPECT_EQ(sink.packets(), 1u);

@@ -4,13 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "app/sources.hpp"
 #include "net/link_flapper.hpp"
 #include "net/network.hpp"
+#include "net/packet_pool.hpp"
 #include "net/queue.hpp"
 #include "sim/scheduler.hpp"
 #include "test_util.hpp"
+#include "util/state_io.hpp"
 
 namespace tcppr::net {
 namespace {
@@ -27,21 +30,21 @@ TEST(PriorityQueue, StrictPriorityOrdering) {
   // Band by flow id: flow 0 -> band 0 (high), flow 1 -> band 1.
   PriorityQueue q(2, 10,
                   [](const Packet& p) { return p.tcp.flow == 0 ? 0 : 1; });
-  ASSERT_TRUE(q.enqueue(pkt_of(1, 100)));
-  ASSERT_TRUE(q.enqueue(pkt_of(1, 101)));
-  ASSERT_TRUE(q.enqueue(pkt_of(0, 200)));
+  ASSERT_TRUE(testutil::admit_copy(q, pkt_of(1, 100)));
+  ASSERT_TRUE(testutil::admit_copy(q, pkt_of(1, 101)));
+  ASSERT_TRUE(testutil::admit_copy(q, pkt_of(0, 200)));
   // High-priority packet overtakes the two waiting low-priority ones.
-  EXPECT_EQ(q.dequeue()->tcp.seq, 200);
-  EXPECT_EQ(q.dequeue()->tcp.seq, 100);
-  EXPECT_EQ(q.dequeue()->tcp.seq, 101);
+  EXPECT_EQ(q.pop()->tcp.seq, 200);
+  EXPECT_EQ(q.pop()->tcp.seq, 100);
+  EXPECT_EQ(q.pop()->tcp.seq, 101);
 }
 
 TEST(PriorityQueue, PerBandLimits) {
   PriorityQueue q(2, 2, [](const Packet& p) { return p.tcp.flow; });
-  EXPECT_TRUE(q.enqueue(pkt_of(0, 1)));
-  EXPECT_TRUE(q.enqueue(pkt_of(0, 2)));
-  EXPECT_FALSE(q.enqueue(pkt_of(0, 3)));  // band 0 full
-  EXPECT_TRUE(q.enqueue(pkt_of(1, 4)));   // band 1 still open
+  EXPECT_TRUE(testutil::admit_copy(q, pkt_of(0, 1)));
+  EXPECT_TRUE(testutil::admit_copy(q, pkt_of(0, 2)));
+  EXPECT_FALSE(testutil::admit_copy(q, pkt_of(0, 3)));  // band 0 full
+  EXPECT_TRUE(testutil::admit_copy(q, pkt_of(1, 4)));   // band 1 still open
   EXPECT_EQ(q.band_length(0), 2u);
   EXPECT_EQ(q.band_length(1), 1u);
   EXPECT_EQ(q.length_packets(), 3u);
@@ -53,9 +56,9 @@ TEST(PriorityQueue, ReordersAFlowMarkedIntoTwoBands) {
   // priority overtake even ones queued behind them.
   PriorityQueue q(2, 100,
                   [](const Packet& p) { return p.tcp.seq % 2 == 1 ? 0 : 1; });
-  for (SeqNo s = 0; s < 6; ++s) ASSERT_TRUE(q.enqueue(pkt_of(1, s)));
+  for (SeqNo s = 0; s < 6; ++s) ASSERT_TRUE(testutil::admit_copy(q, pkt_of(1, s)));
   std::vector<SeqNo> out;
-  while (auto p = q.dequeue()) out.push_back(p->tcp.seq);
+  while (auto p = q.pop()) out.push_back(p->tcp.seq);
   EXPECT_EQ(out, (std::vector<SeqNo>{1, 3, 5, 0, 2, 4}));
 }
 
@@ -97,10 +100,10 @@ TEST(PriorityQueue, EndToEndDiffServReordering) {
 
 TEST(PriorityQueue, PerBandStatsAttributeDropsAndBytes) {
   PriorityQueue q(2, 2, [](const Packet& p) { return p.tcp.flow; });
-  ASSERT_TRUE(q.enqueue(pkt_of(0, 1, 100)));
-  ASSERT_TRUE(q.enqueue(pkt_of(0, 2, 100)));
-  ASSERT_FALSE(q.enqueue(pkt_of(0, 3, 100)));  // band 0 full
-  ASSERT_TRUE(q.enqueue(pkt_of(1, 4, 300)));
+  ASSERT_TRUE(testutil::admit_copy(q, pkt_of(0, 1, 100)));
+  ASSERT_TRUE(testutil::admit_copy(q, pkt_of(0, 2, 100)));
+  ASSERT_FALSE(testutil::admit_copy(q, pkt_of(0, 3, 100)));  // band 0 full
+  ASSERT_TRUE(testutil::admit_copy(q, pkt_of(1, 4, 300)));
   EXPECT_EQ(q.band_stats(0).enqueued, 2u);
   EXPECT_EQ(q.band_stats(0).dropped, 1u);
   EXPECT_EQ(q.band_stats(0).bytes_dropped, 100u);
@@ -108,7 +111,7 @@ TEST(PriorityQueue, PerBandStatsAttributeDropsAndBytes) {
   EXPECT_EQ(q.band_stats(1).dropped, 0u);
   EXPECT_EQ(q.band_stats(1).bytes_enqueued, 300u);
   // Drain: dequeues attribute to the band each packet left from.
-  while (q.dequeue()) {
+  while (q.pop()) {
   }
   EXPECT_EQ(q.band_stats(0).dequeued, 2u);
   EXPECT_EQ(q.band_stats(0).bytes_dequeued, 200u);
@@ -120,23 +123,58 @@ TEST(PriorityQueue, PerBandStatsAttributeDropsAndBytes) {
   EXPECT_EQ(q.stats().dropped, 1u);
 }
 
+TEST(PriorityQueue, RestoreRefillsEachBandInOrder) {
+  PacketPool pool;
+  PriorityQueue q(2, 10, [](const Packet& p) { return p.tcp.flow; });
+  const auto offer = [&](FlowId flow, SeqNo seq) {
+    PooledPacket handle = pool.make(pkt_of(flow, seq));
+    return q.admit(handle);
+  };
+  ASSERT_TRUE(offer(1, 10));
+  ASSERT_TRUE(offer(0, 20));
+  ASSERT_TRUE(offer(1, 11));
+  ASSERT_TRUE(offer(0, 21));
+  std::vector<unsigned char> checkpoint;
+  {
+    util::StateIO io(checkpoint, /*saving=*/true);
+    q.state(io, pool);
+  }
+  // Run on: serve the high band, queue more low-band packets.
+  q.pop();
+  q.pop();
+  ASSERT_TRUE(offer(1, 12));
+  {
+    util::StateIO io(checkpoint, /*saving=*/false);
+    q.state(io, pool);
+    EXPECT_TRUE(io.done());
+  }
+  EXPECT_EQ(q.band_length(0), 2u);
+  EXPECT_EQ(q.band_length(1), 2u);
+  EXPECT_EQ(q.band_stats(0).dequeued, 0u);
+  EXPECT_EQ(pool.live(), 4u);
+  std::vector<SeqNo> out;
+  while (auto p = q.pop()) out.push_back(p->tcp.seq);
+  EXPECT_EQ(out, (std::vector<SeqNo>{20, 21, 10, 11}));
+  EXPECT_EQ(pool.live(), 0u);
+}
+
 TEST(QueueStats, BytesDequeuedTrackedByAllDisciplines) {
   DropTailQueue droptail(10);
-  ASSERT_TRUE(droptail.enqueue(pkt_of(1, 1, 120)));
-  ASSERT_TRUE(droptail.enqueue(pkt_of(1, 2, 80)));
-  droptail.dequeue();
+  ASSERT_TRUE(testutil::admit_copy(droptail, pkt_of(1, 1, 120)));
+  ASSERT_TRUE(testutil::admit_copy(droptail, pkt_of(1, 2, 80)));
+  droptail.pop();
   EXPECT_EQ(droptail.stats().bytes_dequeued, 120u);
-  droptail.dequeue();
+  droptail.pop();
   EXPECT_EQ(droptail.stats().bytes_dequeued, 200u);
 
   RedQueue red(RedQueue::Params{}, sim::Rng(1));
-  ASSERT_TRUE(red.enqueue(pkt_of(1, 1, 250)));
-  red.dequeue();
+  ASSERT_TRUE(testutil::admit_copy(red, pkt_of(1, 1, 250)));
+  red.pop();
   EXPECT_EQ(red.stats().bytes_dequeued, 250u);
 
   PriorityQueue prio(2, 10, [](const Packet&) { return 0; });
-  ASSERT_TRUE(prio.enqueue(pkt_of(1, 1, 60)));
-  prio.dequeue();
+  ASSERT_TRUE(testutil::admit_copy(prio, pkt_of(1, 1, 60)));
+  prio.pop();
   EXPECT_EQ(prio.stats().bytes_dequeued, 60u);
 }
 
@@ -154,12 +192,12 @@ TEST(RedQueue, IdlePeriodDecaysAverage) {
   RedQueue untimed(params, sim::Rng(1));  // no clock: pre-fix behaviour
 
   for (SeqNo s = 0; s < 8; ++s) {
-    ASSERT_TRUE(timed.enqueue(pkt_of(1, s)));
-    ASSERT_TRUE(untimed.enqueue(pkt_of(1, s)));
+    ASSERT_TRUE(testutil::admit_copy(timed, pkt_of(1, s)));
+    ASSERT_TRUE(testutil::admit_copy(untimed, pkt_of(1, s)));
   }
-  while (timed.dequeue()) {
+  while (timed.pop()) {
   }
-  while (untimed.dequeue()) {
+  while (untimed.pop()) {
   }
   const double avg_busy = timed.average_queue();
   ASSERT_GT(avg_busy, 2.0);
@@ -168,8 +206,8 @@ TEST(RedQueue, IdlePeriodDecaysAverage) {
   // One idle second is 2000 small-packet transmission times; by the next
   // arrival the average must have decayed to nothing.
   sched.run_until(sim::TimePoint::from_seconds(1.0));
-  ASSERT_TRUE(timed.enqueue(pkt_of(1, 100)));
-  ASSERT_TRUE(untimed.enqueue(pkt_of(1, 100)));
+  ASSERT_TRUE(testutil::admit_copy(timed, pkt_of(1, 100)));
+  ASSERT_TRUE(testutil::admit_copy(untimed, pkt_of(1, 100)));
   EXPECT_LT(timed.average_queue(), 0.05);
   // Without a time source the stale average persists.
   EXPECT_GT(untimed.average_queue(), avg_busy * 0.5);

@@ -42,7 +42,7 @@ class ReceiverFixture : public ::testing::Test {
     });
   }
 
-  void data(net::SeqNo seq) {
+  void data(net::SeqNo seq, std::uint32_t tx_serial = 0) {
     net::Packet pkt;
     pkt.uid = network->allocate_uid();
     pkt.src = a;
@@ -51,6 +51,7 @@ class ReceiverFixture : public ::testing::Test {
     pkt.type = net::PacketType::kTcpData;
     pkt.tcp.flow = kFlow;
     pkt.tcp.seq = seq;
+    pkt.tcp.tx_serial = tx_serial;
     pkt.tcp.ts_value = sched.now().as_seconds();
     receiver->deliver(std::move(pkt));
   }
@@ -212,6 +213,28 @@ TEST_F(ReceiverFixture, DelayedAckTimesOut) {
   sched.run_until(sched.now() + sim::Duration::millis(150));
   ASSERT_EQ(acks.size(), 1u);
   EXPECT_EQ(acks[0].tcp.ack, 1);
+}
+
+TEST_F(ReceiverFixture, DelayedAckEchoesTheSegmentItHeld) {
+  ReceiverConfig config;
+  config.delayed_ack = true;
+  build(config);
+  sched.run_until(sim::TimePoint::from_seconds(0.5));
+  data(0, /*tx_serial=*/7);
+  EXPECT_EQ(acks.size(), 0u);
+  // The timeout ACK echoes the withheld segment's serial and timestamp.
+  sched.run_until(sched.now() + sim::Duration::millis(150));
+  ASSERT_EQ(acks.size(), 1u);
+  EXPECT_EQ(acks[0].tcp.ack, 1);
+  EXPECT_EQ(acks[0].tcp.echo_serial, 7u);
+  EXPECT_DOUBLE_EQ(acks[0].tcp.ts_echo, 0.5);
+  // The every-second-segment ACK echoes the segment that completed it.
+  data(1, /*tx_serial=*/8);
+  EXPECT_EQ(acks.size(), 1u);
+  data(2, /*tx_serial=*/9);
+  ASSERT_EQ(acks.size(), 2u);
+  EXPECT_EQ(acks[1].tcp.ack, 3);
+  EXPECT_EQ(acks[1].tcp.echo_serial, 9u);
 }
 
 TEST_F(ReceiverFixture, DelayedAckBypassedByOutOfOrder) {

@@ -122,7 +122,25 @@ TEST(MultipathSelector, RouteExcludesSource) {
   MultipathSelector sel(two_paths(), 500.0, sim::Rng(1));
   const auto choice = sel.choose_route(3);
   ASSERT_TRUE(choice.has_value());
-  EXPECT_EQ(choice->route, (net::RouteVec{1, 3}));
+  EXPECT_EQ(*choice->route, (net::RouteVec{1, 3}));
+}
+
+TEST(MultipathSelector, ChoicesPointIntoOneTableBuiltOnce) {
+  MultipathSelector sel(two_paths(), 0.0, sim::Rng(1));
+  const net::RouteVec* seen[2] = {nullptr, nullptr};
+  for (int i = 0; i < 200; ++i) {
+    const auto choice = sel.choose_route(3);
+    ASSERT_TRUE(choice.has_value());
+    const auto id = static_cast<std::size_t>(choice->path_id);
+    ASSERT_LT(id, 2u);
+    if (seen[id] == nullptr) seen[id] = choice->route;
+    // Every pick of a path hands out the same route, never a copy.
+    EXPECT_EQ(choice->route, seen[id]);
+  }
+  ASSERT_NE(seen[0], nullptr);
+  ASSERT_NE(seen[1], nullptr);
+  EXPECT_EQ(*seen[0], (net::RouteVec{1, 3}));
+  EXPECT_EQ(*seen[1], (net::RouteVec{2, 3}));
 }
 
 TEST(MultipathSelector, PicksAreCounted) {
@@ -139,6 +157,22 @@ TEST(RouteFlapPolicy, AlternatesOverTime) {
   EXPECT_EQ(policy.choose_route(3)->path_id, 1);
   sched.run_until(sim::TimePoint::from_seconds(2.5));
   EXPECT_EQ(policy.choose_route(3)->path_id, 0);
+}
+
+TEST(RouteFlapPolicy, ChoicesPointIntoOneTableBuiltOnce) {
+  sim::Scheduler sched;
+  RouteFlapPolicy policy(sched, two_paths(), sim::Duration::seconds(1));
+  const net::RouteVec* first = policy.choose_route(3)->route;
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(*first, (net::RouteVec{1, 3}));
+  sched.run_until(sim::TimePoint::from_seconds(1.5));
+  const net::RouteVec* second = policy.choose_route(3)->route;
+  ASSERT_NE(second, nullptr);
+  EXPECT_NE(second, first);
+  EXPECT_EQ(*second, (net::RouteVec{2, 3}));
+  // Flapping back hands out the first route again, not a rebuilt one.
+  sched.run_until(sim::TimePoint::from_seconds(2.5));
+  EXPECT_EQ(policy.choose_route(3)->route, first);
 }
 
 TEST(PathSetDisjoint, FromNetworkMatchesTopology) {

@@ -261,12 +261,12 @@ TEST(DropTailBytes, ByteCapDropsIndependentlyOfPacketCap) {
   net::DropTailQueue q(1000, /*limit_bytes=*/2500);
   net::Packet big;
   big.size_bytes = 1000;
-  EXPECT_TRUE(q.enqueue(net::Packet{big}));
-  EXPECT_TRUE(q.enqueue(net::Packet{big}));
-  EXPECT_FALSE(q.enqueue(net::Packet{big}));  // would exceed 2500 bytes
+  EXPECT_TRUE(testutil::admit_copy(q, big));
+  EXPECT_TRUE(testutil::admit_copy(q, big));
+  EXPECT_FALSE(testutil::admit_copy(q, big));  // would exceed 2500 bytes
   net::Packet small;
   small.size_bytes = 400;
-  EXPECT_TRUE(q.enqueue(std::move(small)));   // still fits
+  EXPECT_TRUE(testutil::admit_copy(q, small));  // still fits
   EXPECT_EQ(q.length_bytes(), 2400u);
 }
 

@@ -7,11 +7,22 @@
 #include "core/tcp_pr.hpp"
 #include "harness/scenarios.hpp"
 #include "net/network.hpp"
+#include "net/packet_pool.hpp"
+#include "net/queue.hpp"
 #include "sim/scheduler.hpp"
 #include "tcp/receiver.hpp"
 #include "tcp/sender_base.hpp"
 
 namespace tcppr::testutil {
+
+// Offers a copy of `pkt` to a standalone queue the way a link does: the
+// packet is written into a pool slot and the queue is handed the handle.
+// The pool lives as long as the test process, so it outlives every queue.
+inline bool admit_copy(net::Queue& q, const net::Packet& pkt) {
+  static net::PacketPool pool;
+  net::PooledPacket handle = pool.make(pkt);
+  return q.admit(handle);
+}
 
 // src --(access)-- router --(bottleneck)-- dst, all owned together.
 struct PathFixture {
