@@ -14,23 +14,13 @@
 
 #include <cstdint>
 
+#include "test_util.hpp"
 #include "validate/fuzzer.hpp"
 
 namespace tcppr::validate {
 namespace {
 
-// Forces the churn dimension on without disturbing the rest of the
-// sampled case: seeds whose draw left churn off get a deterministic
-// kind/rate derived from the seed itself.
-FuzzCase churning_case(std::uint64_t seed) {
-  FuzzCase c = sample_fuzz_case(seed);
-  if (c.churn_rate <= 0) {
-    c.churn_rate = 200.0 + 50.0 * static_cast<double>(seed % 8);
-    c.churn_kind = static_cast<int>(seed % 3);
-  }
-  c.duration_s = std::min(c.duration_s, 4.0);
-  return c;
-}
+using testutil::churning_fuzz_case;
 
 class ChurnFuzzBatchEquivalence : public testing::TestWithParam<int> {};
 
@@ -39,7 +29,7 @@ TEST_P(ChurnFuzzBatchEquivalence, BatchedMatchesUnbatched) {
   const std::uint64_t first =
       301 + static_cast<std::uint64_t>(GetParam()) * kSeedsPerShard;
   for (std::uint64_t seed = first; seed < first + kSeedsPerShard; ++seed) {
-    FuzzCase c = churning_case(seed);
+    FuzzCase c = churning_fuzz_case(seed);
     c.par_lps = seed % 3 == 0 ? 2 : 0;
     FuzzCase unbatched = c;
     unbatched.batching = false;
@@ -64,7 +54,7 @@ TEST_P(ChurnFuzzParEquivalence, ParMatchesStampedBaseline) {
   const std::uint64_t first =
       401 + static_cast<std::uint64_t>(GetParam()) * kSeedsPerShard;
   for (std::uint64_t seed = first; seed < first + kSeedsPerShard; ++seed) {
-    FuzzCase c = churning_case(seed);
+    FuzzCase c = churning_fuzz_case(seed);
     c.par_lps = 1;
     const FuzzResult ref = run_fuzz_case(c);
     EXPECT_TRUE(ref.ok) << "seed " << seed << ": " << ref.first_violation;

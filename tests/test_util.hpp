@@ -2,6 +2,8 @@
 // chosen variant, and helpers to run the simulation for a while.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 
 #include "core/tcp_pr.hpp"
@@ -12,8 +14,77 @@
 #include "sim/scheduler.hpp"
 #include "tcp/receiver.hpp"
 #include "tcp/sender_base.hpp"
+#include "validate/fuzzer.hpp"
 
 namespace tcppr::testutil {
+
+// The three paper topologies with one variant under test, as the parallel
+// equivalence matrix and the golden trajectory table build them: the
+// dumbbell carries two flows of the variant plus one SACK competitor, the
+// parking lot one flow against its SACK cross traffic, and the multipath
+// mesh one flow at epsilon 1.
+enum class PaperTopo { kDumbbell, kParkingLot, kMultipath };
+
+inline const char* to_string(PaperTopo topo) {
+  switch (topo) {
+    case PaperTopo::kDumbbell:
+      return "dumbbell";
+    case PaperTopo::kParkingLot:
+      return "parking_lot";
+    case PaperTopo::kMultipath:
+      return "multipath";
+  }
+  return "?";
+}
+
+inline std::unique_ptr<harness::Scenario> build_paper_topo(
+    PaperTopo topo, harness::TcpVariant variant) {
+  switch (topo) {
+    case PaperTopo::kDumbbell: {
+      harness::DumbbellConfig cfg;
+      cfg.pr_flows = 0;
+      cfg.sack_flows = 0;
+      auto s = harness::make_dumbbell(cfg);
+      s->add_flow(variant, s->src_host, s->dst_host, 1, cfg.tcp, cfg.pr,
+                  sim::TimePoint::origin());
+      s->add_flow(variant, s->src_host, s->dst_host, 2, cfg.tcp, cfg.pr,
+                  sim::TimePoint::from_seconds(0.2));
+      s->add_flow(harness::TcpVariant::kSack, s->src_host, s->dst_host, 3,
+                  cfg.tcp, cfg.pr, sim::TimePoint::from_seconds(0.4));
+      return s;
+    }
+    case PaperTopo::kParkingLot: {
+      harness::ParkingLotConfig cfg;
+      cfg.pr_flows = 0;
+      cfg.sack_flows = 0;
+      cfg.with_cross_traffic = true;
+      auto s = harness::make_parking_lot(cfg);
+      s->add_flow(variant, s->src_host, s->dst_host, 50, cfg.tcp, cfg.pr,
+                  sim::TimePoint::origin());
+      return s;
+    }
+    case PaperTopo::kMultipath: {
+      harness::MultipathConfig cfg;
+      cfg.variant = variant;
+      cfg.epsilon = 1;
+      return harness::make_multipath(cfg);
+    }
+  }
+  return nullptr;
+}
+
+// The fuzz case for `seed` with the churn dimension forced on, leaving the
+// rest of the sampled case alone: seeds whose draw left churn off get a
+// deterministic kind/rate derived from the seed itself. Capped at 4 s.
+inline validate::FuzzCase churning_fuzz_case(std::uint64_t seed) {
+  validate::FuzzCase c = validate::sample_fuzz_case(seed);
+  if (c.churn_rate <= 0) {
+    c.churn_rate = 200.0 + 50.0 * static_cast<double>(seed % 8);
+    c.churn_kind = static_cast<int>(seed % 3);
+  }
+  c.duration_s = std::min(c.duration_s, 4.0);
+  return c;
+}
 
 // Offers a copy of `pkt` to a standalone queue the way a link does: the
 // packet is written into a pool slot and the queue is handed the handle.
