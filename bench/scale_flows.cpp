@@ -148,57 +148,39 @@ BENCHMARK(BM_ScaleFlowsParallel)
     ->ArgsProduct({{256, 1024, 4096}, {1, 2, 4, 8}})
     ->Unit(benchmark::kMillisecond);
 
-// Engine-mode rows: the low-lookahead clustered mesh (4096 flows over 4
+// Engine rows: the low-lookahead clustered mesh (4096 flows over 4
 // clusters whose only cuttable edges are 100 us ring links) through the
-// parallel harness, per engine mode. On this plant the conservative
-// barrier is the bottleneck — the safe window is a fraction of an RTT —
-// so bounded optimism is where the speedup lives; the mode:0 row is the
-// baseline the bench gate measures it against (same-run ratio, no machine
-// calibration). mode: 0 = conservative, 2 = bounded optimism (the row
-// names keep the numbering the committed baseline was recorded under).
+// parallel harness at 1 and 4 LPs. On this plant the conservative barrier
+// is the bottleneck — the safe window is a fraction of an RTT — so the
+// rows track what barrier synchronization costs when lookahead is short.
 void BM_ScaleFlowsEngine(benchmark::State& state) {
   const int lps = static_cast<int>(state.range(0));
-  const int mode = static_cast<int>(state.range(1));
   std::uint64_t realized = 0;
   std::uint64_t windows = 0;
-  std::uint64_t spec_windows = 0;
-  std::uint64_t rollbacks = 0;
   for (auto _ : state) {
     harness::ClusteredMeshConfig config;
     config.clusters = 4;
     config.flows = 4096;
-    // Short stagger: flow-start actions are raw events that gate
-    // speculation, so front-load them and let the steady state dominate.
+    // Short stagger: front-load the flow starts so the steady state
+    // dominates.
     config.max_start_stagger = sim::Duration::millis(20);
     auto scenario = harness::make_clustered_mesh(config);
     harness::ParallelRunConfig pc;
     pc.lps = lps;
     pc.min_cut_lookahead = config.min_cut_lookahead();
-    pc.optimistic = mode == 2;
-    // Wide speculation window: each spec window pays one full-world
-    // snapshot per LP, so W must cover enough simulated time to amortize
-    // it. The mesh has no cross-cluster flows in this row, so stragglers
-    // never materialize and W stays pinned at the cap.
-    pc.engine.w_init = sim::Duration::millis(50);
-    pc.engine.w_max = sim::Duration::millis(50);
     harness::ParallelSim psim(*scenario, pc);
     psim.run_until(sim::TimePoint::from_seconds(2));
     realized = static_cast<std::uint64_t>(psim.lp_count());
     windows = psim.windows();
-    spec_windows = psim.spec_windows();
-    rollbacks = psim.rollbacks();
     benchmark::DoNotOptimize(windows);
   }
   state.counters["lps"] = static_cast<double>(realized);
   state.counters["windows"] = static_cast<double>(windows);
-  state.counters["spec_windows"] = static_cast<double>(spec_windows);
-  state.counters["rollbacks"] = static_cast<double>(rollbacks);
 }
 BENCHMARK(BM_ScaleFlowsEngine)
-    ->ArgNames({"lps", "mode"})
-    ->Args({1, 0})
-    ->Args({4, 0})
-    ->Args({4, 2})
+    ->ArgName("lps")
+    ->Arg(1)
+    ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 // Churn sweep: the dynamic flow lifecycle engine (src/workload) on a

@@ -151,33 +151,6 @@ class TcpPrSender final : public tcp::SenderBase {
   // alpha^(1/cwnd) via Newton's method (footnote 5); exposed for tests.
   static double newton_alpha_root(double alpha, double cwnd, int iterations);
 
-  void state(util::StateIO& io) override {
-    tcp::SenderBase::state(io);
-    io.pod(mode_);
-    io.pod(cwnd_);
-    io.pod(ssthr_);
-    io.pod(ewrtt_s_);
-    io.pod(backoff_mxrtt_s_);
-    io.pod(in_backoff_);
-    io.pod(cburst_);
-    io.pod(burst_snapshot_size_);
-    io.pod(recover_point_);
-    io.pod(episode_started_);
-    io.pod(send_blocked_until_);
-    io.pod(next_new_);
-    io.pod(dup_credits_);
-    io.pod(to_be_ack_count_);
-    io.pod(to_be_sent_count_);
-    io.pod(memorize_count_);
-    io.pod(rtx_hint_);
-    window_.state(io, stats_.segments_acked, next_new_);
-    io.obj_ring(deadlines_);
-    io.pod(next_tx_serial_);
-    io.pod(early_drop_declarations_);
-    io.obj(drop_timer_);
-    io.obj(unblock_timer_);
-  }
-
  protected:
   void on_start() override;
   void on_ack_packet(const net::Packet& ack) override;
@@ -216,7 +189,6 @@ class TcpPrSender final : public tcp::SenderBase {
   struct Deadline {
     sim::TimePoint stamp;
     SeqNo seq = 0;
-    void state(util::StateIO& io) { io.pod(*this); }
   };
 
   void flush_cwnd();                // Table 1: flush-cwnd()

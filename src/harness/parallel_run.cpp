@@ -37,7 +37,6 @@ PartitionConfig make_partition_config(const Scenario& scenario,
 
 ParallelSim::ParallelSim(Scenario& scenario, const ParallelRunConfig& config)
     : scenario_(scenario),
-      config_(config),
       partition_(scenario.network, make_partition_config(scenario, config)) {
   // Even when the partition degenerates to one LP the scenario still runs
   // on a stamped shard: stamp order is partition-independent, so digests
@@ -63,12 +62,8 @@ ParallelSim::ParallelSim(Scenario& scenario, const ParallelRunConfig& config)
       lp_tracers_.back()->add_sink(sinks_.back().get());
     }
   }
-  snaps_.resize(static_cast<std::size_t>(k));
-  rolled_.assign(static_cast<std::size_t>(k), 0);
   lp_events_.assign(static_cast<std::size_t>(k), 0);
   lp_prev_processed_.assign(static_cast<std::size_t>(k), 0);
-  lp_rollbacks_.assign(static_cast<std::size_t>(k), 0);
-  lp_snapshot_bytes_.assign(static_cast<std::size_t>(k), 0);
 
   // Wiring happens before the run, while links are idle, so the checked
   // setters apply.
@@ -204,8 +199,6 @@ std::vector<ParallelSim::LpReport> ParallelSim::lp_reports() const {
         busiest > 0 ? static_cast<double>(lp_events_[i]) /
                           static_cast<double>(busiest)
                     : 0.0;
-    out[i].rollbacks = lp_rollbacks_[i];
-    out[i].snapshot_bytes = lp_snapshot_bytes_[i];
   }
   for (const Mailbox& mb : mailboxes_) {
     out[static_cast<std::size_t>(mb.src_lp)].cross_pushed +=
@@ -222,8 +215,6 @@ void ParallelSim::publish_metrics(obs::MetricRegistry& registry,
   const obs::MetricId lp_events = gauge("par.lp.events");
   const obs::MetricId lp_util = gauge("par.lp.utilization");
   const obs::MetricId lp_cross = gauge("par.lp.cross_pushed");
-  const obs::MetricId lp_rb = gauge("par.lp.rollbacks");
-  const obs::MetricId lp_snap = gauge("par.lp.snapshot_bytes");
   const auto reports = lp_reports();
   for (std::size_t i = 0; i < reports.size(); ++i) {
     // The flow label carries the LP index: one labeled series per LP, the
@@ -233,48 +224,23 @@ void ParallelSim::publish_metrics(obs::MetricRegistry& registry,
     registry.set(t, lp_util, lp, reports[i].utilization);
     registry.set(t, lp_cross, lp,
                  static_cast<double>(reports[i].cross_pushed));
-    registry.set(t, lp_rb, lp, static_cast<double>(reports[i].rollbacks));
-    registry.set(t, lp_snap, lp,
-                 static_cast<double>(reports[i].snapshot_bytes));
   }
   registry.set(t, gauge("par.windows"), net::kInvalidFlow,
                static_cast<double>(windows_));
-  registry.set(t, gauge("par.spec_windows"), net::kInvalidFlow,
-               static_cast<double>(spec_windows_));
-  registry.set(t, gauge("par.rollback_windows"), net::kInvalidFlow,
-               static_cast<double>(rollback_windows_));
-  registry.set(t, gauge("par.rollbacks"), net::kInvalidFlow,
-               static_cast<double>(rollbacks_));
-  registry.set(t, gauge("par.speculation_w_us"), net::kInvalidFlow,
-               static_cast<double>(last_w_.as_nanos()) / 1e3);
 }
 
 void ParallelSim::run_until(sim::TimePoint end) {
-  sim::ParallelEngine::EngineConfig ec = config_.engine;
-  ec.optimistic = config_.optimistic;
   sim::ParallelEngine::Hooks hooks;
   hooks.exchange = [this] { return exchange(); };
   hooks.at_barrier = [this](sim::TimePoint h) { at_barrier(h); };
-  if (config_.optimistic) {
-    hooks.can_speculate = [this] { return can_speculate(); };
-    hooks.snapshot = [this](int lp) { snapshot_lp(lp); };
-    hooks.settle = [this](sim::TimePoint h, sim::TimePoint bound,
-                          const std::vector<sim::Scheduler::SpecResult>& res) {
-      return settle(h, bound, res);
-    };
-  }
   std::vector<sim::ParallelEngine::CutEdge> cuts;
   for (const Mailbox& mb : mailboxes_) {
     cuts.push_back(sim::ParallelEngine::CutEdge{mb.src_lp, mb.lookahead});
   }
-  sim::ParallelEngine engine(shards_, std::move(cuts), std::move(hooks), ec);
+  sim::ParallelEngine engine(shards_, std::move(cuts), std::move(hooks));
   engine.run_until(end);
   windows_ += engine.windows();
   exchanged_ += engine.exchanged();
-  spec_windows_ += engine.spec_windows();
-  rollback_windows_ += engine.rollback_windows();
-  rollbacks_ += engine.rollbacks();
-  if (config_.optimistic) last_w_ = engine.current_w();
   if (tracing_) flush_traces(sim::TimePoint::max());
 }
 
@@ -286,8 +252,8 @@ std::uint64_t ParallelSim::exchange() {
     auto& buf = mb.channel.buf;
     if (buf.empty()) continue;
     for (net::CrossLinkMsg& msg : buf) {
-      // The ring entry arms one replay-safe event on the destination
-      // shard at the stamp minted on the source shard — exactly the op
+      // The ring entry arms one event on the destination shard at the
+      // stamp minted on the source shard — exactly the op
       // position the sequential delivery-schedule call occupies.
       mb.link->queue_injected(msg.at, msg.stamp, msg.pkt);
       ++mb.channel.executed;
@@ -299,9 +265,7 @@ std::uint64_t ParallelSim::exchange() {
 }
 
 void ParallelSim::at_barrier(sim::TimePoint h) {
-  // Committed per-LP event deltas (speculative events only show up once
-  // committed — a rolled-back leg restores processed_count below the next
-  // sample, never below the previous one).
+  // Per-LP event deltas since the previous barrier.
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const std::uint64_t p = shards_[i]->processed_count();
     lp_events_[i] += p - lp_prev_processed_[i];
@@ -318,9 +282,8 @@ void ParallelSim::flush_traces(sim::TimePoint below) {
   merge_.clear();
   for (auto& sink : sinks_) {
     auto& buf = sink->buffer();
-    // Record times are nondecreasing per sink, so the committed region is
-    // a prefix: everything below the barrier is final (every shard has
-    // executed past it), everything at or after may still roll back.
+    // Record times are nondecreasing per sink, so the flushable region is
+    // a prefix: every shard has executed everything below the barrier.
     const auto split = std::partition_point(
         buf.begin(), buf.end(), [below](const BufferSink::Keyed& k) {
           return k.rec.time < below;
@@ -339,199 +302,6 @@ void ParallelSim::flush_traces(sim::TimePoint below) {
             });
   trace::Tracer& root = scenario_.network.tracer();
   for (const BufferSink::Keyed& k : merge_) root.dispatch(k.rec);
-}
-
-// --- bounded optimism ------------------------------------------------------
-
-bool ParallelSim::can_speculate() const {
-  // Telemetry taps observe deliveries as they execute and keep windowed
-  // aggregates that cannot be rolled back; sit speculation out entirely
-  // when any link carries one.
-  for (const auto& link : scenario_.network.links()) {
-    if (link->has_telemetry_tap()) return false;
-  }
-  for (const sim::Scheduler* s : shards_) {
-    if (!s->all_pending_replay_safe()) return false;
-  }
-  return true;
-}
-
-void ParallelSim::serialize_lp(int lp, util::StateIO& io) {
-  // One fixed visitation order drives both directions. Everything whose
-  // trajectory executes on LP `lp`: its nodes, the links it sources, the
-  // injected rings it receives, its endpoint agents, its pump, and the
-  // push counters of the mailboxes it feeds.
-  net::Network& nw = scenario_.network;
-  for (int v = 0; v < nw.node_count(); ++v) {
-    if (lp_of(static_cast<net::NodeId>(v)) != lp) continue;
-    nw.node(static_cast<net::NodeId>(v)).state(io);
-  }
-  for (const auto& link : nw.links()) {
-    if (lp_of(link->from()) == lp) link->state(io);
-  }
-  for (const auto& link : nw.links()) {
-    if (lp_of(link->to()) == lp) link->injected_state(io);
-  }
-  for (const auto& s : scenario_.senders) {
-    if (lp_of(s->local_node()) == lp) s->state(io);
-  }
-  for (const auto& s : scenario_.cross_senders) {
-    if (lp_of(s->local_node()) == lp) s->state(io);
-  }
-  for (const auto& r : scenario_.receivers) {
-    if (lp_of(r->local_node()) == lp) r->state(io);
-  }
-  for (const auto& r : scenario_.cross_receivers) {
-    if (lp_of(r->local_node()) == lp) r->state(io);
-  }
-  if (!pumps_.empty()) pumps_[static_cast<std::size_t>(lp)]->state(io);
-  for (Mailbox& mb : mailboxes_) {
-    // Only `pushed` travels: `executed` is a barrier-only counter (the
-    // snapshot is taken right after an exchange, when the two agree), and
-    // a retraction clears the buffer rather than rewinding it.
-    if (mb.src_lp == lp) io.pod(mb.channel.pushed);
-  }
-}
-
-void ParallelSim::snapshot_lp(int lp) {
-  LpSnapshot& s = snaps_[static_cast<std::size_t>(lp)];
-  shards_[static_cast<std::size_t>(lp)]->checkpoint(s.cp, s.stamp_slots);
-  util::StateIO io(s.bytes, /*saving=*/true);
-  serialize_lp(lp, io);
-  if (tracing_) {
-    s.sink_len = sinks_[static_cast<std::size_t>(lp)]->buffer().size();
-    s.sink_next_idx = sinks_[static_cast<std::size_t>(lp)]->next_idx();
-  }
-  lp_snapshot_bytes_[static_cast<std::size_t>(lp)] = s.bytes.size();
-}
-
-void ParallelSim::restore_lp(int lp) {
-  LpSnapshot& s = snaps_[static_cast<std::size_t>(lp)];
-  // Scheduler first: every pending event dies and the stamp mints rewind,
-  // then the component restore re-seats the regenerable events (timer
-  // shots, pump carrier, ring pops) against the restored clock.
-  shards_[static_cast<std::size_t>(lp)]->restore(s.cp, s.stamp_slots);
-  util::StateIO io(s.bytes, /*saving=*/false);
-  serialize_lp(lp, io);
-  TCPPR_CHECK(io.done());
-  if (!pumps_.empty()) {
-    pumps_[static_cast<std::size_t>(lp)]->reseed_after_restore();
-  }
-  if (tracing_) {
-    sinks_[static_cast<std::size_t>(lp)]->truncate(s.sink_len,
-                                                   s.sink_next_idx);
-  }
-  ++lp_rollbacks_[static_cast<std::size_t>(lp)];
-  if (config_.corrupt_snapshot_for_test && !corruption_done_) {
-    for (const auto& r : scenario_.receivers) {
-      if (lp_of(r->local_node()) == lp && r->delivery_validation_enabled()) {
-        r->corrupt_delivered_hash_for_test();
-        corruption_done_ = true;
-        break;
-      }
-    }
-  }
-}
-
-int ParallelSim::settle(sim::TimePoint h, sim::TimePoint bound,
-                        const std::vector<sim::Scheduler::SpecResult>& res) {
-  (void)bound;
-  const std::size_t n = shards_.size();
-  // Commit key per LP: the furthest event it executed speculatively, or
-  // (h, 0) when it had nothing past the horizon. An (h, 0) LP can never
-  // be straggler-hit — every cross arrival lands at >= h + lookahead.
-  struct Key {
-    sim::TimePoint t;
-    std::uint64_t seq = 0;
-  };
-  std::vector<Key> commit(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    commit[i] =
-        res[i].events > 0 ? Key{res[i].last_time, res[i].last_seq} : Key{h, 0};
-  }
-  rolled_.assign(n, 0);
-  if (config_.corrupt_snapshot_for_test && !corruption_done_) {
-    // Mutation self-test: claim the LP hosting the first validating
-    // receiver as straggler-hit. Restoring an unrolled snapshot is a
-    // semantic no-op — except for the checksum bit restore_lp flips,
-    // which the validation layer must catch.
-    for (const auto& r : scenario_.receivers) {
-      if (r->delivery_validation_enabled()) {
-        rolled_[static_cast<std::size_t>(lp_of(r->local_node()))] = 1;
-        break;
-      }
-    }
-  }
-  // Earliest possible future activity per LP. An unrolled LP executed
-  // everything below the bound, so only a message delivered at this
-  // settle can re-activate it earlier; any buffered message lowers its
-  // destination's bound (even one whose source ends up rolled — the
-  // over-approximation can only roll more LPs, which is sound, never
-  // fewer). A rolled LP replays from h.
-  std::vector<sim::TimePoint> earliest(n, bound);
-  for (const Mailbox& mb : mailboxes_) {
-    for (const net::CrossLinkMsg& m : mb.channel.buf) {
-      const auto dst = static_cast<std::size_t>(mb.dst_lp);
-      if (m.at < earliest[dst]) earliest[dst] = m.at;
-    }
-  }
-  // Monotone fixpoint: once an LP rolls it stays rolled, so each pass can
-  // only add members and the loop terminates after at most n sweeps.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const Mailbox& mb : mailboxes_) {
-      const auto src = static_cast<std::size_t>(mb.src_lp);
-      const auto dst = static_cast<std::size_t>(mb.dst_lp);
-      if (rolled_[dst] != 0) continue;
-      // Anything the source may still send arrives at or after its
-      // earliest future activity plus the cut's lookahead; roll the
-      // destination if it committed into that reachable future.
-      const sim::TimePoint src_from =
-          rolled_[src] != 0 ? h : earliest[src];
-      bool hit = commit[dst].t >= src_from + mb.lookahead;
-      if (rolled_[src] == 0) {
-        // A message the source already sent may have landed in the
-        // destination's committed past (a straggler).
-        for (const net::CrossLinkMsg& m : mb.channel.buf) {
-          if (hit) break;
-          hit = m.at < commit[dst].t ||
-                (m.at == commit[dst].t && m.stamp <= commit[dst].seq);
-        }
-      }
-      if (hit) {
-        rolled_[dst] = 1;
-        changed = true;
-      }
-    }
-  }
-  int n_rolled = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (rolled_[i] != 0) {
-      restore_lp(static_cast<int>(i));
-      ++n_rolled;
-    }
-  }
-  // Mailbox resolution: retract everything a rolled source sent (its
-  // pushed counter rewound with its snapshot; the replay re-mints
-  // byte-identical messages at the same stamps), deliver the rest. A
-  // rolled destination sits at its snapshot clock <= h <= arrival; an
-  // unrolled one at its commit time, below every surviving key.
-  for (Mailbox& mb : mailboxes_) {
-    auto& buf = mb.channel.buf;
-    if (buf.empty()) continue;
-    if (rolled_[static_cast<std::size_t>(mb.src_lp)] != 0) {
-      buf.clear();
-      continue;
-    }
-    for (net::CrossLinkMsg& m : buf) {
-      mb.link->queue_injected(m.at, m.stamp, m.pkt);
-      ++mb.channel.executed;
-      ++exchanged_;  // delivered here instead of by exchange()
-    }
-    buf.clear();
-  }
-  return n_rolled;
 }
 
 }  // namespace tcppr::harness

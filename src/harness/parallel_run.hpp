@@ -1,8 +1,8 @@
 // Parallel execution harness: binds a built Scenario to the parallel
 // engine (sim/parallel_engine.hpp) so one simulation runs across several
-// scheduler shards and produces byte-identical results — conservatively
-// or with bounded-optimism speculation. The partition is fixed for the
-// life of the ParallelSim.
+// scheduler shards, under conservative barriers, and produces
+// byte-identical results. The partition is fixed for the life of the
+// ParallelSim.
 //
 // Responsibilities, in construction order:
 //
@@ -27,21 +27,11 @@
 //
 // During the run the exchange hook drains each mailbox — in deterministic
 // order — into the destination link's injected-arrivals ring, which arms
-// one replay-safe event per entry on the destination shard at the stamp
-// minted on the source shard (exactly the op position the sequential
-// delivery-schedule call occupies). Buffered trace records merge in
-// (time, stamp, emission) order into the scenario's real tracer; only
-// records below the barrier flush (later ones may still be speculative).
-//
-// Optimistic mode (DESIGN.md §4.10): when every shard's pending set is
-// replay-safe, each barrier snapshots all LPs (scheduler checkpoint +
-// StateIO byte-image of the LP's components) and runs a speculative
-// window W past the safe horizon. settle() then finds straggler-hit LPs
-// by a monotone fixpoint over commit keys and cut lookaheads, restores
-// exactly those from snapshot (events regenerate from component state),
-// retracts their unsent messages and delivers the rest. Commits are
-// final; delivery stamps are partition- and speculation-independent, so
-// the delivery hash cannot change.
+// one event per entry on the destination shard at the stamp minted on the
+// source shard (exactly the op position the sequential delivery-schedule
+// call occupies). Buffered trace records merge in (time, stamp, emission)
+// order into the scenario's real tracer; each barrier flushes the records
+// below its horizon (DESIGN.md §4.10).
 #pragma once
 
 #include <cstdint>
@@ -55,7 +45,6 @@
 #include "net/packet_pool.hpp"
 #include "sim/parallel_engine.hpp"
 #include "trace/trace.hpp"
-#include "util/state_io.hpp"
 
 namespace tcppr::validate {
 class InvariantChecker;
@@ -72,15 +61,6 @@ struct ParallelRunConfig {
   // Forwarded to the partitioner: links at or below this propagation
   // delay are never cut (zero-delay links never are, regardless).
   sim::Duration min_cut_lookahead = sim::Duration::zero();
-  // Bounded-optimism speculation past the safe horizon.
-  bool optimistic = false;
-  // Speculation-depth policy (w_init/w_min/w_max/w_step); the optimistic
-  // flag above is what actually arms it.
-  sim::ParallelEngine::EngineConfig engine;
-  // Mutation self-test: force one speculative rollback and flip a bit of
-  // a receiver's delivery checksum during the snapshot restore, proving
-  // the validation layer sees through rollbacks.
-  bool corrupt_snapshot_for_test = false;
 };
 
 class ParallelSim {
@@ -116,16 +96,10 @@ class ParallelSim {
   // mailbox residency plus injected-ring residency.
   std::uint64_t external_in_flight() const;
   std::uint64_t windows() const { return windows_; }
-  // Cross-LP packets handed to their destination shards, by barrier
-  // exchanges and optimistic settles alike; equals the sum of
-  // lp_reports()' cross_pushed once run_until returns.
+  // Cross-LP packets handed to their destination shards by the barrier
+  // exchanges; equals the sum of lp_reports()' cross_pushed once run_until
+  // returns.
   std::uint64_t exchanged() const { return exchanged_; }
-  // Optimism telemetry (aggregated over run_until calls).
-  std::uint64_t spec_windows() const { return spec_windows_; }
-  std::uint64_t rollback_windows() const { return rollback_windows_; }
-  std::uint64_t rollbacks() const { return rollbacks_; }
-  // Speculation depth after the last window (zero when never engaged).
-  sim::Duration speculation_w() const { return last_w_; }
 
   // Per-LP barrier report (tcppr_sim --par prints this; the obs gauges
   // mirror it). `utilization` is the LP's executed-event share of the
@@ -135,8 +109,6 @@ class ParallelSim {
     std::uint64_t events = 0;
     double utilization = 0.0;
     std::uint64_t cross_pushed = 0;
-    std::uint64_t rollbacks = 0;
-    std::uint64_t snapshot_bytes = 0;  // most recent snapshot, serialized
   };
   std::vector<LpReport> lp_reports() const;
 
@@ -157,7 +129,7 @@ class ParallelSim {
   // stamp of the event that emitted it, and a per-LP emission counter
   // ordering records within one event. Record times are nondecreasing per
   // sink (the shard clock is), so the barrier flush peels the prefix
-  // below the horizon and a rollback truncates back to the snapshot mark.
+  // below the horizon.
   class BufferSink final : public trace::TraceSink {
    public:
     struct Keyed {
@@ -170,12 +142,6 @@ class ParallelSim {
       buf_.push_back(Keyed{record, shard_.current_event_seq(), next_idx_++});
     }
     std::vector<Keyed>& buffer() { return buf_; }
-    std::uint64_t next_idx() const { return next_idx_; }
-    void truncate(std::size_t len, std::uint64_t next_idx) {
-      TCPPR_CHECK(len <= buf_.size());
-      buf_.resize(len);
-      next_idx_ = next_idx;
-    }
 
    private:
     sim::Scheduler& shard_;
@@ -189,18 +155,8 @@ class ParallelSim {
     int src_lp = 0;
     int dst_lp = 0;
     // The cut's lookahead, captured at freeze time (prop delay may only
-    // grow afterwards): the settle fixpoint's earliest-future-arrival
-    // bound.
+    // grow afterwards): the engine's horizon bound for this edge.
     sim::Duration lookahead = sim::Duration::zero();
-  };
-
-  // Everything a rollback needs to put one LP back to the barrier.
-  struct LpSnapshot {
-    sim::Scheduler::Checkpoint cp;
-    std::vector<std::pair<std::int64_t, std::uint32_t>> stamp_slots;
-    std::vector<unsigned char> bytes;
-    std::size_t sink_len = 0;
-    std::uint64_t sink_next_idx = 0;
   };
 
   std::uint64_t exchange();
@@ -209,18 +165,7 @@ class ParallelSim {
   // the end of the run flushes everything).
   void flush_traces(sim::TimePoint below);
 
-  // --- bounded optimism --------------------------------------------------
-  bool can_speculate() const;
-  void snapshot_lp(int lp);
-  void restore_lp(int lp);
-  // One visitor drives both snapshot directions: every component whose
-  // trajectory lives on LP `lp`, in a fixed order.
-  void serialize_lp(int lp, util::StateIO& io);
-  int settle(sim::TimePoint h, sim::TimePoint bound,
-             const std::vector<sim::Scheduler::SpecResult>& res);
-
   Scenario& scenario_;
-  const ParallelRunConfig config_;
   const Partition partition_;
   std::vector<sim::Scheduler*> shards_;  // borrowed from scenario_.lp_scheds
   std::vector<std::shared_ptr<net::PacketPool>> pools_;
@@ -234,23 +179,12 @@ class ParallelSim {
   std::vector<BufferSink::Keyed> merge_;  // flush scratch
   validate::InvariantChecker* checker_ = nullptr;
 
-  std::vector<LpSnapshot> snaps_;
-  std::vector<char> rolled_;  // settle scratch
-
   // Per-LP report counters.
   std::vector<std::uint64_t> lp_events_;
   std::vector<std::uint64_t> lp_prev_processed_;
-  std::vector<std::uint64_t> lp_rollbacks_;
-  std::vector<std::uint64_t> lp_snapshot_bytes_;
-
-  bool corruption_done_ = false;  // corrupt_snapshot_for_test fired once
 
   std::uint64_t windows_ = 0;
   std::uint64_t exchanged_ = 0;
-  std::uint64_t spec_windows_ = 0;
-  std::uint64_t rollback_windows_ = 0;
-  std::uint64_t rollbacks_ = 0;
-  sim::Duration last_w_ = sim::Duration::zero();
   bool tracing_ = false;
 };
 

@@ -257,10 +257,9 @@ FanDumbbellConfig million_fan_config(int flows);
 // delays sit at or below min_cut_lookahead() so the partitioner contracts
 // each cluster into one atom and the only cuttable links are the ring
 // links — the safe horizon is their (deliberately small) delay, which is
-// the regime where conservative windows are tiny and bounded-optimism
-// speculation pays. Cross flows (SACK, one per adjacent cluster pair,
-// round-robin) put real straggler traffic on the cuts; zero keeps them
-// silent.
+// the regime where conservative windows are tiny. Cross flows (SACK, one
+// per adjacent cluster pair, round-robin) put real traffic on the cuts;
+// zero keeps them silent.
 struct ClusteredMeshConfig {
   static constexpr int kMaxFlows = 4096;
 

@@ -241,16 +241,10 @@ void Link::queue_injected(sim::TimePoint at, std::uint64_t seq,
     std::swap(injected_[i], injected_[i - 1]);
     --i;
   }
-  arm_injected(at, seq);
-}
-
-void Link::arm_injected(sim::TimePoint at, std::uint64_t seq) {
   TCPPR_DCHECK(injection_sched_ != nullptr);
   // One event per entry, each at its own key: events fire in key order, so
-  // when this one fires its entry is exactly the ring head. The {this}
-  // capture is regenerable from the serialized ring — replay-safe.
-  injection_sched_->mark_replay_safe(injection_sched_->schedule_at_stamped(
-      at, seq, [this] { pop_injected(); }));
+  // when this one fires its entry is exactly the ring head.
+  injection_sched_->schedule_at_stamped(at, seq, [this] { pop_injected(); });
 }
 
 void Link::pop_injected() {
@@ -260,65 +254,6 @@ void Link::pop_injected() {
   injected_.drop_front();
   if (tap_ != nullptr) tap_->on_deliver(*p);
   dst_node_->receive(std::move(p));
-}
-
-void Link::injected_state(util::StateIO& io) {
-  const std::uint64_t n = io.size_token(injected_.size());
-  if (io.saving()) {
-    for (std::size_t i = 0; i < injected_.size(); ++i) {
-      io.pod(injected_[i].at);
-      io.pod(injected_[i].seq);
-      io.obj(injected_[i].pkt);
-    }
-  } else {
-    injected_.clear();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      InjectedEntry e{};
-      io.pod(e.at);
-      io.pod(e.seq);
-      io.obj(e.pkt);
-      arm_injected(e.at, e.seq);
-      injected_.push_back(std::move(e));
-    }
-  }
-}
-
-void Link::state(util::StateIO& io) {
-  io.pod(busy_);
-  io.pod(down_);
-  io.pod(in_transit_);
-  io.pod(loss_rate_);
-  io.pod(loss_rng_);
-  io.pod(max_jitter_);
-  io.pod(jitter_rng_);
-  io.pod(stats_);
-  io.pod(last_tx_mint_valid_);
-  io.pod(last_tx_mint_);
-  queue_->state(io, pool());
-  io.pod(tx_pending_);
-  io.pod(tx_key_);
-  if (tx_pending_) {
-    pooled_state(io, tx_pkt_, pool());
-  } else if (!io.saving()) {
-    tx_pkt_.reset();
-  }
-  const std::uint64_t n = io.size_token(ring_.size());
-  if (io.saving()) {
-    for (std::size_t i = 0; i < ring_.size(); ++i) {
-      io.pod(ring_[i].at);
-      io.pod(ring_[i].seq);
-      io.obj(*ring_[i].pkt);
-    }
-  } else {
-    ring_.clear();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      DeliveryEntry e{};
-      io.pod(e.at);
-      io.pod(e.seq);
-      pooled_state(io, e.pkt, pool());
-      ring_.push_back(std::move(e));
-    }
-  }
 }
 
 void Link::insert_delivery(sim::TimePoint at, std::uint64_t seq,

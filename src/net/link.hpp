@@ -79,9 +79,8 @@ class Link {
   // order regardless of engine mode.
   void set_telemetry_tap(telemetry::ReorderTap* tap) { tap_ = tap; }
   // The pool of the link's source node: every packet the link holds lives
-  // there (Network wires its own pool, ParallelSim the source LP's), and
-  // restored checkpoints check their packets out of it. Only legal while
-  // the link holds no packets.
+  // there (Network wires its own pool, ParallelSim the source LP's). Only
+  // legal while the link holds no packets.
   void set_packet_pool(std::shared_ptr<PacketPool> pool) {
     TCPPR_CHECK(queue_->length_packets() == 0 && in_transit_ == 0);
     pool_ = std::move(pool);
@@ -128,26 +127,20 @@ class Link {
   // Cross-shard packets drained from the mailbox at a barrier park here
   // until their delivery time. Each entry gets one scheduler event on the
   // *destination* shard at the entry's exact (time, stamp) key, capturing
-  // only `this` — so after a rollback the whole pending set is regenerated
-  // from the serialized ring (injected_state), unlike a packet-consuming
-  // lambda. Source-side stats and in-transit accounting already happened
-  // at push time in complete_packet; delivery observation (telemetry tap,
-  // node hand-off) happens on pop, at the same layer as local deliveries.
+  // only `this`. Source-side stats and in-transit accounting already
+  // happened at push time in complete_packet; delivery observation
+  // (telemetry tap, node hand-off) happens on pop, at the same layer as
+  // local deliveries.
   // A pop writes the packet into the destination node's pool: pops run on
   // the destination shard's thread, and pools are not thread-safe.
   void set_injection_scheduler(sim::Scheduler* sched) {
     injection_sched_ = sched;
   }
-  bool has_telemetry_tap() const { return tap_ != nullptr; }
   void queue_injected(sim::TimePoint at, std::uint64_t seq,
                       const Packet& pkt);
   // Entries parked in the ring (counted into the conservation sweep's
   // external in-flight term alongside the mailbox residency).
   std::uint64_t injected_pending() const { return injected_.size(); }
-  // Checkpoint visitor for the ring: destination-LP state (the pop events
-  // live on the destination shard), serialized separately from the
-  // source-LP state() below. Restore re-arms one pop event per entry.
-  void injected_state(util::StateIO& io);
 
   // Hands a packet to this link; may drop it immediately if the queue is
   // full. The handle must come from the link's pool (set_packet_pool).
@@ -202,13 +195,6 @@ class Link {
     skip_transit_decrement_ = true;
   }
 
-  // --- Checkpoint --------------------------------------------------------
-  // Source-LP trajectory state: queue contents, transmitter, propagation
-  // ring, RNG positions, counters. Held packets serialize by value and
-  // check fresh pool slots out on restore (pooled_state). The pump index
-  // is derived state — the caller reseeds the pump after restoring every
-  // link on the shard.
-  void state(util::StateIO& io);
 
  private:
   void start_transmission();
@@ -225,7 +211,6 @@ class Link {
   // Pops the injected-ring head (the entry whose event just fired) and
   // hands it to the destination node.
   void pop_injected();
-  void arm_injected(sim::TimePoint at, std::uint64_t seq);
   // Sorted insert into the delivery ring (merge position by (at, seq);
   // append is O(1) for in-order deliveries, jittered ones swap backward).
   void insert_delivery(sim::TimePoint at, std::uint64_t seq,

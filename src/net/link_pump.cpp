@@ -37,25 +37,6 @@ void LinkPump::park(PumpKey k) {
   // the unbatched one.
   parked_key_ = k;
   parked_ = sched_->schedule_at_stamped(k.at, k.seq, [this] { on_event(); });
-  // The carrier is derived state: reseed_after_restore re-creates it from
-  // the links' restored op streams, so it never blocks a checkpoint.
-  sched_->mark_replay_safe(parked_);
-}
-
-void LinkPump::reseed_after_restore() {
-  // The scheduler's pending set was destroyed wholesale, so the old parked
-  // id is stale by construction — drop it without a cancel round.
-  parked_ = sim::EventId{};
-  in_batch_ = false;
-  running_ = kNoStream;
-  index_.clear();
-  for (std::size_t i = 0; i < links_.size(); ++i) {
-    for (const PumpOp op : {PumpOp::kTxComplete, PumpOp::kDeliver}) {
-      const std::optional<PumpKey> k = links_[i]->pump_op_key(op);
-      if (k) index_.insert(stream_of(static_cast<std::uint32_t>(i), op), *k);
-    }
-  }
-  if (!index_.empty()) park(index_.top().key);
 }
 
 void LinkPump::push_op(PumpKey k, std::uint32_t link_id, PumpOp op) {

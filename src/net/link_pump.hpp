@@ -31,7 +31,6 @@
 
 #include "sim/scheduler.hpp"
 #include "util/check.hpp"
-#include "util/state_io.hpp"
 
 namespace tcppr::net {
 
@@ -189,17 +188,6 @@ class LinkPump {
   // batch the parked carrier event is moved earlier when the new head
   // precedes it; inside a batch the main loop re-parks after draining.
   void push_op(PumpKey k, std::uint32_t link_id, PumpOp op);
-
-  // Rebuilds the op index from the links' own (restored) op-stream state
-  // and re-parks the carrier event. Call after Scheduler::restore cleared
-  // the pending set (rollback): the index and the parked event are pure
-  // derived state, so the pump never needs its own snapshot of them.
-  void reseed_after_restore();
-
-  // Checkpoint visitor for the counters only (the index/carrier are
-  // regenerated by reseed_after_restore): keeps reported pump statistics
-  // identical to a run that never speculated.
-  void state(util::StateIO& io) { io.pod(stats_); }
 
   const Stats& stats() const { return stats_; }
   std::size_t link_count() const { return links_.size(); }

@@ -17,6 +17,10 @@
 #include "net/packet.hpp"
 #include "net/packet_pool.hpp"
 
+namespace tcppr::util {
+class StateIO;
+}
+
 namespace tcppr::trace {
 class Tracer;
 }
@@ -44,8 +48,8 @@ class SourceRoutingPolicy {
   };
   virtual ~SourceRoutingPolicy() = default;
   virtual std::optional<Choice> choose_route(NodeId dst) = 0;
-  // Checkpoint visitor for policies with trajectory state (per-packet RNG
-  // draws, pick counters); stateless policies keep the empty default.
+  // No-op, and nothing in src/ calls it: kept only because the perfbench
+  // routing proxy overrides it.
   virtual void state(util::StateIO& io) { (void)io; }
 };
 
@@ -121,22 +125,6 @@ class Node {
   std::optional<NodeId> next_hop(NodeId dst) const;
   const NodeStats& stats() const { return stats_; }
 
-  // Checkpoint/rollback visitor: the node's trajectory state is its ECMP
-  // stream position and counters — tables and agent wiring are topology.
-  // The one-entry agent cache resets on restore (an agent attached during
-  // a rolled-back leg could be cached; lookups repopulate it).
-  void state(util::StateIO& io) {
-    io.pod(ecmp_rng_);
-    io.pod(no_agent_warnings_);
-    io.pod(stats_);
-    // The attached routing policy's draws are part of this node's
-    // trajectory (policy attachment itself is build-static).
-    if (routing_policy_ != nullptr) routing_policy_->state(io);
-    if (!io.saving()) {
-      cached_flow_ = kInvalidFlow;
-      cached_agent_ = nullptr;
-    }
-  }
 
  private:
   // Next-hop entry: the neighbor id plus the resolved link, so forwarding

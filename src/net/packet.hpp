@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "util/inline_vec.hpp"
-#include "util/state_io.hpp"
 
 namespace tcppr::net {
 
@@ -64,19 +63,6 @@ struct TcpHeader {
   double ts_echo = 0.0;
   SackVec sack;                    // up to 3 blocks (RFC 2018), inline
   std::optional<SackBlock> dsack;  // first block duplicate (RFC 2883)
-
-  void state(util::StateIO& io) {
-    io.pod(flow);
-    io.pod(is_retransmission);
-    io.pod(seq);
-    io.pod(ack);
-    io.pod(tx_serial);
-    io.pod(echo_serial);
-    io.pod(ts_value);
-    io.pod(ts_echo);
-    io.pod(sack);
-    io.pod(dsack);
-  }
 };
 
 struct Packet {
@@ -96,22 +82,6 @@ struct Packet {
   int hops = 0;
 
   bool is_ack() const { return type == PacketType::kTcpAck; }
-
-  // Checkpoint/rollback support: every field that defines the packet's
-  // forward trajectory (uid included — it is the packet's identity in
-  // delivery hashes and conservation accounting). The route pointer is
-  // saved as is: snapshots never leave the process that took them.
-  void state(util::StateIO& io) {
-    io.pod(uid);
-    io.pod(src);
-    io.pod(dst);
-    io.pod(size_bytes);
-    io.pod(type);
-    io.obj(tcp);
-    io.pod(source_route);
-    io.pod(route_pos);
-    io.pod(hops);
-  }
 };
 
 // Packets live in PacketPool slots and are copied only into and out of a

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "net/packet.hpp"
-#include "util/state_io.hpp"
 
 namespace tcppr::net {
 
@@ -50,10 +49,8 @@ class PacketPool {
     return std::make_shared<PacketPool>();
   }
 
-  // Checks a slot out without touching its contents: the recycled
-  // packet's stale fields are still there, so the caller must overwrite
-  // the slot wholesale before the packet is read.
-  PooledPacket checkout() {
+  // Checks a slot out and writes `src` into it.
+  PooledPacket make(const Packet& src) {
     std::uint32_t index;
     if (free_.empty()) {
       index = static_cast<std::uint32_t>(storage_.size());
@@ -62,14 +59,8 @@ class PacketPool {
       index = free_.back();
       free_.pop_back();
     }
+    *storage_[index] = src;
     return PooledPacket{storage_[index].get(), PacketReturner{this, index}};
-  }
-
-  // Checks a slot out and writes `src` into it.
-  PooledPacket make(const Packet& src) {
-    PooledPacket pkt = checkout();
-    *pkt = src;
-    return pkt;
   }
 
   void release(std::uint32_t index) { free_.push_back(index); }
@@ -86,14 +77,5 @@ class PacketPool {
 };
 
 inline void PacketReturner::operator()(Packet*) const { pool->release(index); }
-
-// Checkpoint visitor for a held packet: saves it by value; restore checks
-// a fresh slot out of `pool` (slot identity is not observable) and
-// releases the one `pkt` held.
-inline void pooled_state(util::StateIO& io, PooledPacket& pkt,
-                         PacketPool& pool) {
-  if (!io.saving()) pkt = pool.checkout();
-  io.obj(*pkt);
-}
 
 }  // namespace tcppr::net

@@ -9,20 +9,6 @@
 
 namespace tcppr::net {
 
-void Queue::ring_state(util::StateIO& io, Ring& ring, PacketPool& pool) {
-  const std::uint64_t n = io.size_token(ring.size());
-  if (io.saving()) {
-    for (std::size_t i = 0; i < ring.size(); ++i) io.obj(*ring[i]);
-    return;
-  }
-  ring.clear();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    PooledPacket pkt;
-    pooled_state(io, pkt, pool);
-    ring.push_back(std::move(pkt));
-  }
-}
-
 DropTailQueue::DropTailQueue(std::size_t limit_packets,
                              std::uint64_t limit_bytes)
     : limit_(limit_packets), limit_bytes_(limit_bytes) {

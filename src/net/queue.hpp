@@ -8,9 +8,7 @@
 //
 // Queues hold pool handles (net/packet_pool.hpp), not packets: admission
 // moves the 24-byte handle in, pop() moves it out to the transmitter, and
-// the packet itself never leaves its slot. A checkpoint serializes each
-// queued packet by value; restore checks fresh slots out of the pool the
-// caller names and releases the ones the queue held.
+// the packet itself never leaves its slot.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +21,6 @@
 #include "sim/random.hpp"
 #include "sim/time.hpp"
 #include "util/ring_deque.hpp"
-#include "util/state_io.hpp"
 
 namespace tcppr::sim {
 class Scheduler;
@@ -64,18 +61,8 @@ class Queue {
 
   const QueueStats& stats() const { return stats_; }
 
-  // Checkpoint/rollback visitor: every discipline serializes its queued
-  // packets plus whatever per-discipline trajectory state it keeps (RED's
-  // average, the RNG stream position). Time-source wiring is not state.
-  // Restored packets are checked out of `pool`.
-  virtual void state(util::StateIO& io, PacketPool& pool) {
-    (void)pool;
-    io.pod(stats_);
-  }
-
  protected:
   using Ring = util::RingDeque<PooledPacket>;
-  static void ring_state(util::StateIO& io, Ring& ring, PacketPool& pool);
 
   QueueStats stats_;
 };
@@ -92,12 +79,6 @@ class DropTailQueue final : public Queue {
   std::size_t length_packets() const override { return q_.size(); }
   std::uint64_t length_bytes() const override { return bytes_; }
   std::size_t limit_packets() const { return limit_; }
-
-  void state(util::StateIO& io, PacketPool& pool) override {
-    Queue::state(io, pool);
-    io.pod(bytes_);
-    ring_state(io, q_, pool);
-  }
 
  private:
   std::size_t limit_;
@@ -123,13 +104,6 @@ class PriorityQueue final : public Queue {
   // Per-band attribution of the aggregate stats (drops in particular:
   // which band rejected the packet).
   const QueueStats& band_stats(int band) const;
-
-  void state(util::StateIO& io, PacketPool& pool) override {
-    Queue::state(io, pool);
-    io.pod(bytes_);
-    for (auto& band : bands_) ring_state(io, band, pool);
-    io.pod_vector(band_stats_);
-  }
 
  private:
   std::size_t limit_per_band_;
@@ -164,17 +138,6 @@ class RedQueue final : public Queue {
   void set_time_source(const sim::Scheduler* sched,
                        double bandwidth_bps) override;
   double average_queue() const { return avg_; }
-
-  void state(util::StateIO& io, PacketPool& pool) override {
-    Queue::state(io, pool);
-    io.pod(rng_);
-    io.pod(avg_);
-    io.pod(count_since_drop_);
-    io.pod(bytes_);
-    io.pod(idle_);
-    io.pod(idle_since_);
-    ring_state(io, q_, pool);
-  }
 
  private:
   Params params_;

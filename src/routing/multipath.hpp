@@ -40,10 +40,6 @@ class MultipathSelector final : public net::SourceRoutingPolicy {
   MultipathSelector(PathSet paths, double epsilon, sim::Rng rng);
 
   std::optional<Choice> choose_route(NodeId dst) override;
-  void state(util::StateIO& io) override {
-    io.pod(rng_);
-    io.pod_vector(picks_);
-  }
 
   const std::vector<double>& weights() const { return weights_; }
   // Empirical per-path selection counts.
@@ -65,10 +61,6 @@ class RouteFlapPolicy final : public net::SourceRoutingPolicy {
                   sim::Duration flap_interval);
 
   std::optional<Choice> choose_route(NodeId dst) override;
-  void state(util::StateIO& io) override {
-    io.pod(started_);
-    io.pod(current_);
-  }
   int current_path() const { return current_; }
 
  private:

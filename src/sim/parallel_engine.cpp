@@ -1,6 +1,5 @@
 #include "sim/parallel_engine.hpp"
 
-#include <algorithm>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
@@ -11,31 +10,17 @@
 namespace tcppr::sim {
 
 ParallelEngine::ParallelEngine(std::vector<Scheduler*> shards,
-                               std::vector<CutEdge> cuts, Hooks hooks,
-                               EngineConfig config)
+                               std::vector<CutEdge> cuts, Hooks hooks)
     : shards_(std::move(shards)),
       cuts_(std::move(cuts)),
-      hooks_(std::move(hooks)),
-      config_(config),
-      w_(config.w_init) {
+      hooks_(std::move(hooks)) {
   TCPPR_CHECK(!shards_.empty());
   for (const CutEdge& c : cuts_) {
     TCPPR_CHECK(c.src_lp >= 0 &&
                 c.src_lp < static_cast<int>(shards_.size()));
     TCPPR_CHECK(c.lookahead > Duration::zero());
   }
-  if (config_.optimistic) {
-    TCPPR_CHECK(config_.w_min > Duration::zero());
-    TCPPR_CHECK(config_.w_min <= config_.w_init);
-    TCPPR_CHECK(config_.w_init <= config_.w_max);
-  }
-  spec_results_.resize(shards_.size());
 }
-
-ParallelEngine::ParallelEngine(std::vector<Scheduler*> shards,
-                               std::vector<CutEdge> cuts, Hooks hooks)
-    : ParallelEngine(std::move(shards), std::move(cuts), std::move(hooks),
-                     EngineConfig{}) {}
 
 TimePoint ParallelEngine::safe_horizon() {
   TimePoint h = TimePoint::max();
@@ -109,11 +94,7 @@ void ParallelEngine::run_until(TimePoint end) {
     cv_done.wait(lk, [&] { return running == 0; });
   };
 
-  const bool optimism_wired = config_.optimistic && hooks_.can_speculate &&
-                              hooks_.snapshot && hooks_.settle;
-
-  // Safe windows strictly before the horizon, each optionally followed by
-  // a bounded speculative leg past it.
+  // Safe windows strictly before the horizon.
   for (;;) {
     const TimePoint h = safe_horizon();
     if (h > end) break;
@@ -124,36 +105,13 @@ void ParallelEngine::run_until(TimePoint end) {
     run_window(window);
     exchanged_ += hooks_.exchange();
     if (hooks_.at_barrier) hooks_.at_barrier(h);
-
-    if (!optimism_wired || !hooks_.can_speculate()) continue;
-    // Bound is exclusive; end + 1ns lets the leg cover the end time
-    // itself (final-stretch semantics are inclusive).
-    const TimePoint bound = std::min(h + w_, end + Duration::nanos(1));
-    if (bound <= h) continue;
-    for (std::size_t lp = 0; lp < n; ++lp) {
-      hooks_.snapshot(static_cast<int>(lp));
-    }
-    ++spec_windows_;
-    const std::function<void(std::size_t)> spec = [&, bound](std::size_t i) {
-      spec_results_[i] = shards_[i]->run_speculative_before(bound);
-    };
-    run_window(spec);
-    const int rolled = hooks_.settle(h, bound, spec_results_);
-    if (rolled > 0) {
-      ++rollback_windows_;
-      rollbacks_ += static_cast<std::uint64_t>(rolled);
-      w_ = std::max(config_.w_min, Duration::nanos(w_.as_nanos() / 2));
-    } else {
-      w_ = std::min(config_.w_max, w_ + config_.w_step);
-    }
   }
 
   // Final stretch: inclusive at `end`, repeated until no shard holds work
   // at or before `end` (a window can inject events that land exactly at
   // the end time; effects of same-time events cannot propagate past the
   // end, so multi-pass execution here cannot reorder anything observable —
-  // the barrier merge still emits trace records in stamp order). No
-  // speculation here: there is nothing past the end to speculate into.
+  // the barrier merge still emits trace records in stamp order).
   for (;;) {
     ++windows_;
     const std::function<void(std::size_t)> window = [&, end](std::size_t i) {

@@ -29,7 +29,6 @@ std::uint32_t Scheduler::acquire_slot(TimePoint t) {
     index = slot_count_++;
     ::new (static_cast<void*>(&slot(index))) Slot();
   }
-  slot(index).next_free = 0;  // replay-safe flag, cleared until marked
   return index;
 }
 
@@ -40,7 +39,6 @@ TimePoint Scheduler::delay_to_time(Duration d) const {
 
 void Scheduler::release_slot(std::uint32_t index) {
   Slot& s = slot(index);
-  if (s.next_free == 1) --safe_count_;
   s.cb.reset();
   if (++s.generation == 0) s.generation = 1;  // keep packed ids non-zero
   s.next_free = free_head_;
@@ -64,15 +62,10 @@ void Scheduler::fire(const QueuedEvent& event) {
   // the callback runs in place, and new events it schedules can never be
   // handed this slot while it executes.
   if (++s.generation == 0) s.generation = 1;
-  if (s.next_free == 1) {
-    --safe_count_;
-    s.next_free = 0;
-  }
   --live_count_;
   ++processed_;
   now_ = event.time;
   current_event_seq_ = event.seq;
-  last_exec_seq_ = event.seq;
   s.cb();
   current_event_seq_ = 0;
   s.cb.reset();
@@ -165,70 +158,6 @@ void Scheduler::run_until_before(TimePoint horizon) {
     fire(*event);
   }
   if (now_ < horizon) now_ = horizon;
-}
-
-Scheduler::SpecResult Scheduler::run_speculative_before(TimePoint bound) {
-  stopped_ = false;
-  run_limit_ = RunLimit::kExclusive;
-  run_limit_time_ = bound;
-  SpecResult result;
-  while (!stopped_) {
-    if (live_count_ == 0) {
-      queue_.clear();
-      break;
-    }
-    const auto next = queue_.peek_min();
-    if (!next) break;
-    if (!is_live(next->id)) {
-      queue_.pop_min();
-      continue;
-    }
-    if (next->time >= bound) break;
-    const auto event = queue_.pop_min();
-    fire(*event);
-    ++result.events;
-    // A batched event may have advanced the clock past its own key while
-    // draining pump ops (advance_batched_op tracks it in last_exec_seq_);
-    // the furthest executed key is what the commit fixpoint compares
-    // stragglers against.
-    result.last_time = now_;
-    result.last_seq = last_exec_seq_;
-  }
-  // Deliberately no `now_ = bound` here: the clock stays at the last fired
-  // event so rollback restores an honest execution point and barrier
-  // injections at >= now() remain legal.
-  return result;
-}
-
-void Scheduler::restore(
-    const Checkpoint& cp,
-    const std::vector<std::pair<std::int64_t, std::uint32_t>>& slots) {
-  // Destroy every pending event — live or lazily-cancelled stale — and
-  // rebuild the free list from scratch. Generations bump so every
-  // outstanding EventId goes stale instead of resolving to a reused slot.
-  for (std::uint32_t i = 0; i < slot_count_; ++i) {
-    Slot& s = slot(i);
-    s.cb.reset();
-    if (++s.generation == 0) s.generation = 1;
-  }
-  free_head_ = kFreeListEnd;
-  for (std::uint32_t i = slot_count_; i-- > 0;) {
-    Slot& s = slot(i);
-    s.next_free = free_head_;
-    free_head_ = i;
-  }
-  queue_.clear();
-  live_count_ = 0;
-  safe_count_ = 0;
-  now_ = cp.now;
-  next_seq_ = cp.next_seq;
-  processed_ = cp.processed;
-  current_event_seq_ = 0;
-  stamp_slots_.clear();
-  stamp_slots_.reserve(cp.stamp_slot_count);
-  for (std::size_t i = 0; i < cp.stamp_slot_count; ++i) {
-    stamp_slots_.push_back(StampSlot{slots[i].first, slots[i].second});
-  }
 }
 
 std::optional<TimePoint> Scheduler::next_deadline() {

@@ -26,7 +26,6 @@
 #include "sim/time.hpp"
 #include "util/check.hpp"
 #include "util/inline_function.hpp"
-#include "util/state_io.hpp"
 
 namespace tcppr::sim {
 
@@ -180,79 +179,7 @@ class Scheduler {
     TCPPR_DCHECK(t >= now_);
     now_ = t;
     current_event_seq_ = seq;
-    last_exec_seq_ = seq;
   }
-
-  // --- Bounded-optimism support (speculative execution + rollback) ------
-  //
-  // An event is *replay-safe* when its callback can be regenerated purely
-  // from component state: DeadlineTimer physical shots, link-pump parked
-  // events and cross-LP injection pops re-arm themselves from serialized
-  // state after a rollback, so a checkpoint taken while only such events
-  // are pending can be restored exactly. Raw Timer shots capture arbitrary
-  // (often consuming) lambdas and are not regenerable — an LP with one
-  // pending simply skips speculation that window. The flag lives in the
-  // slot's next_free field, which is unused while the slot is live.
-
-  // Marks a pending event as regenerable-from-state. No-op on a stale id.
-  void mark_replay_safe(EventId id) {
-    if (!is_live(id.value)) return;
-    Slot& s = slot(slot_of(id.value));
-    if (s.next_free == 0) {
-      s.next_free = 1;
-      ++safe_count_;
-    }
-  }
-  // True when every pending live event is replay-safe — the gate for
-  // taking a checkpoint this window.
-  bool all_pending_replay_safe() const { return safe_count_ == live_count_; }
-
-  // Everything restore() needs besides the events themselves (which are
-  // regenerated by the components): clock, sequence counters and the
-  // per-entity stamp mint state, so replayed events re-mint byte-identical
-  // stamps.
-  struct Checkpoint {
-    TimePoint now;
-    std::uint64_t next_seq = 0;
-    std::uint64_t processed = 0;
-    std::size_t stamp_slot_count = 0;
-  };
-  // Captures scalar state into `cp` and appends the live stamp slots to
-  // `slots` (reused across windows to avoid per-checkpoint allocation).
-  void checkpoint(Checkpoint& cp, std::vector<std::pair<std::int64_t,
-                                                        std::uint32_t>>& slots) const {
-    cp.now = now_;
-    cp.next_seq = next_seq_;
-    cp.processed = processed_;
-    cp.stamp_slot_count = stamp_slots_.size();
-    slots.clear();
-    slots.reserve(stamp_slots_.size());
-    for (const StampSlot& s : stamp_slots_) slots.emplace_back(s.time_ns, s.count);
-  }
-  // Rolls the scheduler back to `cp`: destroys EVERY pending event (live
-  // and stale), invalidates all outstanding EventIds, and restores the
-  // clock/counters/stamp mint state. The caller then re-creates the
-  // pending set from restored component state.
-  void restore(const Checkpoint& cp,
-               const std::vector<std::pair<std::int64_t, std::uint32_t>>& slots);
-
-  // Result of one speculative leg: events fired past the safe horizon and
-  // the key of the furthest one (valid when `events > 0`).
-  struct SpecResult {
-    std::uint64_t events = 0;
-    TimePoint last_time;
-    std::uint64_t last_seq = 0;
-  };
-  // Runs events with key (time, seq) strictly below (bound, 0). Unlike
-  // run_until_before the clock is NOT advanced to the bound afterwards:
-  // it stays at the last fired event so a later rollback/commit sees the
-  // true execution point and barrier injections at >= now() stay legal.
-  SpecResult run_speculative_before(TimePoint bound);
-
-  // Tie-break sequence minted by the most recent schedule_* call. A
-  // DeadlineTimer records it so a rollback can re-seat its physical shot
-  // with the identical (time, seq) key.
-  std::uint64_t last_scheduled_seq() const { return last_scheduled_seq_; }
 
   // Returns true if the event was pending and is now cancelled.
   bool cancel(EventId id);
@@ -298,7 +225,6 @@ class Scheduler {
       s.cb.emplace(std::forward<F>(f));
     }
     ++live_count_;
-    last_scheduled_seq_ = seq;
     const std::uint64_t packed =
         (static_cast<std::uint64_t>(s.generation) << 32) | index;
     queue_.push(QueuedEvent{t, seq, packed});
@@ -376,9 +302,6 @@ class Scheduler {
   std::vector<StampSlot> stamp_slots_;  // indexed by owner entity (node id)
   std::uint64_t current_event_seq_ = 0;
   std::size_t live_count_ = 0;
-  std::size_t safe_count_ = 0;  // live events marked replay-safe
-  std::uint64_t last_scheduled_seq_ = 0;
-  std::uint64_t last_exec_seq_ = 0;  // furthest executed key (spec runs)
   HeapQueue queue_;
   std::vector<Slot*> chunks_;  // raw aligned storage, lazily constructed
   std::uint32_t slot_count_ = 0;  // high-water mark of constructed slots
@@ -434,23 +357,6 @@ class Timer {
 #endif
   }
   bool pending() const { return id_.valid() && sched_->is_pending(id_); }
-
-  // Rollback support: the scheduler's pending set was cleared wholesale
-  // (Scheduler::restore), so drop the now-meaningless id without a cancel
-  // round. Raw Timer shots are not regenerable — the all_pending_replay_safe
-  // gate guarantees none was pending at the checkpoint.
-  void reset_for_restore() { id_ = EventId{}; }
-
-  // Checkpoint visitor: a raw Timer carries no serializable shot (the
-  // speculation gate guarantees none is pending when a checkpoint is
-  // taken), so saving just asserts that and restoring drops the stale id.
-  void state(util::StateIO& io) {
-    if (io.saving()) {
-      TCPPR_CHECK(!pending());
-    } else {
-      reset_for_restore();
-    }
-  }
 
  private:
   Scheduler* sched_;
@@ -521,49 +427,12 @@ class DeadlineTimer {
     return id_.valid() && sched_->is_pending(id_);
   }
 
-  // Checkpoint/restore. The physical shot is regenerated from
-  // (scheduled_at, shot_seq) via schedule_at_stamped, so a replayed run
-  // keeps the byte-identical (time, seq) execution key.
-  struct SavedState {
-    bool armed = false;
-    bool has_shot = false;
-    TimePoint scheduled_at;
-    TimePoint target;
-    std::uint64_t shot_seq = 0;
-  };
-  SavedState save() const {
-    return SavedState{armed_, id_.valid(), scheduled_at_, target_, shot_seq_};
-  }
-  // Only legal after Scheduler::restore() (rollback) cleared the pending
-  // set — the stale id is dropped, not cancelled.
-  void restore(const SavedState& st) {
-    id_ = EventId{};
-    armed_ = st.armed;
-    target_ = st.target;
-    scheduled_at_ = st.scheduled_at;
-    shot_seq_ = st.shot_seq;
-    if (st.has_shot) {
-      id_ = sched_->schedule_at_stamped(scheduled_at_, shot_seq_,
-                                        [this] { on_fire(); });
-      sched_->mark_replay_safe(id_);
-    }
-  }
-  // Checkpoint visitor: restore re-seats the physical shot, so the owning
-  // scheduler must already be restored (clock + stamp state) when this
-  // runs in restore direction.
-  void state(util::StateIO& io) {
-    SavedState st = save();
-    io.pod(st);
-    if (!io.saving()) restore(st);
-  }
 
  private:
   void schedule_physical(TimePoint t) {
     scheduled_at_ = std::max(t, sched_->now());
     id_ = sched_->schedule_at_for(scheduled_at_, stamp_entity_,
                                   [this] { on_fire(); });
-    shot_seq_ = sched_->last_scheduled_seq();
-    sched_->mark_replay_safe(id_);
   }
   void on_fire() {
     id_ = EventId{};
@@ -581,7 +450,6 @@ class DeadlineTimer {
   EventId id_{};
   TimePoint scheduled_at_;  // time of the physical event behind id_
   TimePoint target_;        // armed deadline (>= scheduled_at_ when live)
-  std::uint64_t shot_seq_ = 0;  // (time, seq) key of the physical shot
   bool armed_ = false;
   std::uint32_t stamp_entity_ = 0;
 };

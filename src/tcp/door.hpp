@@ -32,16 +32,6 @@ class DoorSender final : public NewRenoSender {
   const char* algorithm() const override { return "tcp-door"; }
   std::uint64_t ooo_events() const { return ooo_events_; }
 
-  void state(util::StateIO& io) override {
-    NewRenoSender::state(io);
-    io.pod(highest_echo_serial_);
-    io.pod(last_ooo_at_);
-    io.pod(last_reduction_at_);
-    io.pod(pre_reduction_cwnd_);
-    io.pod(pre_reduction_ssthresh_);
-    io.pod(ooo_events_);
-  }
-
  protected:
   void on_ack_packet(const net::Packet& ack) override;
   void handle_dupack(const net::Packet& ack) override;

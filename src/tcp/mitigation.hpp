@@ -36,11 +36,6 @@ class MitigationSender final : public SackSender {
   DupthreshPolicy policy() const { return policy_; }
   double ewma_extent() const { return ewma_; }
 
-  void state(util::StateIO& io) override {
-    SackSender::state(io);
-    io.pod(ewma_);
-  }
-
  protected:
   void on_spurious_retransmit(SeqNo seq, int reorder_extent) override;
 

@@ -116,30 +116,6 @@ std::vector<net::SackBlock> Receiver::sack_blocks() const {
   return blocks;
 }
 
-void Receiver::restore_runs(const std::vector<net::SackBlock>& runs) {
-  present_.clear();
-  runs_.clear();
-  run_head_ = kNoRun;
-  run_free_ = kNoRun;
-  buffered_end_ = rcv_next_;
-  buffered_ = 0;
-  std::uint32_t tail = kNoRun;
-  for (const net::SackBlock& b : runs) {
-    present_.reserve(rcv_next_, buffered_end_, b.end - 1);
-    const std::uint32_t r = new_run(b.begin, b.end);
-    for (SeqNo s = b.begin; s < b.end; ++s) present_[s] = r + 1;
-    buffered_end_ = std::max(buffered_end_, b.end);
-    buffered_ += static_cast<std::size_t>(b.end - b.begin);
-    runs_[r].prev = tail;
-    if (tail != kNoRun) {
-      runs_[tail].next = r;
-    } else {
-      run_head_ = r;
-    }
-    tail = r;
-  }
-}
-
 void Receiver::on_data(const net::Packet& pkt) {
   ++stats_.data_packets_received;
   if (data_tap_) data_tap_(pkt);

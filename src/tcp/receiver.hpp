@@ -69,22 +69,6 @@ class Receiver final : public net::Agent {
   // Count of segments buffered above the in-order point.
   std::size_t ooo_buffered() const { return buffered_; }
 
-  // Checkpoint/rollback visitor: the receiver's trajectory state,
-  // including the delayed-ACK machinery and the validation hash.
-  void state(util::StateIO& io) {
-    io.pod(rcv_next_);
-    io.pod(delivered_hash_);
-    // The buffer is exactly the union of the SACK runs.
-    std::vector<net::SackBlock> runs;
-    if (io.saving()) runs = sack_blocks();
-    io.pod_vector(runs);
-    if (!io.saving()) restore_runs(runs);
-    io.obj(delack_timer_);
-    io.pod(unacked_segments_);
-    io.pod(pending_cause_);
-    io.pod(has_pending_cause_);
-    io.pod(stats_);
-  }
   // Current SACK blocks, recency-ordered (validation layer inspects their
   // structure: disjoint, above the cumulative ACK point).
   std::vector<net::SackBlock> sack_blocks() const;
@@ -94,7 +78,6 @@ class Receiver final : public net::Agent {
   // stream into an FNV-1a running hash. One predictable branch per
   // delivered segment when off (the src/obs discipline).
   void enable_delivery_validation() { delivery_hash_enabled_ = true; }
-  bool delivery_validation_enabled() const { return delivery_hash_enabled_; }
   std::uint64_t delivered_hash() const { return delivered_hash_; }
   // Test-only mutation knob: perturb the running hash so the checker's
   // payload-checksum invariant trips (mutation self-test).
@@ -141,7 +124,6 @@ class Receiver final : public net::Agent {
   void unlink_run(std::uint32_t r);
   void free_run(std::uint32_t r);
   void push_front_run(std::uint32_t r);
-  void restore_runs(const std::vector<net::SackBlock>& runs);
   sim::Scheduler& sched() const {
     return sched_override_ != nullptr ? *sched_override_
                                       : network_.scheduler();

@@ -34,23 +34,6 @@ class RenoSender : public SenderBase {
     rto_timer_.set_stamp_entity(static_cast<std::uint32_t>(local_node()));
   }
 
-  void state(util::StateIO& io) override {
-    SenderBase::state(io);
-    io.pod(cwnd_);
-    io.pod(ssthresh_);
-    io.pod(snd_una_);
-    io.pod(snd_nxt_);
-    io.pod(dupacks_);
-    io.pod(partial_acks_);
-    io.pod(in_recovery_);
-    io.pod(recover_);
-    io.pod(inflation_);
-    io.pod(next_tx_serial_);
-    io.pod_map(tx_info_);
-    io.pod(rto_);
-    io.obj(rto_timer_);
-  }
-
  protected:
   void on_start() override;
   void on_ack_packet(const net::Packet& ack) override;

@@ -43,32 +43,6 @@ class SackSender : public SenderBase {
     rto_timer_.set_stamp_entity(static_cast<std::uint32_t>(local_node()));
   }
 
-  void state(util::StateIO& io) override {
-    SenderBase::state(io);
-    io.pod(cwnd_);
-    io.pod(ssthresh_);
-    io.pod(snd_una_);
-    io.pod(snd_nxt_);
-    io.pod(dupacks_);
-    io.pod(dupthresh_);
-    io.pod(episode_dupacks_);
-    io.pod(last_episode_dupacks_);
-    io.pod(in_recovery_);
-    io.pod(recover_);
-    io.pod(highest_sacked_);
-    io.pod(peer_sends_sack_);
-    io.pod_sequence(sacked_);
-    io.pod_sequence(lost_);
-    io.pod_sequence(rtx_in_flight_);
-    io.pod(saved_cwnd_);
-    io.pod(saved_ssthresh_);
-    io.pod_map(tx_info_);
-    io.pod_map(recent_rtx_);
-    io.pod(next_tx_serial_);
-    io.pod(rto_);
-    io.obj(rto_timer_);
-  }
-
  protected:
   void on_start() override;
   void on_ack_packet(const net::Packet& ack) override;

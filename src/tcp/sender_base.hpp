@@ -128,15 +128,6 @@ class SenderBase : public net::Agent {
   // Name of the variant, for experiment tables.
   virtual const char* algorithm() const = 0;
 
-  // Checkpoint/rollback visitor (util/state_io.hpp): every member that
-  // defines the sender's forward trajectory. Variants override and chain
-  // up. The burst staging area is empty between events and the callbacks/
-  // probes are wiring, not state.
-  virtual void state(util::StateIO& io) {
-    io.pod(stats_);
-    io.pod(started_);
-    io.pod(complete_);
-  }
   // Invariant snapshot for src/validate; the default (valid == false)
   // means "nothing to check". Safe to call between scheduler events only.
   virtual SenderInvariantView invariant_view() const { return {}; }

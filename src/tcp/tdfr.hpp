@@ -38,15 +38,6 @@ class TdFrSender final : public NewRenoSender {
     fr_timer_.set_stamp_entity(static_cast<std::uint32_t>(local_node()));
   }
 
-  void state(util::StateIO& io) override {
-    NewRenoSender::state(io);
-    io.obj(fr_timer_);
-    io.pod(first_dupack_at_);
-    io.pod(dt_);
-    io.pod(dt_ewma_);
-    io.pod(episode_open_);
-  }
-
  protected:
   void handle_dupack(const net::Packet& ack) override;
   void on_new_ack_hook() override;

@@ -3,8 +3,8 @@
 // Packet headers carry short lists with a hard cap (RFC 2018 allows at
 // most 3 SACK blocks per ACK). InlineVec keeps up to N elements in the
 // object itself and never touches the heap, so it is trivially copyable
-// whenever T is: a header holding one copies with a memcpy and
-// checkpoints with StateIO::pod. Pushing past N is a bug (CHECK).
+// whenever T is: a header holding one copies with a memcpy. Pushing past
+// N is a bug (CHECK).
 #pragma once
 
 #include <cstddef>

@@ -18,7 +18,6 @@
 #include <type_traits>
 
 #include "util/check.hpp"
-#include "util/state_io.hpp"
 
 namespace tcppr::util {
 
@@ -67,14 +66,6 @@ class SeqRing {
   // Sets every slot to T{} (the capacity stays).
   void clear() {
     for (std::size_t i = 0; i < capacity_; ++i) slots_[i] = T{};
-  }
-
-  // Checkpoint visitor for the live slots [begin, end); the caller restores
-  // begin and end first.
-  void state(StateIO& io, Seq begin, Seq end) {
-    if (end <= begin) return;
-    if (!io.saving()) reserve(begin, begin, end - 1);
-    for (Seq s = begin; s < end; ++s) io.pod((*this)[s]);
   }
 
  private:

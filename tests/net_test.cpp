@@ -1,7 +1,6 @@
 // Unit tests for the network substrate: queues, pool slots and the
-// handles queues hold (including queue checkpoint/restore), links
-// (serialization and propagation timing), node forwarding, and Network
-// route computation.
+// handles queues hold, links (serialization and propagation timing), node
+// forwarding, and Network route computation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +13,6 @@
 #include "net/queue.hpp"
 #include "sim/scheduler.hpp"
 #include "test_util.hpp"
-#include "util/state_io.hpp"
 
 namespace tcppr::net {
 namespace {
@@ -184,86 +182,6 @@ TEST(DropTailQueue, AdmitTakesTheHandleOnlyWhenItAccepts) {
   EXPECT_EQ(out.get(), slot);
   EXPECT_EQ(q.length_packets(), 0u);
   EXPECT_EQ(pool.live(), 1u);
-}
-
-TEST(DropTailQueue, RestoreReleasesTheSlotsItReplaces) {
-  PacketPool pool;
-  DropTailQueue q(10);
-  const auto offer = [&](SeqNo seq, std::uint32_t bytes) {
-    Packet pkt = make_packet(0, bytes);
-    pkt.tcp.seq = seq;
-    PooledPacket handle = pool.make(pkt);
-    return q.admit(handle);
-  };
-  for (SeqNo s = 0; s < 3; ++s) {
-    ASSERT_TRUE(offer(s, 100 + static_cast<std::uint32_t>(s)));
-  }
-  std::vector<unsigned char> checkpoint;
-  {
-    util::StateIO io(checkpoint, /*saving=*/true);
-    q.state(io, pool);
-  }
-  // Run on past the checkpoint: drain one, admit two more.
-  q.pop();
-  ASSERT_TRUE(offer(10, 500));
-  ASSERT_TRUE(offer(11, 500));
-  EXPECT_EQ(pool.live(), 4u);
-  {
-    util::StateIO io(checkpoint, /*saving=*/false);
-    q.state(io, pool);
-    EXPECT_TRUE(io.done());
-  }
-  // The checkpoint's packets are back, each in a fresh slot, and every
-  // slot the queue held before the restore went back to the pool.
-  EXPECT_EQ(q.length_packets(), 3u);
-  EXPECT_EQ(q.length_bytes(), 303u);
-  EXPECT_EQ(q.stats().enqueued, 3u);
-  EXPECT_EQ(pool.live(), 3u);
-  for (SeqNo s = 0; s < 3; ++s) {
-    PooledPacket out = q.pop();
-    ASSERT_NE(out, nullptr);
-    EXPECT_EQ(out->tcp.seq, s);
-    EXPECT_EQ(out->size_bytes, 100u + static_cast<std::uint32_t>(s));
-  }
-  EXPECT_EQ(q.pop(), nullptr);
-  EXPECT_EQ(pool.live(), 0u);
-}
-
-TEST(RedQueue, RestoreReplaysTheDropLottery) {
-  RedQueue::Params params;
-  params.limit_packets = 100;
-  params.min_thresh = 5;
-  params.max_thresh = 15;
-  params.weight = 0.5;
-  PacketPool pool;
-  RedQueue q(params, sim::Rng(7));
-  const auto offer = [&] {
-    PooledPacket handle = pool.make(make_packet(0, 100));
-    return q.admit(handle);
-  };
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(offer());
-  std::vector<unsigned char> checkpoint;
-  {
-    util::StateIO io(checkpoint, /*saving=*/true);
-    q.state(io, pool);
-  }
-  std::vector<bool> first_pass;
-  for (int i = 0; i < 30; ++i) first_pass.push_back(offer());
-  {
-    util::StateIO io(checkpoint, /*saving=*/false);
-    q.state(io, pool);
-    EXPECT_TRUE(io.done());
-  }
-  EXPECT_EQ(q.length_packets(), 10u);
-  EXPECT_EQ(pool.live(), 10u);
-  // The average, the RNG position and the queue came back together, so
-  // the same arrivals meet the same lottery.
-  std::vector<bool> second_pass;
-  for (int i = 0; i < 30; ++i) second_pass.push_back(offer());
-  EXPECT_EQ(second_pass, first_pass);
-  EXPECT_NE(std::count(first_pass.begin(), first_pass.end(), false), 0);
-  EXPECT_NE(std::count(first_pass.begin(), first_pass.end(), true), 0);
-  EXPECT_EQ(pool.live(), q.length_packets());
 }
 
 class TwoNodeFixture : public ::testing::Test {

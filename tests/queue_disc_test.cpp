@@ -13,7 +13,6 @@
 #include "net/queue.hpp"
 #include "sim/scheduler.hpp"
 #include "test_util.hpp"
-#include "util/state_io.hpp"
 
 namespace tcppr::net {
 namespace {
@@ -121,41 +120,6 @@ TEST(PriorityQueue, PerBandStatsAttributeDropsAndBytes) {
   EXPECT_EQ(q.stats().dequeued, 3u);
   EXPECT_EQ(q.stats().bytes_dequeued, 500u);
   EXPECT_EQ(q.stats().dropped, 1u);
-}
-
-TEST(PriorityQueue, RestoreRefillsEachBandInOrder) {
-  PacketPool pool;
-  PriorityQueue q(2, 10, [](const Packet& p) { return p.tcp.flow; });
-  const auto offer = [&](FlowId flow, SeqNo seq) {
-    PooledPacket handle = pool.make(pkt_of(flow, seq));
-    return q.admit(handle);
-  };
-  ASSERT_TRUE(offer(1, 10));
-  ASSERT_TRUE(offer(0, 20));
-  ASSERT_TRUE(offer(1, 11));
-  ASSERT_TRUE(offer(0, 21));
-  std::vector<unsigned char> checkpoint;
-  {
-    util::StateIO io(checkpoint, /*saving=*/true);
-    q.state(io, pool);
-  }
-  // Run on: serve the high band, queue more low-band packets.
-  q.pop();
-  q.pop();
-  ASSERT_TRUE(offer(1, 12));
-  {
-    util::StateIO io(checkpoint, /*saving=*/false);
-    q.state(io, pool);
-    EXPECT_TRUE(io.done());
-  }
-  EXPECT_EQ(q.band_length(0), 2u);
-  EXPECT_EQ(q.band_length(1), 2u);
-  EXPECT_EQ(q.band_stats(0).dequeued, 0u);
-  EXPECT_EQ(pool.live(), 4u);
-  std::vector<SeqNo> out;
-  while (auto p = q.pop()) out.push_back(p->tcp.seq);
-  EXPECT_EQ(out, (std::vector<SeqNo>{20, 21, 10, 11}));
-  EXPECT_EQ(pool.live(), 0u);
 }
 
 TEST(QueueStats, BytesDequeuedTrackedByAllDisciplines) {

@@ -60,42 +60,12 @@ TEST(ValidateSelfTest, CorruptedTelemetrySketchIsCaught) {
       << r.first_violation;
 }
 
-TEST(ValidateSelfTest, ParallelOptimisticBaselineIsClean) {
+TEST(ValidateSelfTest, ParallelBaselineIsClean) {
   FuzzCase c = base_case();
   c.par_lps = 2;
-  c.optimistic = true;
   const FuzzResult r = run_fuzz_case(c);
   EXPECT_TRUE(r.ok) << r.first_violation;
   EXPECT_EQ(r.delivery_hash, run_fuzz_case(base_case()).delivery_hash);
-}
-
-TEST(ValidateSelfTest, CorruptedSnapshotRestoreIsCaught) {
-  // The knob claims the LP hosting a validating receiver as
-  // straggler-hit at the first speculative settle and flips its delivery
-  // hash during the rollback restore — a stand-in for a snapshot that
-  // does not round-trip. The checker must flag the checksum divergence.
-  FuzzCase c = base_case();
-  c.par_lps = 2;
-  c.optimistic = true;  // the knob needs a speculative window
-  c.corrupt_snapshot_for_test = true;
-  const FuzzResult r = run_fuzz_case(c);
-  EXPECT_FALSE(r.ok);
-  EXPECT_GT(r.violations, 0u);
-  EXPECT_NE(r.first_violation.find("checksum"), std::string::npos)
-      << r.first_violation;
-}
-
-TEST(ValidateSelfTest, MinimizerDisablesEngineModeFirst) {
-  // A failure that has nothing to do with the parallel engine mode: the
-  // minimizer's first accepted simplification must drop the case back to
-  // conservative barriers.
-  FuzzCase c = base_case();
-  c.par_lps = 2;
-  c.optimistic = true;
-  c.corrupt_transit_for_test = true;
-  const FuzzCase min = minimize_fuzz_case(c, /*max_runs=*/10);
-  EXPECT_FALSE(run_fuzz_case(min).ok);
-  EXPECT_FALSE(min.optimistic);
 }
 
 TEST(ValidateSelfTest, MinimizerDisablesTelemetryFirst) {

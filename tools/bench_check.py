@@ -10,8 +10,7 @@ Gated benchmarks — the engine cost centers this repo optimizes:
     BM_SchedulerCancel          lazy-cancellation path
     BM_DumbbellSimulation/*     end-to-end simulation throughput
     BM_ScaleFlowsParallel/*     parallel (multi-LP) harness throughput
-    BM_ScaleFlowsEngine/*       engine modes on the clustered mesh, plus
-                                the optimistic speedup + efficiency gates
+    BM_ScaleFlowsEngine/*       the parallel engine on the clustered mesh
     BM_BatchDelivery/*          batched vs unbatched forwarding hot path
     BM_ScaleFlowsDumbbell/*     many-flow dumbbell, batched + unbatched rows
     BM_ScaleFlowsChurn/*        dynamic flow lifecycle churn sweep
@@ -113,20 +112,6 @@ MILLION_ROW_RE = re.compile(r"^BM_ScaleFlows1M(/|$)")
 MILLION_MIN_CONCURRENT = 1 << 20
 MILLION_BYTES_PER_SLOT_MAX = 128.0
 MILLION_PEAK_RSS_MAX = 12.5e9
-
-# Parallel engine-mode rows (BM_ScaleFlowsEngine): the low-lookahead
-# clustered mesh where the conservative barrier is the bottleneck. Both
-# gates are same-run ratios, so no machine calibration is involved.
-# Bounded optimism must beat conservative barriers by the acceptance
-# factor on any runner (even single-core: the win is windows-count, not
-# threads). The parallel-efficiency floor additionally divides the
-# optimistic 4-LP row against the canonical 1-LP run — meaningful only
-# with as many cores as LPs, so it is skipped on smaller runners.
-ENGINE_SPEEDUP_PAIR = ("BM_ScaleFlowsEngine/lps:4/mode:2",
-                       "BM_ScaleFlowsEngine/lps:4/mode:0")
-ENGINE_MIN_SPEEDUP = 1.3
-ENGINE_CANONICAL_ROW = "BM_ScaleFlowsEngine/lps:1/mode:0"
-ENGINE_EFFICIENCY_FLOOR = 0.25  # speedup over 1-LP / LP count
 
 # Telemetry tap overhead: both ratios compare rows from the same run, so
 # no machine calibration is involved. With no taps attached the forwarding
@@ -334,47 +319,6 @@ def check_million(current, counters):
     return failures
 
 
-def check_engine(current):
-    """Gates the engine-mode rows on same-run ratios.
-
-    The optimistic row must hold the acceptance speedup over the
-    conservative row (same flows, same LP count, same plant). On runners
-    with at least as many cores as LPs, the optimistic row must also
-    clear the parallel-efficiency floor against the canonical 1-LP row.
-    Absent rows are not failures (e.g. a --filter'd rerun); the wall-time
-    MISSING logic catches a gated row that silently disappeared. Returns
-    a list of failure descriptions.
-    """
-    failures = []
-    optimistic, conservative = ENGINE_SPEEDUP_PAIR
-    if optimistic in current and conservative in current:
-        speedup = current[conservative] / current[optimistic]
-        if speedup < ENGINE_MIN_SPEEDUP:
-            print(f"  FAILED   optimistic-vs-conservative engine speedup "
-                  f"{speedup:.2f}x < {ENGINE_MIN_SPEEDUP}x")
-            failures.append(f"engine speedup {speedup:.2f}x")
-        else:
-            print(f"  OK       optimistic-vs-conservative engine speedup "
-                  f"{speedup:.2f}x (>= {ENGINE_MIN_SPEEDUP}x)")
-    lps = benchmark_threads(optimistic, {})
-    if optimistic in current and ENGINE_CANONICAL_ROW in current:
-        if runner_cpus() < lps:
-            print(f"  SKIPPED  parallel-efficiency floor (needs {lps} "
-                  f"cores, runner has {runner_cpus()})")
-        else:
-            efficiency = (current[ENGINE_CANONICAL_ROW] /
-                          current[optimistic] / lps)
-            if efficiency < ENGINE_EFFICIENCY_FLOOR:
-                print(f"  FAILED   parallel efficiency {efficiency:.2f} "
-                      f"< {ENGINE_EFFICIENCY_FLOOR} "
-                      f"({lps} LPs vs canonical 1-LP row)")
-                failures.append(f"parallel efficiency {efficiency:.2f}")
-            else:
-                print(f"  OK       parallel efficiency {efficiency:.2f} "
-                      f"(>= {ENGINE_EFFICIENCY_FLOOR} at {lps} LPs)")
-    return failures
-
-
 def check_telemetry(current):
     """Gates the telemetry tap on same-run ratios.
 
@@ -468,7 +412,6 @@ def main():
     failures += check_batching(current, cur_counters)
     failures += check_churn(current, cur_counters)
     failures += check_million(current, cur_counters)
-    failures += check_engine(current)
     failures += check_telemetry(current)
 
     if checked == 0 and not failures:

@@ -11,7 +11,11 @@
 //   tcppr_sim --validate --topology dumbbell         # run under the checker
 //   tcppr_sim --fuzz 100 --jobs 4                    # fuzz seeds 1..100
 //   tcppr_sim --fuzz-seed 42                         # replay one fuzz case
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -64,11 +68,7 @@ struct Args {
   std::size_t expect_concurrent = 0;
   bool no_batch = false;  // run the unbatched one-event-per-op engine
   int par = 0;  // 0 = sequential, >= 1 = parallel harness with N LPs
-  // Parallel engine mode (conservative|optimistic, needs --par); empty =
-  // conservative, or "as sampled" for fuzz runs, where the mode is a
-  // sampled dimension.
-  std::string engine;
-  int fuzz_count = 0;
+  std::optional<int> fuzz_count;
   std::optional<std::uint64_t> fuzz_seed;
   int jobs = 1;
   std::string fuzz_artifacts;
@@ -139,28 +139,77 @@ void usage(std::FILE* out) {
       "                        event per packet op; byte-identical results,\n"
       "                        the perf-comparison baseline). Also applies\n"
       "                        to --fuzz-seed replays\n"
-      "  --par <n>             run on n parallel scheduler shards (LPs);\n"
-      "                        byte-identical for every n >= 1. A run\n"
-      "                        without --par breaks same-nanosecond ties\n"
-      "                        by insertion order, so it can differ. Also\n"
-      "                        applies to --fuzz and --fuzz-seed runs\n"
-      "  --engine <mode>       parallel engine mode, needs --par:\n"
-      "                        conservative|optimistic (default\n"
-      "                        conservative; both are byte-identical).\n"
-      "                        For --fuzz and --fuzz-seed it overrides the\n"
-      "                        sampled engine-mode dimension\n"
-      "  --fuzz <n>            fuzz campaign over seeds [--seed, --seed+n)\n"
+      "  --par <n>             run on n parallel scheduler shards (LPs),\n"
+      "                        0..64; byte-identical for every n >= 1. A\n"
+      "                        run without --par breaks same-nanosecond\n"
+      "                        ties by insertion order, so it can differ.\n"
+      "                        Also applies to --fuzz and --fuzz-seed runs\n"
+      "  --fuzz <n>            fuzz campaign over seeds [--seed, --seed+n),\n"
+      "                        n >= 1\n"
       "  --fuzz-seed <n>       replay one fuzz case under the checker\n"
       "  --fuzz-artifacts <dir>  write per-seed reproducer files for\n"
       "                        failing fuzz seeds into <dir>\n"
-      "  --jobs <j>            fuzz campaign worker threads (default 1)\n");
+      "  --jobs <j>            fuzz campaign worker threads, 1..64\n"
+      "                        (default 1)\n");
 }
 
-bool parse(int argc, char** argv, Args& args) {
+// Numeric flag values must be the whole token: "2x", "abc" and "" are
+// usage errors naming the flag, not a silent atoi() prefix or zero.
+// Reals must also be finite; unsigned values take no sign.
+bool read_int(const char* text, int& out) {
+  if (*text == '\0') return false;
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(text, &end, 10);
+  if (errno != 0 || *end != '\0' || v < INT_MIN || v > INT_MAX) return false;
+  out = static_cast<int>(v);
+  return true;
+}
+
+bool read_u64(const char* text, std::uint64_t& out) {
+  if (!std::isdigit(static_cast<unsigned char>(*text))) return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (errno != 0 || *end != '\0') return false;
+  out = v;
+  return true;
+}
+
+bool read_real(const char* text, double& out) {
+  if (*text == '\0') return false;
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text, &end);
+  if (errno != 0 || *end != '\0' || !std::isfinite(v)) return false;
+  out = v;
+  return true;
+}
+
+// Returns false on an unknown flag (exit 1). Malformed values are appended
+// to `errors` (usage errors, exit 2) and parsing continues.
+bool parse(int argc, char** argv, Args& args,
+           std::vector<std::string>& errors) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
+    const char* value = nullptr;
     const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
+      value = i + 1 < argc ? argv[++i] : nullptr;
+      if (value == nullptr) errors.push_back(flag + " needs a value");
+      return value != nullptr ? value : "";
+    };
+    const auto bad = [&](const char* kind) {
+      if (value == nullptr) return;  // already reported as missing
+      errors.push_back(flag + " must be " + kind + ", got '" + value + "'");
+    };
+    const auto integer = [&](int& out) {
+      if (!read_int(next(), out)) bad("an integer");
+    };
+    const auto unsigned_integer = [&](std::uint64_t& out) {
+      if (!read_u64(next(), out)) bad("an unsigned integer");
+    };
+    const auto real = [&](double& out) {
+      if (!read_real(next(), out)) bad("a finite number");
     };
     if (flag == "--help" || flag == "-h") {
       usage(stdout);
@@ -170,37 +219,37 @@ bool parse(int argc, char** argv, Args& args) {
     } else if (flag == "--variant") {
       args.variant = next();
     } else if (flag == "--flows") {
-      args.flows = std::atoi(next());
+      integer(args.flows);
     } else if (flag == "--fan-width") {
-      args.fan_width = std::atoi(next());
+      integer(args.fan_width);
     } else if (flag == "--pr-fraction") {
-      args.pr_fraction = std::atof(next());
+      real(args.pr_fraction);
     } else if (flag == "--epsilon") {
-      args.epsilon = std::atof(next());
+      real(args.epsilon);
     } else if (flag == "--pr-flows") {
-      args.pr_flows = std::atoi(next());
+      integer(args.pr_flows);
     } else if (flag == "--sack-flows") {
-      args.sack_flows = std::atoi(next());
+      integer(args.sack_flows);
     } else if (flag == "--duration") {
-      args.duration_s = std::atof(next());
+      real(args.duration_s);
     } else if (flag == "--measured") {
-      args.measured_s = std::atof(next());
+      real(args.measured_s.emplace());
     } else if (flag == "--bottleneck") {
-      args.bottleneck_mbps = std::atof(next());
+      real(args.bottleneck_mbps);
     } else if (flag == "--delay") {
-      args.link_delay_ms = std::atof(next());
+      real(args.link_delay_ms.emplace());
     } else if (flag == "--alpha") {
-      args.alpha = std::atof(next());
+      real(args.alpha);
     } else if (flag == "--beta") {
-      args.beta = std::atof(next());
+      real(args.beta);
     } else if (flag == "--seed") {
-      args.seed = std::strtoull(next(), nullptr, 10);
+      unsigned_integer(args.seed);
     } else if (flag == "--trace") {
       args.trace_path = next();
     } else if (flag == "--ts-out") {
       args.ts_out = next();
     } else if (flag == "--ts-interval") {
-      args.ts_interval_s = std::atof(next());
+      real(args.ts_interval_s);
     } else if (flag == "--validate") {
       args.validate = true;
     } else if (flag == "--telemetry") {
@@ -208,28 +257,27 @@ bool parse(int argc, char** argv, Args& args) {
     } else if (flag == "--workload") {
       args.workload = next();
     } else if (flag == "--arrival-rate") {
-      args.arrival_rate = std::atof(next());
+      real(args.arrival_rate);
     } else if (flag == "--max-concurrent") {
-      args.max_concurrent = std::atoi(next());
+      integer(args.max_concurrent.emplace());
     } else if (flag == "--id-slots") {
-      args.id_slots = std::atoi(next());
+      integer(args.id_slots.emplace());
     } else if (flag == "--expect-concurrent") {
-      args.expect_concurrent =
-          static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+      std::uint64_t n = 0;
+      unsigned_integer(n);
+      args.expect_concurrent = static_cast<std::size_t>(n);
     } else if (flag == "--no-batch") {
       args.no_batch = true;
     } else if (flag == "--par") {
-      args.par = std::atoi(next());
-    } else if (flag == "--engine") {
-      args.engine = next();
+      integer(args.par);
     } else if (flag == "--fuzz") {
-      args.fuzz_count = std::atoi(next());
+      integer(args.fuzz_count.emplace());
     } else if (flag == "--fuzz-seed") {
-      args.fuzz_seed = std::strtoull(next(), nullptr, 10);
+      unsigned_integer(args.fuzz_seed.emplace());
     } else if (flag == "--fuzz-artifacts") {
       args.fuzz_artifacts = next();
     } else if (flag == "--jobs") {
-      args.jobs = std::atoi(next());
+      integer(args.jobs);
     } else {
       std::fprintf(stderr, "unknown flag %s (try --help)\n", flag.c_str());
       return false;
@@ -307,16 +355,26 @@ std::vector<std::string> check_args(const Args& args) {
   if (args.id_slots && *args.id_slots < 1) {
     add("--id-slots must be >= 1", *args.id_slots);
   }
-  if (args.par < 0) add("--par must be >= 0", args.par);
-  if (!args.engine.empty()) {
-    if (args.engine != "conservative" && args.engine != "optimistic") {
-      errors.push_back("--engine must be conservative or optimistic, got " +
-                       args.engine);
-    }
-    if (args.par < 1) {
-      add("--engine needs --par >= 1 (a run without --par has no engine)",
-          args.par);
-    }
+  if (!(args.par >= 0 && args.par <= 64)) {
+    add("--par must be in 0..64", args.par);
+  }
+  if (!(args.jobs >= 1 && args.jobs <= 64)) {
+    add("--jobs must be in 1..64", args.jobs);
+  }
+  if (args.fuzz_count && *args.fuzz_count < 1) {
+    add("--fuzz must be >= 1", *args.fuzz_count);
+  }
+  if (args.workload == "million" && args.par >= 1) {
+    // The preset starts its whole on/off population in one nanosecond on
+    // one host; under --par every one of those starts takes a stamp, and a
+    // stamp has room for 1024 ops per node per nanosecond.
+    char rule[192];
+    std::snprintf(rule, sizeof(rule),
+                  "--workload million cannot run with --par: it starts its "
+                  "whole population in one nanosecond on one host, past the "
+                  "stamp budget of %u ops per node per nanosecond",
+                  1u << sim::Scheduler::kStampOpBits);
+    errors.emplace_back(rule);
   }
   core::TcpPrConfig pr;
   pr.alpha = args.alpha;
@@ -402,8 +460,11 @@ std::unique_ptr<harness::Scenario> build(const Args& args) {
 
 int main(int argc, char** argv) {
   Args args;
-  if (!parse(argc, argv, args)) return 1;
-  if (const auto errors = check_args(args); !errors.empty()) {
+  std::vector<std::string> errors;
+  if (!parse(argc, argv, args, errors)) return 1;
+  // Range checks only make sense on values that parsed.
+  if (errors.empty()) errors = check_args(args);
+  if (!errors.empty()) {
     for (const std::string& e : errors) {
       std::fprintf(stderr, "tcppr_sim: %s\n", e.c_str());
     }
@@ -411,16 +472,11 @@ int main(int argc, char** argv) {
     usage(stderr);
     return 2;
   }
-  // Unset keeps a fuzz case's sampled engine mode; a plain run is then
-  // conservative.
-  std::optional<bool> optimistic;
-  if (!args.engine.empty()) optimistic = args.engine == "optimistic";
 
   if (args.fuzz_seed) {
     auto c = validate::sample_fuzz_case(*args.fuzz_seed);
     c.par_lps = args.par;
     c.batching = !args.no_batch;
-    if (optimistic) c.optimistic = *optimistic;
     std::printf("fuzz seed %llu: %s\n",
                 static_cast<unsigned long long>(*args.fuzz_seed),
                 validate::describe(c).c_str());
@@ -438,12 +494,12 @@ int main(int argc, char** argv) {
     std::printf("OK\n");
     return 0;
   }
-  if (args.fuzz_count > 0) {
+  if (args.fuzz_count) {
     const int failures = validate::run_fuzz_campaign(
-        args.seed, args.fuzz_count, args.jobs, /*quiet=*/false,
-        args.fuzz_artifacts, args.par, optimistic);
-    std::printf("fuzz: %d/%d seeds clean\n", args.fuzz_count - failures,
-                args.fuzz_count);
+        args.seed, *args.fuzz_count, args.jobs, /*quiet=*/false,
+        args.fuzz_artifacts, args.par);
+    std::printf("fuzz: %d/%d seeds clean\n", *args.fuzz_count - failures,
+                *args.fuzz_count);
     return failures == 0 ? 0 : 1;
   }
 
@@ -482,6 +538,9 @@ int main(int argc, char** argv) {
       // sequential-only; under --par the time-series output instead
       // carries the per-LP engine gauges published with the barrier
       // report after the run.
+      std::fprintf(stderr,
+                   "tcppr_sim: --par drops the --ts-out flow and queue "
+                   "probes; the series holds only the par.* engine gauges\n");
     } else {
       scenario->attach_observability(
           registry, sim::Duration::seconds(args.ts_interval_s));
@@ -515,7 +574,6 @@ int main(int argc, char** argv) {
   if (args.par >= 1) {
     harness::ParallelRunConfig pc;
     pc.lps = args.par;
-    pc.optimistic = optimistic.value_or(false);
     psim = std::make_unique<harness::ParallelSim>(*scenario, pc);
     if (checker) psim->set_checker(checker.get());
   } else if (checker) {
@@ -549,11 +607,22 @@ int main(int argc, char** argv) {
     wc.seed = args.seed ^ 0xC4u;
     engine = std::make_unique<workload::WorkloadEngine>(*scenario, wc,
                                                         psim.get());
-    if (series_sink && !psim) {
+    // Both hooks run on the thread that retires a flow, which under --par
+    // is a shard thread; the registry and the taps are not shared-safe.
+    if (series_sink && psim) {
+      std::fprintf(stderr, "tcppr_sim: --par drops the workload's metric "
+                           "registry; --ts-out holds no workload series\n");
+    } else if (series_sink) {
       registry.set_aggregate_only(true);  // churn scale: no per-flow labels
       engine->set_metric_registry(registry);
     }
-    if (telemetry && !psim) engine->set_telemetry(telemetry.get());
+    if (telemetry && psim) {
+      std::fprintf(stderr, "tcppr_sim: --par drops the workload's telemetry "
+                           "retire; departed flows stay in the link taps "
+                           "until displaced\n");
+    } else if (telemetry) {
+      engine->set_telemetry(telemetry.get());
+    }
     engine->start();
   }
 
@@ -568,33 +637,22 @@ int main(int argc, char** argv) {
               args.topology.c_str(), args.duration_s, measured_seconds(args),
               static_cast<unsigned long long>(args.seed));
   if (psim) {
-    std::printf("parallel: %d LPs (%d requested), engine=%s, %llu windows, "
+    std::printf("parallel: %d LPs (%d requested), %llu windows, "
                 "%llu cross-LP packets\n",
                 psim->lp_count(), args.par,
-                optimistic.value_or(false) ? "optimistic" : "conservative",
                 static_cast<unsigned long long>(psim->windows()),
                 static_cast<unsigned long long>(psim->exchanged()));
-    if (optimistic.value_or(false)) {
-      std::printf("  engine: %llu spec windows (%llu rolled back, "
-                  "%llu LP rollbacks), W=%.0fus\n",
-                  static_cast<unsigned long long>(psim->spec_windows()),
-                  static_cast<unsigned long long>(psim->rollback_windows()),
-                  static_cast<unsigned long long>(psim->rollbacks()),
-                  static_cast<double>(psim->speculation_w().as_nanos()) / 1e3);
-    }
-    // Per-LP barrier report: window utilization against the busiest LP,
-    // cross-LP traffic sourced at each LP, and the optimism footprint.
+    // Per-LP barrier report: window utilization against the busiest LP
+    // and the cross-LP traffic sourced at each LP.
     const auto reports = psim->lp_reports();
-    std::printf("  %-4s %12s %6s %12s %10s %10s\n", "lp", "events", "util",
-                "cross-LP", "rollbacks", "snap (B)");
+    std::printf("  %-4s %12s %6s %12s\n", "lp", "events", "util",
+                "cross-LP");
     for (std::size_t i = 0; i < reports.size(); ++i) {
       const auto& r = reports[i];
-      std::printf("  %-4zu %12llu %5.1f%% %12llu %10llu %10llu\n", i,
+      std::printf("  %-4zu %12llu %5.1f%% %12llu\n", i,
                   static_cast<unsigned long long>(r.events),
                   100.0 * r.utilization,
-                  static_cast<unsigned long long>(r.cross_pushed),
-                  static_cast<unsigned long long>(r.rollbacks),
-                  static_cast<unsigned long long>(r.snapshot_bytes));
+                  static_cast<unsigned long long>(r.cross_pushed));
     }
     if (series_sink) {
       psim->publish_metrics(registry,
