@@ -62,8 +62,6 @@ ParallelSim::ParallelSim(Scenario& scenario, const ParallelRunConfig& config)
       lp_tracers_.back()->add_sink(sinks_.back().get());
     }
   }
-  lp_events_.assign(static_cast<std::size_t>(k), 0);
-  lp_prev_processed_.assign(static_cast<std::size_t>(k), 0);
 
   // Wiring happens before the run, while links are idle, so the checked
   // setters apply.
@@ -75,20 +73,17 @@ ParallelSim::ParallelSim(Scenario& scenario, const ParallelRunConfig& config)
     node.set_packet_pool(pools_[static_cast<std::size_t>(lp)]);
   }
   // A link's queue/transmit/propagation events all run on its *source*
-  // LP; only the final delivery may cross (mailbox + injected ring armed
-  // on the destination shard, writing into the destination node's pool).
+  // LP; only the final delivery may cross (mailbox, then the delivery ring
+  // on the destination LP's pump, in the destination node's pool).
   for (const auto& link : nw.links()) {
-    const int lp = lp_of(link->from());
-    const int dst = lp_of(link->to());
-    link->set_scheduler(*shards_[static_cast<std::size_t>(lp)]);
-    link->set_packet_pool(pools_[static_cast<std::size_t>(lp)]);
-    link->set_tracer(lp_tracers_[static_cast<std::size_t>(lp)].get());
-    link->set_injection_scheduler(shards_[static_cast<std::size_t>(dst)]);
-    if (!pumps_.empty()) {
-      link->set_pump(pumps_[static_cast<std::size_t>(lp)].get());
-    }
+    const auto lp = static_cast<std::size_t>(lp_of(link->from()));
+    link->set_scheduler(*shards_[lp]);
+    link->set_packet_pool(pools_[lp]);
+    link->set_tracer(lp_tracers_[lp].get());
+    if (!pumps_.empty()) link->set_pump(pumps_[lp].get());
   }
   // Each cut link gets a mailbox; its lookahead bounds every window.
+  inboxes_.resize(static_cast<std::size_t>(k));
   for (net::Link* cut : partition_.cut_links()) {
     mailboxes_.emplace_back();
     Mailbox& mb = mailboxes_.back();
@@ -96,7 +91,10 @@ ParallelSim::ParallelSim(Scenario& scenario, const ParallelRunConfig& config)
     mb.src_lp = lp_of(cut->from());
     mb.dst_lp = lp_of(cut->to());
     mb.lookahead = cut->prop_delay();
-    cut->set_remote_channel(&mb.channel);
+    const auto dst = static_cast<std::size_t>(mb.dst_lp);
+    cut->set_remote_channel(&mb.channel, shards_[dst],
+                            pumps_.empty() ? nullptr : pumps_[dst].get());
+    inboxes_[dst].push_back(&mb);
   }
 
   for (const auto& s : scenario_.senders) {
@@ -181,10 +179,7 @@ std::uint64_t ParallelSim::events_processed() const {
 std::uint64_t ParallelSim::external_in_flight() const {
   std::uint64_t total = 0;
   for (const Mailbox& mb : mailboxes_) {
-    total += mb.channel.pushed - mb.channel.executed;
-  }
-  for (const auto& link : scenario_.network.links()) {
-    total += link->injected_pending();
+    total += mb.channel.fill.msgs.size() + mb.channel.drain.msgs.size();
   }
   return total;
 }
@@ -192,13 +187,19 @@ std::uint64_t ParallelSim::external_in_flight() const {
 std::vector<ParallelSim::LpReport> ParallelSim::lp_reports() const {
   std::vector<LpReport> out(shards_.size());
   std::uint64_t busiest = 0;
-  for (const std::uint64_t e : lp_events_) busiest = std::max(busiest, e);
   for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i].events = lp_events_[i];
-    out[i].utilization =
-        busiest > 0 ? static_cast<double>(lp_events_[i]) /
-                          static_cast<double>(busiest)
-                    : 0.0;
+    out[i].ops = shards_[i]->processed_count();
+    if (!pumps_.empty()) {
+      // A carrier event counts as the ops it ran.
+      const net::LinkPump::Stats& s = pumps_[i]->stats();
+      out[i].ops += s.ops - s.events;
+    }
+    busiest = std::max(busiest, out[i].ops);
+  }
+  for (LpReport& r : out) {
+    r.utilization = busiest > 0 ? static_cast<double>(r.ops) /
+                                      static_cast<double>(busiest)
+                                : 0.0;
   }
   for (const Mailbox& mb : mailboxes_) {
     out[static_cast<std::size_t>(mb.src_lp)].cross_pushed +=
@@ -212,7 +213,7 @@ void ParallelSim::publish_metrics(obs::MetricRegistry& registry,
   const auto gauge = [&](const char* name) {
     return registry.intern(name, obs::MetricKind::kGauge);
   };
-  const obs::MetricId lp_events = gauge("par.lp.events");
+  const obs::MetricId lp_ops = gauge("par.lp.ops");
   const obs::MetricId lp_util = gauge("par.lp.utilization");
   const obs::MetricId lp_cross = gauge("par.lp.cross_pushed");
   const auto reports = lp_reports();
@@ -220,7 +221,7 @@ void ParallelSim::publish_metrics(obs::MetricRegistry& registry,
     // The flow label carries the LP index: one labeled series per LP, the
     // same trick the per-flow probes use.
     const auto lp = static_cast<net::FlowId>(i);
-    registry.set(t, lp_events, lp, static_cast<double>(reports[i].events));
+    registry.set(t, lp_ops, lp, static_cast<double>(reports[i].ops));
     registry.set(t, lp_util, lp, reports[i].utilization);
     registry.set(t, lp_cross, lp,
                  static_cast<double>(reports[i].cross_pushed));
@@ -231,7 +232,10 @@ void ParallelSim::publish_metrics(obs::MetricRegistry& registry,
 
 void ParallelSim::run_until(sim::TimePoint end) {
   sim::ParallelEngine::Hooks hooks;
-  hooks.exchange = [this] { return exchange(); };
+  hooks.exchange = [this](std::vector<sim::TimePoint>& inbox) {
+    return exchange(inbox);
+  };
+  hooks.drain = [this](std::size_t lp) { drain(lp); };
   hooks.at_barrier = [this](sim::TimePoint h) { at_barrier(h); };
   std::vector<sim::ParallelEngine::CutEdge> cuts;
   for (const Mailbox& mb : mailboxes_) {
@@ -244,33 +248,33 @@ void ParallelSim::run_until(sim::TimePoint end) {
   if (tracing_) flush_traces(sim::TimePoint::max());
 }
 
-std::uint64_t ParallelSim::exchange() {
-  std::uint64_t injected = 0;
-  // Deterministic drain order (mailbox creation order, push order within
-  // one mailbox); final ordering comes from the stamps, not this loop.
+std::uint64_t ParallelSim::exchange(std::vector<sim::TimePoint>& inbox) {
+  std::uint64_t handed = 0;
   for (Mailbox& mb : mailboxes_) {
-    auto& buf = mb.channel.buf;
-    if (buf.empty()) continue;
-    for (net::CrossLinkMsg& msg : buf) {
-      // The ring entry arms one event on the destination shard at the
-      // stamp minted on the source shard — exactly the op
-      // position the sequential delivery-schedule call occupies.
-      mb.link->queue_injected(msg.at, msg.stamp, msg.pkt);
-      ++mb.channel.executed;
-      ++injected;
-    }
-    buf.clear();
+    net::CrossLinkChannel& ch = mb.channel;
+    TCPPR_DCHECK(ch.drain.msgs.empty());
+    std::swap(ch.fill, ch.drain);
+    handed += ch.drain.msgs.size();
+    sim::TimePoint& first = inbox[static_cast<std::size_t>(mb.dst_lp)];
+    first = std::min(first, ch.drain.earliest);
   }
-  return injected;
+  return handed;
+}
+
+void ParallelSim::drain(std::size_t lp) {
+  // Drain order is irrelevant: each packet's delivery key is the (at,
+  // stamp) minted on its source shard.
+  for (Mailbox* mb : inboxes_[lp]) {
+    net::CrossLinkChannel::Buffer& in = mb->channel.drain;
+    for (const net::CrossLinkMsg& msg : in.msgs) {
+      mb->link->inject(msg.at, msg.stamp, msg.pkt);
+    }
+    in.msgs.clear();
+    in.earliest = sim::TimePoint::max();
+  }
 }
 
 void ParallelSim::at_barrier(sim::TimePoint h) {
-  // Per-LP event deltas since the previous barrier.
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const std::uint64_t p = shards_[i]->processed_count();
-    lp_events_[i] += p - lp_prev_processed_[i];
-    lp_prev_processed_[i] = p;
-  }
   if (tracing_) flush_traces(h);
   // Advance the (empty) build scheduler's clock so wall-clock readers —
   // violation timestamps, stats printed mid-run — see the barrier time.

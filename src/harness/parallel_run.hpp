@@ -25,13 +25,15 @@
 //      app-layer sources, short-flow generators) and the CHECK names the
 //      misuse instead of silently diverging.
 //
-// During the run the exchange hook drains each mailbox — in deterministic
-// order — into the destination link's injected-arrivals ring, which arms
-// one event per entry on the destination shard at the stamp minted on the
+// During the run each barrier hands every mailbox to its destination LP
+// (a buffer swap), and that LP's own thread drains it at the start of its
+// next window: each packet is written once into the LP's pool and enters
+// the cut link's delivery ring on the LP's pump at the stamp minted on the
 // source shard (exactly the op position the sequential delivery-schedule
-// call occupies). Buffered trace records merge in (time, stamp, emission)
-// order into the scenario's real tracer; each barrier flushes the records
-// below its horizon (DESIGN.md §4.10).
+// call occupies), so cross-LP deliveries batch like local ones. Buffered
+// trace records merge in (time, stamp, emission) order into the
+// scenario's real tracer; each barrier flushes the records below its
+// horizon (DESIGN.md §4.10).
 #pragma once
 
 #include <cstdint>
@@ -89,11 +91,12 @@ class ParallelSim {
 
   // Sweeps at every barrier (do not start() the checker's own timer in
   // parallel mode); also wires the external in-flight provider so packet
-  // conservation balances while packets ride the mailboxes and rings.
+  // conservation balances while packets ride the mailboxes.
   void set_checker(validate::InvariantChecker* checker);
 
-  // Cross-shard packets pushed but whose delivery has not yet executed:
-  // mailbox residency plus injected-ring residency.
+  // Cross-shard packets riding the mailboxes, not yet drained into their
+  // destination pool (drained ones count as on-link there). Read it only
+  // between windows.
   std::uint64_t external_in_flight() const;
   std::uint64_t windows() const { return windows_; }
   // Cross-LP packets handed to their destination shards by the barrier
@@ -101,12 +104,13 @@ class ParallelSim {
   // returns.
   std::uint64_t exchanged() const { return exchanged_; }
 
-  // Per-LP barrier report (tcppr_sim --par prints this; the obs gauges
-  // mirror it). `utilization` is the LP's executed-event share of the
-  // busiest LP over the whole run — the window-utilization model of
-  // DESIGN.md §4.10.
+  // Per-LP report (tcppr_sim --par prints this; the obs gauges mirror
+  // it). `ops` is the LP's work: its non-carrier scheduler events plus its
+  // pump ops, i.e. the events the unbatched engine would fire.
+  // `utilization` is its share of the busiest LP's ops over the whole run
+  // — the window-utilization model of DESIGN.md §4.10.
   struct LpReport {
-    std::uint64_t events = 0;
+    std::uint64_t ops = 0;
     double utilization = 0.0;
     std::uint64_t cross_pushed = 0;
   };
@@ -159,7 +163,8 @@ class ParallelSim {
     sim::Duration lookahead = sim::Duration::zero();
   };
 
-  std::uint64_t exchange();
+  std::uint64_t exchange(std::vector<sim::TimePoint>& inbox);
+  void drain(std::size_t lp);
   void at_barrier(sim::TimePoint h);
   // Flushes buffered records strictly below `below` (TimePoint::max() at
   // the end of the run flushes everything).
@@ -176,12 +181,9 @@ class ParallelSim {
   std::vector<std::unique_ptr<trace::Tracer>> lp_tracers_;
   std::vector<std::unique_ptr<BufferSink>> sinks_;  // empty when not tracing
   std::deque<Mailbox> mailboxes_;  // deque: links hold channel pointers
+  std::vector<std::vector<Mailbox*>> inboxes_;  // by destination LP
   std::vector<BufferSink::Keyed> merge_;  // flush scratch
   validate::InvariantChecker* checker_ = nullptr;
-
-  // Per-LP report counters.
-  std::vector<std::uint64_t> lp_events_;
-  std::vector<std::uint64_t> lp_prev_processed_;
 
   std::uint64_t windows_ = 0;
   std::uint64_t exchanged_ = 0;

@@ -32,15 +32,18 @@ void Link::set_scheduler(sim::Scheduler& sched) {
   queue_->set_time_source(sched_, bandwidth_bps_);
 }
 
-void Link::set_remote_channel(CrossLinkChannel* channel) {
+void Link::set_remote_channel(CrossLinkChannel* channel,
+                              sim::Scheduler* dst_sched, LinkPump* dst_pump) {
   remote_ = channel;
-  if (channel != nullptr) {
-    TCPPR_CHECK(prop_delay_ > sim::Duration::zero());
-    lookahead_frozen_ = true;
-    frozen_lookahead_ = prop_delay_;
-  } else {
-    lookahead_frozen_ = false;
-  }
+  lookahead_frozen_ = channel != nullptr;
+  if (channel == nullptr) return;
+  TCPPR_CHECK(prop_delay_ > sim::Duration::zero());
+  TCPPR_CHECK(dst_sched != nullptr && ring_.empty());
+  TCPPR_CHECK(dst_pump == nullptr || &dst_pump->scheduler() == dst_sched);
+  frozen_lookahead_ = prop_delay_;
+  dst_sched_ = dst_sched;
+  delivery_pump_ = dst_pump;
+  if (dst_pump != nullptr) delivery_pump_id_ = dst_pump->add_link(this);
 }
 
 void Link::set_loss_model(double loss_rate, sim::Rng rng) {
@@ -68,10 +71,13 @@ void Link::set_pump(LinkPump* pump) {
   TCPPR_CHECK(pump == nullptr || &pump->scheduler() == sched_);
   pump_ = pump;
   if (pump_ != nullptr) pump_id_ = pump_->add_link(this);
+  delivery_pump_ = pump_;
+  delivery_pump_id_ = pump_id_;
 }
 
 void Link::detach_pump() {
   pump_ = nullptr;
+  delivery_pump_ = nullptr;
   tx_pending_ = false;
   tx_pkt_.reset();
   ring_.clear();
@@ -188,17 +194,18 @@ void Link::complete_packet(PooledPacket pkt) {
     // bookkeeping happens now (delivery is certain once the loss lottery
     // above passed), the packet rides the mailbox, and the stamp minted
     // here occupies exactly the op position the delivery-schedule call
-    // below holds in the sequential run — so the injected event ties
-    // against local events the same way the sequential scheduler would
-    // have broken them.
+    // below holds in the sequential run — so the injected delivery ties
+    // against local ops the same way the sequential scheduler would have
+    // broken them.
     ++stats_.delivered;
     stats_.bytes_delivered += pkt->size_bytes;
     if (!skip_transit_decrement_) --in_transit_;
     ++remote_->pushed;
-    remote_->buf.push_back(
-        CrossLinkMsg{sched_->now() + delivery_delay,
-                     sched_->make_stamp(static_cast<std::uint32_t>(from_)),
-                     *pkt});
+    const sim::TimePoint at = sched_->now() + delivery_delay;
+    CrossLinkChannel::Buffer& out = remote_->fill;
+    out.msgs.push_back(CrossLinkMsg{
+        at, sched_->make_stamp(static_cast<std::uint32_t>(from_)), *pkt});
+    if (at < out.earliest) out.earliest = at;
     return;  // the packet crosses by value; its slot returns to this pool
   }
   const sim::TimePoint at = sched_->now() + delivery_delay;
@@ -211,48 +218,40 @@ void Link::complete_packet(PooledPacket pkt) {
   // either way later mints sort later; assert it rather than assume it.
   TCPPR_DCHECK(!last_tx_mint_valid_ || last_tx_mint_.at != sched_->now() ||
                seq > last_tx_mint_.seq);
-  if (pump_ != nullptr) {
+  schedule_delivery(*sched_, pool_, at, seq, std::move(pkt));
+}
+
+void Link::inject(sim::TimePoint at, std::uint64_t seq, const Packet& pkt) {
+  TCPPR_DCHECK(remote_ != nullptr && dst_node_ != nullptr);
+  ++injected_pending_;
+  const std::shared_ptr<PacketPool>& pool = dst_node_->shared_packet_pool();
+  schedule_delivery(*dst_sched_, pool, at, seq, pool->make(pkt));
+}
+
+void Link::schedule_delivery(sim::Scheduler& sched,
+                             const std::shared_ptr<PacketPool>& pool,
+                             sim::TimePoint at, std::uint64_t seq,
+                             PooledPacket pkt) {
+  if (delivery_pump_ != nullptr) {
     insert_delivery(at, seq, std::move(pkt));
     return;
   }
-  sched_->schedule_at_stamped(
-      at, seq, [this, c = CarriedPacket{pool_, std::move(pkt)}]() mutable {
+  sched.schedule_at_stamped(
+      at, seq, [this, c = CarriedPacket{pool, std::move(pkt)}]() mutable {
         deliver_one(std::move(c.pkt));
       });
 }
 
 void Link::deliver_one(PooledPacket p) {
-  ++stats_.delivered;
-  stats_.bytes_delivered += p->size_bytes;
-  if (!skip_transit_decrement_) --in_transit_;
-  if (tap_ != nullptr) tap_->on_deliver(*p);
-  TCPPR_DCHECK(dst_node_ != nullptr);
-  dst_node_->receive(std::move(p));
-}
-
-void Link::queue_injected(sim::TimePoint at, std::uint64_t seq,
-                          const Packet& pkt) {
-  injected_.push_back(InjectedEntry{at, seq, pkt});
-  // Same sorted-merge discipline as insert_delivery: barrier drains push
-  // in mailbox order, delivery order comes from the (at, seq) keys.
-  std::size_t i = injected_.size() - 1;
-  while (i > 0 && (at < injected_[i - 1].at ||
-                   (at == injected_[i - 1].at && seq < injected_[i - 1].seq))) {
-    std::swap(injected_[i], injected_[i - 1]);
-    --i;
+  if (remote_ == nullptr) {
+    ++stats_.delivered;
+    stats_.bytes_delivered += p->size_bytes;
+    if (!skip_transit_decrement_) --in_transit_;
+  } else {
+    --injected_pending_;  // source-owned counters moved at push time
   }
-  TCPPR_DCHECK(injection_sched_ != nullptr);
-  // One event per entry, each at its own key: events fire in key order, so
-  // when this one fires its entry is exactly the ring head.
-  injection_sched_->schedule_at_stamped(at, seq, [this] { pop_injected(); });
-}
-
-void Link::pop_injected() {
-  TCPPR_DCHECK(!injected_.empty());
-  TCPPR_DCHECK(dst_node_ != nullptr);
-  PooledPacket p = dst_node_->packet_pool().make(injected_.front().pkt);
-  injected_.drop_front();
   if (tap_ != nullptr) tap_->on_deliver(*p);
+  TCPPR_DCHECK(dst_node_ != nullptr);
   dst_node_->receive(std::move(p));
 }
 
@@ -272,7 +271,8 @@ void Link::insert_delivery(sim::TimePoint at, std::uint64_t seq,
   if (i == 0) {
     // New head: the first entry, or an early arrival that overtook the old
     // head (the pump moves the stream's slot earlier).
-    pump_->push_op(PumpKey{at, seq}, pump_id_, PumpOp::kDeliver);
+    delivery_pump_->push_op(PumpKey{at, seq}, delivery_pump_id_,
+                            PumpOp::kDeliver);
   }
 }
 

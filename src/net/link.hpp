@@ -43,22 +43,28 @@ struct LinkStats {
 
 // Mailbox of one cut link in parallel mode: packets that finished their
 // loss lottery on the source shard and are travelling toward a node owned
-// by another shard. The source shard's thread appends during safe windows;
-// the coordinator drains at the barrier (the window/barrier phase
-// alternation is the synchronization — no locking). `stamp` is the
-// tie-break sequence minted on the source shard at push time, i.e. the
-// position the delivery-schedule op holds in the sequential run. The
-// packet rides by value: it leaves the source LP's pool here and enters
-// the destination node's pool when its injected-ring entry pops.
+// by another shard. It is double-buffered: the source shard's thread
+// appends to `fill` during a window while the destination shard's thread
+// drains `drain`, which the coordinator handed over at the previous
+// barrier by swapping the two with every worker parked (the
+// window/barrier alternation is the synchronization — no locking).
+// `stamp` is the tie-break sequence minted on the source shard at push
+// time, i.e. the position the delivery-schedule op holds in the
+// sequential run. The packet rides by value: it leaves the source LP's
+// pool here and is written into the destination node's pool when drained.
 struct CrossLinkMsg {
   sim::TimePoint at;
   std::uint64_t stamp = 0;
   Packet pkt;
 };
 struct CrossLinkChannel {
-  std::vector<CrossLinkMsg> buf;   // written by the source shard's thread
-  std::uint64_t pushed = 0;        // source-thread counter
-  std::uint64_t executed = 0;      // destination-thread counter
+  struct Buffer {
+    std::vector<CrossLinkMsg> msgs;
+    sim::TimePoint earliest = sim::TimePoint::max();  // min `at` in msgs
+  };
+  Buffer fill;               // written by the source shard's thread
+  Buffer drain;              // read by the destination shard's thread
+  std::uint64_t pushed = 0;  // source-thread counter
 };
 
 class Link {
@@ -73,10 +79,10 @@ class Link {
   void set_destination(Node* node) { dst_node_ = node; }
   void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
   // Telemetry tap observing this link's delivery stream (one-branch-when-
-  // off, same discipline as the tracer). The tap is invoked from both
-  // delivery call sites — local deliveries (per-event or pumped) and
-  // cross-shard injected ones — so it sees the full stream in delivery
-  // order regardless of engine mode.
+  // off, same discipline as the tracer). Every delivery, local or
+  // injected, pumped or per-event, passes through deliver_one on the
+  // destination node's shard, so the tap sees the full stream in delivery
+  // order at any LP count.
   void set_telemetry_tap(telemetry::ReorderTap* tap) { tap_ = tap; }
   // The pool of the link's source node: every packet the link holds lives
   // there (Network wires its own pool, ParallelSim the source LP's). Only
@@ -101,8 +107,12 @@ class Link {
   void set_scheduler(sim::Scheduler& sched);
   // Marks this link as a cut link: completed transmissions are pushed into
   // `channel` instead of being scheduled locally, and the current
-  // propagation delay becomes the immutable lookahead floor.
-  void set_remote_channel(CrossLinkChannel* channel);
+  // propagation delay becomes the immutable lookahead floor. Injected
+  // packets are delivered on `dst_sched`, the destination node's shard,
+  // through its pump `dst_pump` when batched. nullptr unmarks the link.
+  void set_remote_channel(CrossLinkChannel* channel,
+                          sim::Scheduler* dst_sched = nullptr,
+                          LinkPump* dst_pump = nullptr);
   sim::Scheduler& scheduler() { return *sched_; }
   // Changes the drain rate for future transmissions (mid-run capacity
   // change; the fuzzer uses this to model route/handover bandwidth shifts).
@@ -123,24 +133,17 @@ class Link {
   void set_down(bool down) { down_ = down; }
   bool is_down() const { return down_; }
 
-  // --- Injected-arrivals ring (parallel mode cut links) ------------------
-  // Cross-shard packets drained from the mailbox at a barrier park here
-  // until their delivery time. Each entry gets one scheduler event on the
-  // *destination* shard at the entry's exact (time, stamp) key, capturing
-  // only `this`. Source-side stats and in-transit accounting already
-  // happened at push time in complete_packet; delivery observation
-  // (telemetry tap, node hand-off) happens on pop, at the same layer as
-  // local deliveries.
-  // A pop writes the packet into the destination node's pool: pops run on
-  // the destination shard's thread, and pools are not thread-safe.
-  void set_injection_scheduler(sim::Scheduler* sched) {
-    injection_sched_ = sched;
-  }
-  void queue_injected(sim::TimePoint at, std::uint64_t seq,
-                      const Packet& pkt);
-  // Entries parked in the ring (counted into the conservation sweep's
-  // external in-flight term alongside the mailbox residency).
-  std::uint64_t injected_pending() const { return injected_.size(); }
+  // --- Cut-link injection (destination shard's thread) -------------------
+  // Writes a drained mailbox packet into the destination node's pool and
+  // schedules its delivery at (at, seq), the key minted on the source
+  // shard: into the delivery ring on the destination pump when batched,
+  // as one event on the destination shard otherwise — the same paths
+  // complete_packet gives local deliveries. Source-side stats and
+  // in-transit accounting already happened at push time.
+  void inject(sim::TimePoint at, std::uint64_t seq, const Packet& pkt);
+  // Injected packets not yet delivered: they live in the destination pool,
+  // so the conservation sweep counts them as on-link.
+  std::uint64_t injected_pending() const { return injected_pending_; }
 
   // Hands a packet to this link; may drop it immediately if the queue is
   // full. The handle must come from the link's pool (set_packet_pool).
@@ -150,7 +153,8 @@ class Link {
   // Routes this link's packet ops (tx completions, deliveries) through the
   // pump instead of dedicated scheduler events. The pump must be bound to
   // this link's scheduler; only legal while idle. nullptr restores the
-  // unbatched per-event path.
+  // unbatched per-event path. A cut link delivers through its destination
+  // shard's pump instead (set_remote_channel).
   void set_pump(LinkPump* pump);
   // Teardown variant: drops the pump wiring and any batched in-flight
   // state even when the link is mid-transmission (parallel-run
@@ -205,12 +209,16 @@ class Link {
   // transmission's sequence first (start_transmission), then the loss
   // lottery draw, then this packet's delivery sequence.
   void complete_packet(PooledPacket pkt);
-  // Delivery epilogue for one packet: stats, in-transit accounting, node
-  // hand-off.
+  // Schedules one delivery on the delivery pump's ring, or as its own
+  // event on `sched` (unbatched); the event keeps the packet's `pool`
+  // alive.
+  void schedule_delivery(sim::Scheduler& sched,
+                         const std::shared_ptr<PacketPool>& pool,
+                         sim::TimePoint at, std::uint64_t seq,
+                         PooledPacket pkt);
+  // Delivery epilogue for one packet: stats and in-transit accounting (on
+  // a cut link: the injected count), telemetry tap, node hand-off.
   void deliver_one(PooledPacket p);
-  // Pops the injected-ring head (the entry whose event just fired) and
-  // hands it to the destination node.
-  void pop_injected();
   // Sorted insert into the delivery ring (merge position by (at, seq);
   // append is O(1) for in-order deliveries, jittered ones swap backward).
   void insert_delivery(sim::TimePoint at, std::uint64_t seq,
@@ -248,28 +256,25 @@ class Link {
   // --- Batched hot path state --------------------------------------------
   LinkPump* pump_ = nullptr;
   std::uint32_t pump_id_ = 0;
+  // The delivery ring's pump: pump_, except on a cut link, whose ring
+  // belongs to the destination shard (dst_sched_) and its thread.
+  LinkPump* delivery_pump_ = nullptr;
+  std::uint32_t delivery_pump_id_ = 0;
+  sim::Scheduler* dst_sched_ = nullptr;
+  std::uint64_t injected_pending_ = 0;
   // Pending transmission-completion op (at most one; the transmitter is
   // serial).
   bool tx_pending_ = false;
   PumpKey tx_key_{};
   PooledPacket tx_pkt_{};
-  // Pending deliveries in (at, seq) order.
+  // Pending deliveries in (at, seq) order: a cut link's hold injected
+  // packets in the destination pool.
   struct DeliveryEntry {
     sim::TimePoint at;
     std::uint64_t seq;
     PooledPacket pkt;
   };
   util::RingDeque<DeliveryEntry> ring_;
-  // Cross-shard arrivals parked until their delivery time, in (at, seq)
-  // order. Popped by per-entry events on injection_sched_ (the destination
-  // node's shard).
-  struct InjectedEntry {
-    sim::TimePoint at;
-    std::uint64_t seq = 0;
-    Packet pkt;
-  };
-  util::RingDeque<InjectedEntry> injected_;
-  sim::Scheduler* injection_sched_ = nullptr;
   // Mint-order bookkeeping: the last transmission-schedule op minted, used
   // to assert that a delivery op minted in the same instant (i.e. after
   // the loss lottery that follows the mint) sorts after it — the op-order

@@ -110,7 +110,9 @@ Network::ConservationSnapshot Network::conservation() const {
     snap.link_lost += link->stats().lost;
     snap.queue_dropped += link->queue().stats().dropped;
     snap.in_queues += link->queue().length_packets();
-    snap.in_transit += link->in_transit();
+    // A cut link's injected packets wait on the destination shard, in
+    // the destination pool.
+    snap.in_transit += link->in_transit() + link->injected_pending();
     const PacketPool* pool = &link->packet_pool();
     if (std::find(pools.begin(), pools.end(), pool) == pools.end()) {
       pools.push_back(pool);

@@ -4,8 +4,10 @@
 // and stays in that slot until it is delivered to an agent or dropped:
 // queues, transmitters, delivery rings and sender bursts pass only the
 // slot's handle (PooledPacket, a unique_ptr whose deleter is the pool
-// pointer plus the slot index). The one copy left is at a parallel cut
-// link, where the packet crosses into another LP's pool by value.
+// pointer plus the slot index). The copies left are at a parallel cut
+// link: the packet rides the mailbox by value, and the destination LP's
+// own thread writes it into that LP's pool, so each pool is touched only
+// by its own LP's thread.
 //
 // Slots are individually allocated, so a handle's pointer stays valid
 // while the pool grows; the free list holds 32-bit slot indices, LIFO, so

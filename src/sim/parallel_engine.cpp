@@ -1,5 +1,6 @@
 #include "sim/parallel_engine.hpp"
 
+#include <algorithm>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
@@ -27,13 +28,23 @@ TimePoint ParallelEngine::safe_horizon() {
   for (const CutEdge& c : cuts_) {
     // An idle source shard imposes no bound: anything it ever sends is
     // caused by an arrival, which itself cannot land before the horizon
-    // the other edges imply.
-    const auto d = shards_[static_cast<std::size_t>(c.src_lp)]->next_deadline();
-    if (!d) continue;
-    const TimePoint bound = *d + c.lookahead;
+    // the other edges imply. Arrivals handed over but not yet drained are
+    // the shard's work too.
+    const auto src = static_cast<std::size_t>(c.src_lp);
+    TimePoint next = inbox_[src];
+    const auto d = shards_[src]->next_deadline();
+    if (d && *d < next) next = *d;
+    if (next == TimePoint::max()) continue;
+    const TimePoint bound = next + c.lookahead;
     if (bound < h) h = bound;
   }
   return h;
+}
+
+void ParallelEngine::barrier(TimePoint h) {
+  std::fill(inbox_.begin(), inbox_.end(), TimePoint::max());
+  exchanged_ += hooks_.exchange(inbox_);
+  if (hooks_.at_barrier) hooks_.at_barrier(h);
 }
 
 void ParallelEngine::run_until(TimePoint end) {
@@ -42,10 +53,10 @@ void ParallelEngine::run_until(TimePoint end) {
     // Single LP (or no coupling at all): plain sequential execution on
     // each shard — the degenerate but still byte-identical mode.
     for (Scheduler* s : shards_) s->run_until(end);
-    if (hooks_.exchange) exchanged_ += hooks_.exchange();
     if (hooks_.at_barrier) hooks_.at_barrier(end);
     return;
   }
+  inbox_.assign(n, TimePoint::max());
 
   // Persistent worker pool: worker i runs shard i+1; the coordinator runs
   // shard 0 and all barrier-phase work. A generation-counted condition
@@ -100,33 +111,31 @@ void ParallelEngine::run_until(TimePoint end) {
     if (h > end) break;
     ++windows_;
     const std::function<void(std::size_t)> window = [&, h](std::size_t i) {
+      hooks_.drain(i);
       shards_[i]->run_until_before(h);
     };
     run_window(window);
-    exchanged_ += hooks_.exchange();
-    if (hooks_.at_barrier) hooks_.at_barrier(h);
+    barrier(h);
   }
 
   // Final stretch: inclusive at `end`, repeated until no shard holds work
-  // at or before `end` (a window can inject events that land exactly at
-  // the end time; effects of same-time events cannot propagate past the
-  // end, so multi-pass execution here cannot reorder anything observable —
-  // the barrier merge still emits trace records in stamp order).
+  // at or before `end`, drained or not (a window can inject events that
+  // land exactly at the end time; effects of same-time events cannot
+  // propagate past the end, so multi-pass execution here cannot reorder
+  // anything observable — the barrier merge still emits trace records in
+  // stamp order).
   for (;;) {
     ++windows_;
     const std::function<void(std::size_t)> window = [&, end](std::size_t i) {
+      hooks_.drain(i);
       shards_[i]->run_until(end);
     };
     run_window(window);
-    exchanged_ += hooks_.exchange();
-    if (hooks_.at_barrier) hooks_.at_barrier(end);
+    barrier(end);
     bool more = false;
-    for (Scheduler* s : shards_) {
-      const auto d = s->next_deadline();
-      if (d && *d <= end) {
-        more = true;
-        break;
-      }
+    for (std::size_t i = 0; i < n && !more; ++i) {
+      const auto d = shards_[i]->next_deadline();
+      more = inbox_[i] <= end || (d && *d <= end);
     }
     if (!more) break;
   }
@@ -137,6 +146,9 @@ void ParallelEngine::run_until(TimePoint end) {
   }
   cv_start.notify_all();
   for (std::thread& t : workers) t.join();
+  // Arrivals past `end` wait in their destination shards: with the workers
+  // gone the coordinator writes them into every shard itself.
+  for (std::size_t i = 0; i < n; ++i) hooks_.drain(i);
 }
 
 }  // namespace tcppr::sim

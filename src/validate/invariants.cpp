@@ -223,8 +223,7 @@ std::string InvariantChecker::report() const {
 void InvariantChecker::check_conservation() {
   auto snap = scenario_.network.conservation();
   // Packets on links and in queues, before the parallel harness adds the
-  // ones riding cut-link mailboxes and injected rings (held by value,
-  // outside every pool).
+  // ones riding cut-link mailboxes (held by value, outside every pool).
   const std::uint64_t link_held = snap.in_queues + snap.in_transit;
   if (external_in_flight_) snap.in_transit += external_in_flight_();
   if (!snap.balanced()) {

@@ -83,10 +83,10 @@ class InvariantChecker {
   // barrier, where all shards are parked and state is coherent.
   void check_now();
 
-  // Parallel mode: packets riding a cut-link mailbox, or injected into
-  // the destination shard but not yet executed, are invisible to the
-  // network's conservation snapshot. The provider reports that count so
-  // conservation balances at barriers (ParallelSim::external_in_flight).
+  // Parallel mode: packets riding a cut-link mailbox are in no pool and on
+  // no link, so the network's conservation snapshot cannot see them. The
+  // provider reports that count so conservation balances at barriers
+  // (ParallelSim::external_in_flight).
   void set_external_in_flight(std::function<std::uint64_t()> provider) {
     external_in_flight_ = std::move(provider);
   }

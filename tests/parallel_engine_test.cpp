@@ -18,12 +18,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "harness/parallel_run.hpp"
 #include "harness/partition.hpp"
 #include "harness/scenarios.hpp"
+#include "net/link_pump.hpp"
 #include "sim/scheduler.hpp"
 #include "test_util.hpp"
 #include "validate/determinism.hpp"
@@ -192,6 +195,65 @@ TEST(ParallelCounters, ExchangedEqualsPerLpCrossPushes) {
   EXPECT_EQ(psim.exchanged(), pushed);
 }
 
+// Engine work of one run: pump ops, LP work summed over LPs (non-carrier
+// events + pump ops), scheduler events and packets delivered to agents.
+struct WorkCounts {
+  std::uint64_t pump_ops = 0;
+  std::uint64_t lp_ops = 0;
+  std::uint64_t events = 0;
+  std::uint64_t delivered = 0;
+};
+
+using MakeScenario = std::function<std::unique_ptr<Scenario>()>;
+
+WorkCounts run_work(const MakeScenario& make, int lps, bool batching) {
+  net::set_hot_path_batching(batching);
+  auto scenario = make();
+  net::set_hot_path_batching(true);  // restore the process default
+  ParallelSim psim(*scenario, lp_config(lps));
+  psim.run_until(sim::TimePoint::from_seconds(3.0));
+  WorkCounts out;
+  out.pump_ops = psim.pump_stats().ops;
+  for (const auto& r : psim.lp_reports()) out.lp_ops += r.ops;
+  out.events = psim.events_processed();
+  out.delivered = scenario->network.conservation().delivered_to_agent;
+  return out;
+}
+
+TEST(ParallelCounters, CrossLpPacketsRideTheDestinationPump) {
+  // A packet crossing a cut is delivered by the destination LP's pump like
+  // a local one, not by a scheduler event of its own: pump ops and summed
+  // LP work are the same at every LP count, that work is exactly the
+  // unbatched engine's event count, and cut runs stay under one event per
+  // delivered packet.
+  const std::vector<std::pair<const char*, MakeScenario>> plants = {
+      {"parking-lot",
+       [] { return harness::make_parking_lot(harness::ParkingLotConfig{}); }},
+      {"many-flows-256",
+       [] {
+         harness::ManyFlowsConfig cfg;
+         cfg.flows = 256;
+         return harness::make_many_flows(cfg);
+       }},
+  };
+  for (const auto& [name, make] : plants) {
+    const WorkCounts one = run_work(make, 1, true);
+    ASSERT_GT(one.pump_ops, 0u) << name;
+    for (const int lps : {1, 4}) {
+      EXPECT_EQ(run_work(make, lps, false).events, one.lp_ops)
+          << name << " unbatched lps=" << lps;
+    }
+    for (const int lps : {2, 4, 8}) {
+      const WorkCounts par = run_work(make, lps, true);
+      EXPECT_EQ(par.pump_ops, one.pump_ops) << name << " lps=" << lps;
+      EXPECT_EQ(par.lp_ops, one.lp_ops) << name << " lps=" << lps;
+      if (lps == 4) {
+        EXPECT_LT(par.events, par.delivered) << name << " lps=4";
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Many-flow scale path
 
@@ -297,8 +359,9 @@ TEST(ParallelInvariants, CheckerIsCleanAtBarriersAndTeardown) {
 }
 
 // Every variant x topology cell of the equivalence matrix, at 4 LPs, under
-// the checker: conservation (with packets riding mailboxes and injected
-// rings), sender/receiver and queue invariants must hold at every barrier.
+// the checker: conservation (with packets riding mailboxes and waiting in
+// destination pools), sender/receiver and queue invariants must hold at
+// every barrier.
 class ParallelInvariantMatrix
     : public ::testing::TestWithParam<std::tuple<TcpVariant, Topo>> {};
 

@@ -97,8 +97,9 @@ TEST(PoolOccupancy, RedBottleneckBetweenSlices) {
 
 TEST(PoolOccupancy, ParallelRunAcrossShortCuts) {
   // The clustered mesh's 100 us cuts keep windows short and cross-cluster
-  // packets riding the mailboxes and injected rings at every barrier: each
-  // LP's pool must still hold exactly its queued and on-link packets.
+  // packets riding the mailboxes at every barrier: each LP's pool must
+  // still hold exactly its queued and on-link packets, drained cross-LP
+  // arrivals included.
   harness::ClusteredMeshConfig cfg;
   cfg.clusters = 4;
   cfg.flows = 64;

@@ -28,8 +28,9 @@ time.
 
 Beyond wall time, the batched hot path is gated on its own metrics (both
 sides of each ratio come from the same run, so no machine calibration is
-involved): every batched row must report events_per_packet < 1, and the
-4096-flow dumbbell must hold a >= 1.3x batched-over-unbatched speedup.
+involved): every batched row, the parallel-harness rows included, must
+report events_per_packet < 1, and the 4096-flow dumbbell must hold a
+>= 1.3x batched-over-unbatched speedup.
 
 Multi-threaded rows (lps > 1) are skipped when the runner has fewer cores
 than the row needs worker threads — on such a machine the threads
@@ -77,8 +78,11 @@ GATED_PATTERNS = [
 
 # Batched hot-path acceptance: every batched row must land below one
 # scheduler event per delivered packet, and the 4096-flow dumbbell must
-# beat its unbatched twin by at least this factor end to end.
-BATCHED_ROW_RE = re.compile(r"^BM_(BatchDelivery/1$|ScaleFlowsDumbbell/.*batch:1$)")
+# beat its unbatched twin by at least this factor end to end. The
+# parallel-harness rows run batched at every LP count: cross-LP packets
+# ride the destination LP's pump like local ones.
+BATCHED_ROW_RE = re.compile(
+    r"^BM_(BatchDelivery/1$|ScaleFlowsDumbbell/.*batch:1$|ScaleFlowsParallel/)")
 BATCH_SPEEDUP_PAIR = ("BM_ScaleFlowsDumbbell/flows:4096/batch:1",
                       "BM_ScaleFlowsDumbbell/flows:4096/batch:0")
 BATCH_MIN_SPEEDUP = 1.3
@@ -352,6 +356,16 @@ def check_telemetry(current):
     return failures
 
 
+def same_run_failures(current, counters):
+    """Runs every gate that compares rows of one run with each other or
+    with fixed ceilings (no baseline, no machine factor); returns the
+    failure descriptions."""
+    return (check_batching(current, counters)
+            + check_churn(current, counters)
+            + check_million(current, counters)
+            + check_telemetry(current))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--current", required=True,
@@ -409,10 +423,7 @@ def main():
               f"current {current[name] / 1e6:.3f} ms "
               f"(adjusted {adjusted / 1e6:.3f} ms, {change:+.1%})")
 
-    failures += check_batching(current, cur_counters)
-    failures += check_churn(current, cur_counters)
-    failures += check_million(current, cur_counters)
-    failures += check_telemetry(current)
+    failures += same_run_failures(current, cur_counters)
 
     if checked == 0 and not failures:
         sys.exit("error: no gated benchmarks found in the baseline — "

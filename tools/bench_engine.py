@@ -22,7 +22,11 @@ e.g. one captured with:
 
 Exits non-zero when a benchmark binary is missing, crashes, exits with an
 error, or reports a per-benchmark error (google-benchmark error_occurred),
-so CI cannot silently record a partial run.
+so CI cannot silently record a partial run. It also runs bench_check.py's
+same-run gates (batching, churn, million-flow, telemetry) on the record
+before writing it, and exits 1 without writing when one fails; the
+wall-time comparison against a previous record stays with
+bench_check.py --current.
 
 Usage:
     python3 tools/bench_engine.py [--build-dir build] [--out BENCH_engine.json]
@@ -39,6 +43,8 @@ import subprocess
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "tools"))
+import bench_check  # noqa: E402  (the gates live there)
 
 # Seed-build numbers (ns), recorded on the reference box (1-core Xeon
 # 2.1 GHz, g++ 12.2, -O3). Benchmarks added together with the optimization
@@ -339,6 +345,14 @@ def main():
         },
         "benchmarks": benchmarks,
     }
+    print("same-run gates:", file=sys.stderr)
+    failures = bench_check.same_run_failures(
+        {name: row["after_ns"] for name, row in benchmarks.items()},
+        {name: row["counters"] for name, row in benchmarks.items()
+         if "counters" in row})
+    if failures:
+        sys.exit(f"FAIL: {len(failures)} same-run gate(s) failed, "
+                 f"{args.out} not written: {', '.join(failures)}")
     out = pathlib.Path(args.out)
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}", file=sys.stderr)

@@ -642,15 +642,15 @@ int main(int argc, char** argv) {
                 psim->lp_count(), args.par,
                 static_cast<unsigned long long>(psim->windows()),
                 static_cast<unsigned long long>(psim->exchanged()));
-    // Per-LP barrier report: window utilization against the busiest LP
-    // and the cross-LP traffic sourced at each LP.
+    // Per-LP report: work (non-carrier events + pump ops), its share of
+    // the busiest LP's, and the cross-LP traffic sourced at each LP.
     const auto reports = psim->lp_reports();
-    std::printf("  %-4s %12s %6s %12s\n", "lp", "events", "util",
+    std::printf("  %-4s %12s %6s %12s\n", "lp", "ops", "util",
                 "cross-LP");
     for (std::size_t i = 0; i < reports.size(); ++i) {
       const auto& r = reports[i];
       std::printf("  %-4zu %12llu %5.1f%% %12llu\n", i,
-                  static_cast<unsigned long long>(r.events),
+                  static_cast<unsigned long long>(r.ops),
                   100.0 * r.utilization,
                   static_cast<unsigned long long>(r.cross_pushed));
     }
