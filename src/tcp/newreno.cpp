@@ -5,7 +5,6 @@
 namespace tcppr::tcp {
 
 void NewRenoSender::handle_new_ack_in_recovery(SeqNo ack) {
-  snd_una_ = std::max(snd_una_, ack);
   if (ack >= recover_) {
     dupacks_ = 0;
     exit_recovery();

@@ -1,7 +1,6 @@
 #include "tcp/reno.hpp"
 
 #include <algorithm>
-#include <iterator>
 
 #include "util/check.hpp"
 #include "util/logging.hpp"
@@ -32,9 +31,8 @@ SenderInvariantView RenoSender::invariant_view() const {
   v.snd_nxt = snd_nxt_;
   v.window_bookkeeping = true;
   // Count only records inside the window: a go-back-N timeout rewinds
-  // snd_nxt_ without erasing the entries above it.
-  v.tracked_in_window = static_cast<std::int64_t>(std::distance(
-      tx_info_.lower_bound(snd_una_), tx_info_.lower_bound(snd_nxt_)));
+  // snd_nxt_ without releasing the records above it.
+  v.tracked_in_window = tx_.sent_in(snd_una_, snd_nxt_);
   v.has_rto = true;
   v.rto = rto_.rto();
   v.min_rto = rto_.params().min;
@@ -60,12 +58,9 @@ void RenoSender::send_new_data() {
     SenderBase::BurstScope burst(*this);
     while (static_cast<double>(flight_size()) + 1.0 <= usable_window() &&
            source_has(snd_nxt_)) {
-      auto& info = tx_info_[snd_nxt_];
       // After a go-back-N timeout, "new" sends below the old snd_nxt are
-      // really retransmissions; tx_count distinguishes them.
-      const bool rtx = info.tx_count > 0;
-      info.last_tx = now();
-      ++info.tx_count;
+      // really retransmissions; their records say so.
+      const bool rtx = tx_.record_tx(snd_una_, snd_nxt_, now());
       transmit_segment(snd_nxt_, rtx, next_tx_serial_++);
       ++snd_nxt_;
       sent = true;
@@ -75,9 +70,7 @@ void RenoSender::send_new_data() {
 }
 
 void RenoSender::retransmit(SeqNo seq) {
-  auto& info = tx_info_[seq];
-  info.last_tx = now();
-  ++info.tx_count;
+  tx_.record_tx(snd_una_, seq, now());
   transmit_segment(seq, /*is_retransmission=*/true, next_tx_serial_++);
 }
 
@@ -92,10 +85,8 @@ void RenoSender::restart_rto_timer() {
 void RenoSender::sample_rtt(SeqNo newly_acked_up_to) {
   // Karn's rule: only sample segments transmitted exactly once; the
   // newest acknowledged segment gives the freshest estimate.
-  const auto it = tx_info_.find(newly_acked_up_to - 1);
-  if (it == tx_info_.end()) return;
-  if (it->second.tx_count != 1) return;
-  rto_.add_sample(now() - it->second.last_tx);
+  const TxRecord& r = tx_[newly_acked_up_to - 1];
+  if (r.tx_count == 1) rto_.add_sample(now() - r.last_tx);
 }
 
 void RenoSender::on_ack_packet(const net::Packet& ack) {
@@ -113,14 +104,16 @@ void RenoSender::handle_new_ack(SeqNo ack) {
   sample_rtt(ack);
   rto_.reset_backoff();
   on_new_ack_hook();
+  // Released before the recovery path, which may retransmit at the new
+  // snd_una_ (NewReno's partial ACK).
+  tx_.release(snd_una_, ack);
+  snd_una_ = ack;
   if (in_recovery_) {
     handle_new_ack_in_recovery(ack);
   } else {
     dupacks_ = 0;
-    snd_una_ = std::max(snd_una_, ack);
     open_window_on_ack();
   }
-  tx_info_.erase(tx_info_.begin(), tx_info_.lower_bound(snd_una_));
   note_progress(snd_una_);
   // RFC 3782 "Impatient": during recovery only the first partial ACK may
   // reset the retransmission timer, so a window with many holes escapes to
@@ -130,11 +123,10 @@ void RenoSender::handle_new_ack(SeqNo ack) {
   if (!in_recovery_) restart_rto_timer();
 }
 
-void RenoSender::handle_new_ack_in_recovery(SeqNo ack) {
+void RenoSender::handle_new_ack_in_recovery(SeqNo) {
   // Classic Reno leaves recovery on the first new ACK, whether or not it
   // covers every segment outstanding at the loss (its known weakness with
   // multiple drops per window).
-  snd_una_ = std::max(snd_una_, ack);
   dupacks_ = 0;
   exit_recovery();
 }

@@ -1,14 +1,15 @@
 // TCP Reno sender: slow start, congestion avoidance, fast retransmit and
 // fast recovery with window inflation (RFC 5681), go-back-N on timeout as
 // in ns-2 (the substrate under which the paper's results were produced).
-// NewRenoSender refines recovery behaviour on partial ACKs.
+// NewRenoSender refines recovery behaviour on partial ACKs. Per-segment
+// transmission records live in a seq-indexed ring (tcp/tx_window.hpp).
 #pragma once
 
 #include <cstdint>
-#include <map>
 
 #include "tcp/rto.hpp"
 #include "tcp/sender_base.hpp"
+#include "tcp/tx_window.hpp"
 
 namespace tcppr::tcp {
 
@@ -38,7 +39,8 @@ class RenoSender : public SenderBase {
   void on_start() override;
   void on_ack_packet(const net::Packet& ack) override;
 
-  // Hook points for NewReno and TD-FR.
+  // Hook points for NewReno and TD-FR. handle_new_ack_in_recovery runs
+  // with snd_una_ already moved up to `ack`.
   virtual void handle_new_ack_in_recovery(SeqNo ack);
   virtual void enter_fast_recovery();
   virtual void on_new_ack_hook() {}
@@ -66,11 +68,7 @@ class RenoSender : public SenderBase {
   double inflation_ = 0;     // dupack window inflation during recovery
   std::uint32_t next_tx_serial_ = 1;
 
-  struct TxInfo {
-    sim::TimePoint last_tx;
-    int tx_count = 0;
-  };
-  std::map<SeqNo, TxInfo> tx_info_;  // [snd_una_, snd_nxt_)
+  TxWindow tx_;  // [snd_una_, snd_max)
 
   RtoEstimator rto_;
   sim::DeadlineTimer rto_timer_;

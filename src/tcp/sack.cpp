@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
+#include <optional>
 
 #include "util/check.hpp"
 #include "util/logging.hpp"
@@ -33,8 +33,7 @@ SenderInvariantView SackSender::invariant_view() const {
   v.snd_una = snd_una_;
   v.snd_nxt = snd_nxt_;
   v.window_bookkeeping = true;
-  v.tracked_in_window = static_cast<std::int64_t>(std::distance(
-      tx_info_.lower_bound(snd_una_), tx_info_.lower_bound(snd_nxt_)));
+  v.tracked_in_window = tx_.sent_in(snd_una_, snd_nxt_);
   v.has_rto = true;
   v.rto = rto_.rto();
   v.min_rto = rto_.params().min;
@@ -43,20 +42,22 @@ SenderInvariantView SackSender::invariant_view() const {
   v.rtx_timer_needed = started() && snd_nxt_ > snd_una_;
   v.rtx_timer_strict = true;
   // Scoreboard structure (RFC 3517): every mark lives inside the window,
-  // a segment is never both SACKed and lost, and only lost segments can
-  // have retransmissions in flight.
-  v.scoreboard_ok = true;
-  for (const SeqNo s : sacked_) {
-    if (s < snd_una_ || s >= snd_nxt_ || lost_.contains(s)) {
+  // a segment is never both SACKed and lost, only lost segments can have
+  // retransmissions in flight, and each running count matches a recount.
+  std::int64_t sacked = 0, lost = 0, rtx = 0;
+  for (SeqNo s = snd_una_; s < tx_.max(); ++s) {
+    const int m = tx_[s].marks;
+    const bool is_lost = (m & kLost) != 0;
+    sacked += (m & kSacked) != 0;
+    lost += is_lost;
+    rtx += (m & kRtxInFlight) != 0;
+    if ((m != 0 && s >= snd_nxt_) || (is_lost && (m & kSacked) != 0) ||
+        (!is_lost && (m & kRtxInFlight) != 0)) {
       v.scoreboard_ok = false;
     }
   }
-  for (const SeqNo s : lost_) {
-    if (s < snd_una_ || s >= snd_nxt_) v.scoreboard_ok = false;
-  }
-  for (const SeqNo s : rtx_in_flight_) {
-    if (!lost_.contains(s)) v.scoreboard_ok = false;
-  }
+  v.scoreboard_ok = v.scoreboard_ok && sacked == tx_.count(kSacked) &&
+                    lost == tx_.count(kLost) && rtx == tx_.count(kRtxInFlight);
   return v;
 }
 
@@ -69,16 +70,16 @@ int SackSender::effective_dupthresh() const {
 }
 
 double SackSender::pipe() const {
-  // RFC 3517 SetPipe via set cardinalities: segments in flight that are
+  // RFC 3517 SetPipe via the mark counts: segments in flight that are
   // neither SACKed nor marked lost, plus retransmissions in flight.
   // Against a receiver that never sends SACK blocks, each duplicate ACK
   // stands in for one delivered-but-unidentified segment (Linux's "reno
   // sack" emulation) — without it the pipe never drains during recovery
   // and the retransmission cannot be clocked out.
   const double range = static_cast<double>(snd_nxt_ - snd_una_);
-  double pipe = range - static_cast<double>(sacked_.size()) -
-                static_cast<double>(lost_.size()) +
-                static_cast<double>(rtx_in_flight_.size());
+  double pipe = range - static_cast<double>(tx_.count(kSacked)) -
+                static_cast<double>(tx_.count(kLost)) +
+                static_cast<double>(tx_.count(kRtxInFlight));
   if (!peer_sends_sack_) {
     pipe -= static_cast<double>(dupacks_);
   }
@@ -91,9 +92,9 @@ void SackSender::update_scoreboard(const net::Packet& ack) {
     const SeqNo lo = std::max(block.begin, snd_una_);
     const SeqNo hi = std::min(block.end, snd_nxt_);
     for (SeqNo s = lo; s < hi; ++s) {
-      if (sacked_.insert(s).second) {
-        lost_.erase(s);
-        rtx_in_flight_.erase(s);
+      if (!tx_.has(s, kSacked)) {
+        tx_.unmark(s, kLost | kRtxInFlight);
+        tx_.mark(s, kSacked);
         highest_sacked_ = std::max(highest_sacked_, s);
       }
     }
@@ -105,12 +106,12 @@ void SackSender::mark_lost_by_sack() {
   if (!in_recovery_ && !mark_losses_outside_recovery()) return;
   const SeqNo gap = effective_dupthresh();
   for (SeqNo s = snd_una_; s + gap <= highest_sacked_; ++s) {
-    if (!sacked_.contains(s)) lost_.insert(s);
+    if (!tx_.has(s, kSacked)) tx_.mark(s, kLost);
   }
 }
 
 bool SackSender::loss_detected() const {
-  return dupacks_ >= effective_dupthresh() || !lost_.empty();
+  return dupacks_ >= effective_dupthresh() || tx_.count(kLost) > 0;
 }
 
 void SackSender::on_ack_packet(const net::Packet& ack) {
@@ -135,11 +136,8 @@ void SackSender::on_ack_packet(const net::Packet& ack) {
 
   const SeqNo a = ack.tcp.ack;
   if (a > snd_una_) {
-    // RTT sample (Karn's rule) before the tx records are erased.
-    const auto it = tx_info_.find(a - 1);
-    if (it != tx_info_.end() && it->second.tx_count == 1) {
-      rto_.add_sample(now() - it->second.last_tx);
-    }
+    // RTT sample (Karn's rule) before the tx records are released.
+    if (tx_[a - 1].tx_count == 1) rto_.add_sample(now() - tx_[a - 1].last_tx);
     rto_.reset_backoff();
     if (probe_) probe_.rto(now(), rto_.rto().as_seconds());
     advance_una(a);
@@ -181,12 +179,8 @@ void SackSender::on_ack_packet(const net::Packet& ack) {
 }
 
 void SackSender::advance_una(SeqNo ack) {
+  tx_.release(snd_una_, ack);
   snd_una_ = ack;
-  sacked_.erase(sacked_.begin(), sacked_.lower_bound(snd_una_));
-  lost_.erase(lost_.begin(), lost_.lower_bound(snd_una_));
-  rtx_in_flight_.erase(rtx_in_flight_.begin(),
-                       rtx_in_flight_.lower_bound(snd_una_));
-  tx_info_.erase(tx_info_.begin(), tx_info_.lower_bound(snd_una_));
   // DSACKs for a retransmission typically arrive after the cumulative ACK
   // has passed it, so spurious-detection records outlive the window by a
   // margin before being pruned.
@@ -209,7 +203,7 @@ void SackSender::enter_recovery() {
   ssthresh_ = std::max(flight / 2.0, 2.0);
   cwnd_ = ssthresh_;
   // The segment at the ACK point is the presumed loss.
-  if (!sacked_.contains(snd_una_)) lost_.insert(snd_una_);
+  if (!tx_.has(snd_una_, kSacked)) tx_.mark(snd_una_, kLost);
   if (probe_) {
     probe_.ssthresh(now(), ssthresh_);
     probe_.drop_declared(now());
@@ -230,17 +224,13 @@ void SackSender::undo_last_reduction(bool full_restore) {
     episode_dupacks_ = 0;
   }
   // The loss marks of this episode were wrong; forget them.
-  lost_.clear();
-  rtx_in_flight_.clear();
+  tx_.unmark_all(snd_una_, kLost | kRtxInFlight);
   if (probe_) probe_.ssthresh(now(), ssthresh_);
   notify_cwnd(cwnd_);
 }
 
 void SackSender::retransmit(SeqNo seq) {
-  auto& info = tx_info_[seq];
-  info.last_tx = now();
-  if (info.tx_count <= 1) info.first_rtx = now();
-  ++info.tx_count;
+  tx_.record_tx(snd_una_, seq, now());
   recent_rtx_[seq] = RtxRecord{now(), episode_dupacks_};
   transmit_segment(seq, /*is_retransmission=*/true, next_tx_serial_++);
 }
@@ -255,22 +245,20 @@ void SackSender::send_more() {
     const double window = std::min(cwnd_, config_.max_cwnd);
     while (pipe() + 1.0 <= window) {
       // NextSeg (RFC 3517): lost-and-not-yet-retransmitted first, then new.
+      // Retransmissions in flight are lost segments too, so equal counts
+      // leave nothing to scan for.
       std::optional<SeqNo> rtx;
-      for (const SeqNo s : lost_) {
-        if (!rtx_in_flight_.contains(s)) {
-          rtx = s;
-          break;
+      if (tx_.count(kLost) > tx_.count(kRtxInFlight)) {
+        for (SeqNo s = snd_una_; s < snd_nxt_ && !rtx; ++s) {
+          if (tx_.has(s, kLost) && !tx_.has(s, kRtxInFlight)) rtx = s;
         }
       }
       if (rtx.has_value()) {
-        rtx_in_flight_.insert(*rtx);
+        tx_.mark(*rtx, kRtxInFlight);
         retransmit(*rtx);
       } else if (source_has(snd_nxt_)) {
-        auto& info = tx_info_[snd_nxt_];
-        const bool is_rtx = info.tx_count > 0;  // go-back-N resend
-        info.last_tx = now();
-        if (is_rtx && info.tx_count == 1) info.first_rtx = now();
-        ++info.tx_count;
+        // A go-back-N resend finds its earlier transmission recorded.
+        const bool is_rtx = tx_.record_tx(snd_una_, snd_nxt_, now());
         if (is_rtx) recent_rtx_[snd_nxt_] = RtxRecord{now(), episode_dupacks_};
         transmit_segment(snd_nxt_, is_rtx, next_tx_serial_++);
         ++snd_nxt_;
@@ -302,9 +290,8 @@ void SackSender::on_timeout() {
   episode_dupacks_ = 0;
   in_recovery_ = false;
   // ns-2 sack1 clears the scoreboard on timeout; go-back-N from snd_una_.
-  sacked_.clear();
-  lost_.clear();
-  rtx_in_flight_.clear();
+  // The transmission records stay, so the resends count as retransmissions.
+  tx_.unmark_all(snd_una_, kAllMarks);
   highest_sacked_ = -1;
   snd_nxt_ = snd_una_;
   rto_.back_off();

@@ -7,15 +7,18 @@
 // Loss is inferred two ways, both gated on dupthresh so the [3] mitigations
 // work by raising it: (a) dupacks >= dupthresh, (b) a segment with at least
 // dupthresh SACKed segments above it (FACK-style gap rule).
+//
+// The scoreboard is the SACKed / lost / retransmission-in-flight mark bits
+// on the sender's per-segment transmission records (tcp/tx_window.hpp), so
+// sending and acknowledging touch no heap once the window has its size.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <optional>
-#include <set>
 
 #include "tcp/rto.hpp"
 #include "tcp/sender_base.hpp"
+#include "tcp/tx_window.hpp"
 
 namespace tcppr::tcp {
 
@@ -87,20 +90,14 @@ class SackSender : public SenderBase {
   SeqNo highest_sacked_ = -1;
 
   bool peer_sends_sack_ = false;    // any SACK block seen from this peer
-  std::set<SeqNo> sacked_;          // in (snd_una_, snd_nxt_)
-  std::set<SeqNo> lost_;            // marked lost, not yet cum-acked
-  std::set<SeqNo> rtx_in_flight_;   // lost segments we have retransmitted
+  // [snd_una_, snd_max): transmissions plus the scoreboard marks, which
+  // all lie in [snd_una_, snd_nxt_) (kRtxInFlight only on kLost records).
+  TxWindow tx_;
 
   // Saved congestion state at the most recent window reduction (undo).
   double saved_cwnd_ = 0;
   double saved_ssthresh_ = 0;
 
-  struct TxInfo {
-    sim::TimePoint last_tx;
-    sim::TimePoint first_rtx;  // valid when tx_count > 1
-    int tx_count = 0;
-  };
-  std::map<SeqNo, TxInfo> tx_info_;
   // Retransmitted segments below snd_una_, kept for DSACK/Eifel spurious
   // detection; pruned as the window advances.
   struct RtxRecord {

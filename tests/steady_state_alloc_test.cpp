@@ -1,6 +1,7 @@
 // Steady-state allocation tests: once a flow has reached its working
 // window, moving packets must not touch the heap. The TCP-PR sender keeps
-// its outstanding window and drop-timer index, and the receiver its
+// its outstanding window and drop-timer index, the SACK and Reno senders
+// their transmission records and scoreboard, and the receiver its
 // out-of-order buffer and SACK runs, in storage that only resizes when the
 // window does; the scheduler, link pump, queues and packet pool are
 // already allocation-free once warm.
@@ -35,6 +36,28 @@ TEST(SteadyStateAllocations, TcpPrOnReorderingMeshAllocatesNothing) {
       s->network.conservation().delivered_to_agent - delivered_before;
   EXPECT_GT(delivered, 100000u);  // the window did real work
   EXPECT_EQ(allocations, 0u) << "over " << delivered << " delivered packets";
+}
+
+// Heap allocations of the 256-flow many-flows dumbbell from 10 to 20 s.
+std::uint64_t many_flows_allocations(double pr_fraction) {
+  harness::ManyFlowsConfig c;
+  c.flows = 256;
+  c.pr_fraction = pr_fraction;
+  auto s = harness::make_many_flows(c);
+  s->sched.run_until(sim::TimePoint::from_seconds(10));  // warm up
+  const std::uint64_t before = testutil::heap_allocations();
+  s->sched.run_until(sim::TimePoint::from_seconds(20));
+  return testutil::heap_allocations() - before;
+}
+
+TEST(SteadyStateAllocations, SackFlowsAllocateLikeTcpPr) {
+  // The same plant with every flow on SACK and then every flow on TCP-PR:
+  // what is left (retransmission records, losses, timer churn) must not
+  // grow with the segments sent and acknowledged.
+  const std::uint64_t sack = many_flows_allocations(0.0);
+  const std::uint64_t tcp_pr = many_flows_allocations(1.0);
+  EXPECT_LE(sack, tcp_pr * 3 / 2)
+      << "all-SACK " << sack << " against all-TCP-PR " << tcp_pr;
 }
 
 }  // namespace
