@@ -106,7 +106,6 @@ void BM_PacketForwardLoop(benchmark::State& state) {
     net.node(d).attach_agent(/*flow=*/1, &sink);
     for (int i = 0; i < kPackets; ++i) {
       net::Packet pkt;
-      pkt.uid = net.allocate_uid();
       pkt.src = a;
       pkt.dst = d;
       pkt.size_bytes = 1000;
@@ -161,7 +160,6 @@ void BM_BatchDelivery(benchmark::State& state) {
     net.node(d).attach_agent(/*flow=*/1, &sink);
     for (int i = 0; i < kPackets; ++i) {
       net::Packet pkt;
-      pkt.uid = net.allocate_uid();
       pkt.src = a;
       pkt.dst = d;
       pkt.size_bytes = 1000;
@@ -219,7 +217,6 @@ void BM_TelemetryTap(benchmark::State& state) {
     net.node(d).attach_agent(/*flow=*/1, &sink);
     for (int i = 0; i < kPackets; ++i) {
       net::Packet pkt;
-      pkt.uid = net.allocate_uid();
       pkt.src = a;
       pkt.dst = d;
       pkt.size_bytes = 1000;

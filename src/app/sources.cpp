@@ -72,7 +72,6 @@ void CbrSource::emit() {
   }
   if (in_on_period_) {
     net::Packet pkt;
-    pkt.uid = network_.allocate_uid();
     pkt.dst = remote_;
     pkt.size_bytes = config_.packet_bytes;
     pkt.type = net::PacketType::kCbr;

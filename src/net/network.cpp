@@ -11,6 +11,7 @@ namespace tcppr::net {
 
 NodeId Network::add_node() {
   const NodeId id = static_cast<NodeId>(nodes_.size());
+  TCPPR_CHECK(id < (NodeId{1} << (64 - kUidCountBits)));  // fits a uid
   nodes_.push_back(std::make_unique<Node>(id));
   nodes_.back()->set_tracer(&tracer_, &sched_);
   nodes_.back()->set_packet_pool(pool_);

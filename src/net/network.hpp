@@ -1,8 +1,8 @@
-// Network: owns nodes and links, builds static routes, allocates packet
-// uids. The harness builds topologies through this facade.
+// Network: owns nodes and links and builds static routes into each
+// node's id-indexed next-hop table. The harness builds topologies through
+// this facade.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -62,12 +62,6 @@ class Network {
   const std::vector<std::unique_ptr<Link>>& links() const { return links_; }
 
   sim::Scheduler& scheduler() { return sched_; }
-  // Relaxed atomic: shards allocate uids concurrently in parallel mode.
-  // uids only label trace records (the determinism hash never folds them),
-  // so allocation order across shards is allowed to vary run to run.
-  std::uint64_t allocate_uid() {
-    return next_uid_.fetch_add(1, std::memory_order_relaxed);
-  }
 
   // The pool every node and link is built with: packets in flight across
   // the whole network draw from one free list (ParallelSim re-points each
@@ -123,7 +117,6 @@ class Network {
   // Declared after links_: destroyed first, so its parked carrier event is
   // cancelled while the links it serves are still alive.
   std::unique_ptr<LinkPump> pump_;
-  std::atomic<std::uint64_t> next_uid_{1};
 };
 
 }  // namespace tcppr::net

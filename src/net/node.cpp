@@ -8,51 +8,66 @@
 
 namespace tcppr::net {
 
+namespace {
+
+// Grows `table` so that index `id` exists; ids are dense from 0.
+template <typename T>
+T& slot_at(std::vector<T>& table, int id) {
+  TCPPR_CHECK(id >= 0);
+  const auto i = static_cast<std::size_t>(id);
+  if (i >= table.size()) table.resize(i + 1);
+  return table[i];
+}
+
+}  // namespace
+
 void Node::add_out_link(Link* link) {
   TCPPR_CHECK(link != nullptr);
   TCPPR_CHECK(link->from() == id_);
-  const auto [it, inserted] = out_links_.emplace(link->to(), link);
-  TCPPR_CHECK(inserted);  // one link per neighbor direction
-  (void)it;
+  Link*& slot = slot_at(out_links_, link->to());
+  TCPPR_CHECK(slot == nullptr);  // one link per neighbor direction
+  slot = link;
 }
 
 void Node::set_next_hop(NodeId dst, NodeId next_hop) {
-  const auto link = out_links_.find(next_hop);
-  TCPPR_CHECK(link != out_links_.end());
-  next_hop_table_[dst] = Hop{next_hop, link->second};
+  Link* link = link_to(next_hop);
+  TCPPR_CHECK(link != nullptr);
+  slot_at(next_hop_link_, dst) = link;
 }
 
 void Node::attach_agent(FlowId flow, Agent* agent) {
   TCPPR_CHECK(agent != nullptr);
-  const auto [it, inserted] = agents_.emplace(flow, agent);
-  TCPPR_CHECK(inserted);
-  (void)it;
+  TCPPR_CHECK(flow >= 0);
+  const auto f = static_cast<std::size_t>(flow);
+  std::unique_ptr<AgentPage>& page =
+      slot_at(agent_pages_, static_cast<int>(f >> kAgentPageBits));
+  if (page == nullptr) page = std::make_unique<AgentPage>();
+  Agent*& slot = (*page)[f & (kAgentPageSize - 1)];
+  TCPPR_CHECK(slot == nullptr);
+  slot = agent;
+  ++agent_count_;
 }
 
 void Node::detach_agent(FlowId flow) {
-  agents_.erase(flow);
-  if (cached_flow_ == flow) cached_agent_ = nullptr;
+  Agent** slot = agent_slot(flow);
+  if (slot == nullptr || *slot == nullptr) return;
+  *slot = nullptr;
+  --agent_count_;
 }
 
 void Node::set_ecmp_next_hops(NodeId dst, std::vector<NodeId> next_hops,
                               sim::Rng rng) {
   TCPPR_CHECK(!next_hops.empty());
   for (const NodeId hop : next_hops) {
-    TCPPR_CHECK(out_links_.contains(hop));
+    TCPPR_CHECK(link_to(hop) != nullptr);
   }
-  ecmp_table_[dst] = std::move(next_hops);
+  slot_at(ecmp_table_, dst) = std::move(next_hops);
   ecmp_rng_ = rng;
 }
 
 Link* Node::link_to(NodeId neighbor) const {
-  const auto it = out_links_.find(neighbor);
-  return it == out_links_.end() ? nullptr : it->second;
-}
-
-std::optional<NodeId> Node::next_hop(NodeId dst) const {
-  const auto it = next_hop_table_.find(dst);
-  if (it == next_hop_table_.end()) return std::nullopt;
-  return it->second.via;
+  const auto n = static_cast<std::size_t>(neighbor);
+  return n < out_links_.size() ? out_links_[n] : nullptr;
 }
 
 void Node::warn_no_agent(FlowId flow) {
@@ -85,6 +100,11 @@ void Node::receive(PooledPacket pkt) {
 
 void Node::originate_prologue(Packet& pkt) {
   ++stats_.originated;
+  // The uid packs this node's id over its own origination count: it
+  // depends on neither the partition nor thread timing under ParallelSim,
+  // where the node's LP alone originates here.
+  pkt.uid = (static_cast<std::uint64_t>(id_) << kUidCountBits) |
+            stats_.originated;
   pkt.src = id_;
   if (routing_policy_ != nullptr) {
     if (auto choice = routing_policy_->choose_route(pkt.dst)) {
@@ -148,18 +168,19 @@ Link* Node::pick_link(Packet& pkt) {
       pkt.route_pos < pkt.source_route->size()) {
     next = (*pkt.source_route)[pkt.route_pos++];
   } else if (!ecmp_table_.empty()) {
-    if (const auto ecmp = ecmp_table_.find(pkt.dst);
-        ecmp != ecmp_table_.end()) {
-      next = ecmp->second[ecmp_rng_.uniform_int(ecmp->second.size())];
+    const auto d = static_cast<std::size_t>(pkt.dst);
+    if (d < ecmp_table_.size() && !ecmp_table_[d].empty()) {
+      const std::vector<NodeId>& hops = ecmp_table_[d];
+      next = hops[ecmp_rng_.uniform_int(hops.size())];
     }
   }
   if (next == kInvalidNode) {
-    // Static routing fast path: the table entry carries the resolved link,
-    // so the common case is a single hash lookup.
-    const auto it = next_hop_table_.find(pkt.dst);
-    if (it != next_hop_table_.end()) {
+    // Static routing fast path: the table holds the resolved link, so the
+    // common case is one array load.
+    const auto d = static_cast<std::size_t>(pkt.dst);
+    if (d < next_hop_link_.size() && next_hop_link_[d] != nullptr) {
       ++stats_.forwarded;
-      return it->second.link;
+      return next_hop_link_[d];
     }
     ++stats_.unroutable;
     TCPPR_LOG_WARN("node", "node %d: no route to %d", id_, pkt.dst);

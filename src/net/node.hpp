@@ -2,14 +2,18 @@
 //
 // Forwarding uses the packet's source route when present (multi-path
 // experiments) and the node's static next-hop table otherwise. Agents
-// (TCP senders/receivers, CBR sinks) register per flow id.
+// (TCP senders/receivers, CBR sinks) register per flow id. Every table is
+// indexed by id (next hops and ECMP sets by destination, out links by
+// neighbor, agents by flow in lazily allocated pages), so a hop and a
+// delivery each cost an array load or two.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -80,7 +84,9 @@ class Node {
 
   void add_out_link(Link* link);
   void set_next_hop(NodeId dst, NodeId next_hop);
+  // flow must be >= 0 and not already attached.
   void attach_agent(FlowId flow, Agent* agent);
+  // No-op for a flow with no agent attached.
   void detach_agent(FlowId flow);
   // Fallback agent for flows with no per-flow registration: packets whose
   // flow id misses the agent table deliver here instead of counting as
@@ -88,14 +94,12 @@ class Node {
   // arriving flows — one server agent accepts the first segment of a flow
   // that does not exist yet and creates its receiver on the spot (the
   // creation then registers per-flow, so the fallback is off the hot path
-  // after the first packet). nullptr clears it. The fallback is never
-  // stored in the one-entry lookup cache: the cache must keep pointing at
-  // per-flow agents that register later under the same flow id.
+  // after the first packet). nullptr clears it.
   void set_default_agent(Agent* agent) { default_agent_ = agent; }
   Agent* default_agent() const { return default_agent_; }
   // Registered per-flow agents (does not count the default agent). The
   // lifecycle-leak tests assert this returns to baseline after churn.
-  std::size_t agent_count() const { return agents_.size(); }
+  std::size_t agent_count() const { return agent_count_; }
   // Policy applies to packets originated here (not transit traffic).
   void set_source_routing_policy(SourceRoutingPolicy* policy) {
     routing_policy_ = policy;
@@ -125,17 +129,16 @@ class Node {
   void originate_burst(std::span<PooledPacket> burst);
 
   Link* link_to(NodeId neighbor) const;
-  std::optional<NodeId> next_hop(NodeId dst) const;
   const NodeStats& stats() const { return stats_; }
 
-
  private:
-  // Next-hop entry: the neighbor id plus the resolved link, so forwarding
-  // pays one table lookup instead of two (dst -> neighbor -> link).
-  struct Hop {
-    NodeId via = kInvalidNode;
-    Link* link = nullptr;
-  };
+  // Agents live in pages of 4096 slots (32 KB), allocated on first attach:
+  // workload flow ids start at 2^20, so one flat table would be mostly
+  // empty, while the few pages a flow-id range touches stay warm.
+  static constexpr unsigned kAgentPageBits = 12;
+  static constexpr std::size_t kAgentPageSize = std::size_t{1}
+                                                << kAgentPageBits;
+  using AgentPage = std::array<Agent*, kAgentPageSize>;
 
   void forward(PooledPacket pkt);
   // Forwarding decision only (source route / ECMP / next-hop table, with
@@ -144,17 +147,19 @@ class Node {
   Link* pick_link(Packet& pkt);
   // The originate() prologue shared with originate_burst().
   void originate_prologue(Packet& pkt);
-  // Agent lookup with a one-entry cache: delivery streams are bursty per
-  // flow, so consecutive lookups usually hit the same agent.
-  Agent* find_agent(FlowId flow) {
-    if (cached_agent_ != nullptr && cached_flow_ == flow) {
-      return cached_agent_;
+  // The table slot of `flow`, or nullptr when its page was never
+  // allocated (negative ids wrap far past every page).
+  Agent** agent_slot(FlowId flow) {
+    const auto f = static_cast<std::size_t>(flow);
+    const std::size_t page = f >> kAgentPageBits;
+    if (page >= agent_pages_.size() || agent_pages_[page] == nullptr) {
+      return nullptr;
     }
-    const auto it = agents_.find(flow);
-    if (it == agents_.end()) return default_agent_;
-    cached_flow_ = flow;
-    cached_agent_ = it->second;
-    return cached_agent_;
+    return &(*agent_pages_[page])[f & (kAgentPageSize - 1)];
+  }
+  Agent* find_agent(FlowId flow) {
+    Agent** slot = agent_slot(flow);
+    return slot != nullptr && *slot != nullptr ? *slot : default_agent_;
   }
   // Unroutable-delivery diagnostics are rate-limited per node: under a
   // churning workload every departed flow's in-flight ACKs arrive with no
@@ -163,14 +168,14 @@ class Node {
   void warn_no_agent(FlowId flow);
 
   NodeId id_;
-  std::unordered_map<NodeId, Link*> out_links_;     // by neighbor id
-  std::unordered_map<NodeId, Hop> next_hop_table_;  // dst -> (neighbor, link)
-  std::unordered_map<FlowId, Agent*> agents_;
+  std::vector<Link*> out_links_;      // by neighbor id; null: no link
+  std::vector<Link*> next_hop_link_;  // by destination; null: no route
+  std::vector<std::unique_ptr<AgentPage>> agent_pages_;  // by flow id
+  std::size_t agent_count_ = 0;
   Agent* default_agent_ = nullptr;
-  FlowId cached_flow_ = kInvalidFlow;
-  Agent* cached_agent_ = nullptr;
   std::uint32_t no_agent_warnings_ = 0;
-  std::unordered_map<NodeId, std::vector<NodeId>> ecmp_table_;
+  // By destination; empty unless set_ecmp_next_hops ran.
+  std::vector<std::vector<NodeId>> ecmp_table_;
   SourceRoutingPolicy* routing_policy_ = nullptr;
   std::shared_ptr<PacketPool> pool_;
   trace::Tracer* tracer_ = nullptr;

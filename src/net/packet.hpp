@@ -23,6 +23,10 @@ using SeqNo = std::int64_t;
 inline constexpr NodeId kInvalidNode = -1;
 inline constexpr FlowId kInvalidFlow = -1;
 
+// A packet's uid is its originating node's id shifted over that node's
+// origination count, which takes the low kUidCountBits bits.
+inline constexpr unsigned kUidCountBits = 40;
+
 // kTcpClose is the FIN analogue the flow lifecycle layer (src/workload)
 // sends after a transfer is fully acknowledged: it tells the receiver-side
 // demux that the flow departed so its state can be reclaimed. Transports
@@ -66,7 +70,7 @@ struct TcpHeader {
 };
 
 struct Packet {
-  std::uint64_t uid = 0;  // unique per transmission, assigned by Network
+  std::uint64_t uid = 0;  // unique per transmission, set on origination
   NodeId src = kInvalidNode;
   NodeId dst = kInvalidNode;
   std::uint32_t size_bytes = 0;

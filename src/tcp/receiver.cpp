@@ -197,7 +197,6 @@ void Receiver::on_data(const net::Packet& pkt) {
 
 void Receiver::send_ack(const AckCause& cause, bool is_duplicate_arrival) {
   net::Packet ack;
-  ack.uid = network_.allocate_uid();
   ack.src = local_;
   ack.dst = remote_;
   ack.size_bytes = config_.ack_bytes;

@@ -53,7 +53,6 @@ void SenderBase::deliver(net::Packet&& pkt) {
 void SenderBase::transmit_segment(SeqNo seq, bool is_retransmission,
                                   std::uint32_t tx_serial) {
   net::Packet pkt;
-  pkt.uid = network_.allocate_uid();
   pkt.src = local_;
   pkt.dst = remote_;
   pkt.size_bytes = config_.segment_bytes + config_.header_bytes;

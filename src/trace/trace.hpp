@@ -40,6 +40,7 @@ struct Record {
   net::SeqNo seq = 0;
   bool is_ack = false;
   std::uint32_t size_bytes = 0;
+  friend bool operator==(const Record&, const Record&) = default;
 };
 
 class TraceSink {

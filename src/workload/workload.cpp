@@ -458,7 +458,6 @@ void WorkloadEngine::on_complete(std::uint32_t slot, std::uint32_t gen) {
 
 void WorkloadEngine::send_close(net::FlowId flow) {
   net::Packet close;
-  close.uid = scenario_.network.allocate_uid();
   close.dst = dst_;
   close.size_bytes = 40;
   close.type = net::PacketType::kTcpClose;

@@ -265,6 +265,52 @@ TEST_F(TwoNodeFixture, NoAgentCountsUnroutable) {
   EXPECT_EQ(network.node(b).stats().unroutable, 1u);
 }
 
+TEST_F(TwoNodeFixture, AgentTableDemultiplexesEveryFlowIdRange) {
+  // First and last slots of the agent table's pages, in the low ids the
+  // paper plants use and at the workload range from 2^20.
+  const std::vector<FlowId> flows = {4095, 4096, 1 << 20, (1 << 20) + 32767};
+  Node& dst = network.node(b);
+  EXPECT_EQ(dst.agent_count(), 1u);  // the fixture's sink on flow 1
+  std::vector<std::unique_ptr<app::PacketSink>> sinks;
+  for (const FlowId flow : flows) {
+    sinks.push_back(std::make_unique<app::PacketSink>(network, b, flow));
+  }
+  EXPECT_EQ(dst.agent_count(), 1u + flows.size());
+  for (const FlowId flow : flows) {
+    network.node(a).originate(make_packet(b, 100, flow));
+  }
+  network.node(a).originate(make_packet(b, 100, /*flow=*/1));
+  sched.run();
+  EXPECT_EQ(sink->packets(), 1u);
+  for (const auto& s : sinks) EXPECT_EQ(s->packets(), 1u);
+
+  sinks[1].reset();  // detaches flow 4096
+  EXPECT_EQ(dst.agent_count(), flows.size());
+  // Unregistered (in an allocated page and past every page), detached and
+  // negative flow ids have no agent of their own.
+  const std::vector<FlowId> strays = {4097, 1 << 24, 4096, kInvalidFlow};
+  const auto send_strays = [&] {
+    for (const FlowId flow : strays) {
+      network.node(a).originate(make_packet(b, 100, flow));
+    }
+    sched.run();
+  };
+  send_strays();
+  EXPECT_EQ(dst.stats().unroutable, strays.size());
+
+  class CountingAgent final : public Agent {
+   public:
+    void deliver(Packet&&) override { ++packets; }
+    std::uint64_t packets = 0;
+  } fallback;
+  dst.set_default_agent(&fallback);
+  send_strays();
+  EXPECT_EQ(fallback.packets, strays.size());
+  EXPECT_EQ(dst.stats().unroutable, strays.size());
+  EXPECT_EQ(dst.agent_count(), flows.size());  // the fallback is not counted
+  dst.set_default_agent(nullptr);
+}
+
 TEST(Network, ForwardsAcrossChain) {
   sim::Scheduler sched;
   Network network(sched);

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -29,6 +30,7 @@
 #include "net/link_pump.hpp"
 #include "sim/scheduler.hpp"
 #include "test_util.hpp"
+#include "trace/trace.hpp"
 #include "validate/determinism.hpp"
 #include "validate/fuzzer.hpp"
 #include "validate/invariants.hpp"
@@ -250,6 +252,39 @@ TEST(ParallelCounters, CrossLpPacketsRideTheDestinationPump) {
       if (lps == 4) {
         EXPECT_LT(par.events, par.delivered) << name << " lps=4";
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Trace records
+
+// Every trace record of the parking lot's first 2 s through ParallelSim on
+// `lps` LPs, in the order the merged trace delivers them.
+std::vector<trace::Record> parking_lot_trace(int lps) {
+  trace::MemoryTrace memory;
+  auto s = harness::make_parking_lot(harness::ParkingLotConfig{});
+  s->network.add_trace_sink(&memory);
+  ParallelSim psim(*s, lp_config(lps));
+  psim.run_until(sim::TimePoint::from_seconds(2.0));
+  return memory.records();
+}
+
+TEST(ParallelTrace, RecordsAndUidsMatchAtEveryLpCount) {
+  // A uid is the originating node's id over its own origination count,
+  // which the LP owning that node alone advances, so the merged trace is
+  // the same record for record, uids included, at every LP count.
+  const std::vector<trace::Record> one = parking_lot_trace(1);
+  ASSERT_GT(one.size(), 10000u);
+  for (const int lps : {2, 4}) {
+    const std::vector<trace::Record> par = parking_lot_trace(lps);
+    ASSERT_EQ(par.size(), one.size()) << "lps=" << lps;
+    const auto diff = std::mismatch(par.begin(), par.end(), one.begin());
+    if (diff.first != par.end()) {
+      ADD_FAILURE() << "lps=" << lps << ": record "
+                    << (diff.first - par.begin()) << " differs (uid "
+                    << diff.first->uid << " against " << diff.second->uid
+                    << ")";
     }
   }
 }

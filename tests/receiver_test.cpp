@@ -43,7 +43,6 @@ class ReceiverFixture : public ::testing::Test {
 
   void data(net::SeqNo seq, std::uint32_t tx_serial = 0) {
     net::Packet pkt;
-    pkt.uid = network->allocate_uid();
     pkt.src = a;
     pkt.dst = b;
     pkt.size_bytes = 1040;

@@ -4,13 +4,16 @@
 // their transmission records and scoreboard, and the receiver its
 // out-of-order buffer and SACK runs, in storage that only resizes when the
 // window does; the scheduler, link pump, queues and packet pool are
-// already allocation-free once warm.
+// already allocation-free once warm, and so is a node's agent table once
+// its pages exist.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
 #include "alloc_counter.hpp"
 #include "harness/scenarios.hpp"
+#include "net/network.hpp"
+#include "sim/scheduler.hpp"
 
 namespace tcppr {
 namespace {
@@ -48,6 +51,36 @@ std::uint64_t many_flows_allocations(double pr_fraction) {
   const std::uint64_t before = testutil::heap_allocations();
   s->sched.run_until(sim::TimePoint::from_seconds(20));
   return testutil::heap_allocations() - before;
+}
+
+TEST(SteadyStateAllocations, AgentAttachDetachAllocatesNothingOnceWarm) {
+  // Flow churn attaches and detaches an agent at both hosts of every flow;
+  // once the agent table covers the flow-id range, that touches no heap.
+  sim::Scheduler sched;
+  net::Network network(sched);
+  net::Node& node = network.node(network.add_node());
+  class IdleAgent final : public net::Agent {
+   public:
+    void deliver(net::Packet&&) override {}
+  } agent;
+  constexpr net::FlowId kFirst = 1 << 20;  // the workload flow-id base
+  constexpr int kRange = 4096;
+  for (int i = 0; i < kRange; ++i) {  // warm up
+    node.attach_agent(kFirst + i, &agent);
+    node.detach_agent(kFirst + i);
+  }
+
+  const std::uint64_t before = testutil::heap_allocations();
+  for (int i = 0; i < 10000; ++i) {
+    const net::FlowId flow = kFirst + i % kRange;
+    node.attach_agent(flow, &agent);
+    EXPECT_EQ(node.agent_count(), 1u);
+    node.detach_agent(flow);
+  }
+  node.detach_agent(kFirst);       // already detached
+  node.detach_agent(kFirst << 4);  // past every allocated page
+  EXPECT_EQ(testutil::heap_allocations() - before, 0u);
+  EXPECT_EQ(node.agent_count(), 0u);
 }
 
 TEST(SteadyStateAllocations, SackFlowsAllocateLikeTcpPr) {

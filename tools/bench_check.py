@@ -128,6 +128,9 @@ TELEMETRY_ON_MAX_RATIO = 1.6    # BM_TelemetryTap/1 vs BM_TelemetryTap/0
 # Parallel-harness rows encode their LP (worker thread) count in the name.
 LPS_RE = re.compile(r"/lps:(\d+)")
 
+# Allowed slowdown of a gated wall-time row after the machine factor.
+DEFAULT_THRESHOLD = 0.15
+
 # Pure-compute benchmarks used to estimate the machine-speed factor.
 CALIBRATION_NAMES = ["BM_NewtonAlphaRoot", "BM_ExactPow", "BM_RngUniform"]
 
@@ -366,6 +369,56 @@ def same_run_failures(current, counters):
             + check_telemetry(current))
 
 
+def compare_wall_times(current, baseline, base_threads,
+                       threshold=DEFAULT_THRESHOLD):
+    """Judges every gated baseline row against the current run.
+
+    Each current time is divided by the machine-speed factor (see
+    machine_factor) and fails when it is more than `threshold` slower than
+    the baseline. Rows needing more worker threads than this runner has
+    cores are skipped; a gated baseline row absent from the current run
+    fails as MISSING. Prints one line per row and returns a summary dict:
+    machine_factor, calibration_rows, checked, skipped, missing (names)
+    and regressed ({name: fractional change after the factor}).
+    """
+    factor, calib_n = machine_factor(current, baseline)
+    print(f"machine-speed factor: {factor:.3f} "
+          f"(from {calib_n} calibration benchmark(s))")
+
+    cpus = runner_cpus()
+    gated = re.compile("|".join(GATED_PATTERNS))
+    summary = {"machine_factor": round(factor, 4),
+               "calibration_rows": calib_n, "checked": 0, "skipped": 0,
+               "missing": [], "regressed": {}}
+    for name in sorted(baseline):
+        if not gated.search(name):
+            continue
+        # Multi-threaded rows are only meaningful with as many cores as
+        # worker threads: on a smaller runner the threads serialize onto
+        # shared cores and the "regression" would just be the core deficit.
+        threads = base_threads.get(name, 1)
+        if threads > 1 and cpus < threads:
+            print(f"  SKIPPED  {name} (needs {threads} cores, "
+                  f"runner has {cpus})")
+            summary["skipped"] += 1
+            continue
+        if name not in current:
+            print(f"  MISSING  {name} (in baseline, absent from current run)")
+            summary["missing"].append(name)
+            continue
+        summary["checked"] += 1
+        adjusted = current[name] / factor
+        change = adjusted / baseline[name] - 1.0
+        verdict = "OK"
+        if change > threshold:
+            verdict = "REGRESSED"
+            summary["regressed"][name] = round(change, 4)
+        print(f"  {verdict:<9} {name}: baseline {baseline[name] / 1e6:.3f} ms, "
+              f"current {current[name] / 1e6:.3f} ms "
+              f"(adjusted {adjusted / 1e6:.3f} ms, {change:+.1%})")
+    return summary
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--current", required=True,
@@ -374,7 +427,7 @@ def main():
                         default=str(REPO_ROOT / "BENCH_engine.json"),
                         help="baseline JSON (default: committed "
                              "BENCH_engine.json)")
-    parser.add_argument("--threshold", type=float, default=0.15,
+    parser.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
                         help="allowed slowdown fraction (default 0.15)")
     args = parser.parse_args()
 
@@ -387,44 +440,12 @@ def main():
     if not current:
         sys.exit(f"error: no benchmark results in {args.current}")
 
-    factor, calib_n = machine_factor(current, baseline)
-    print(f"machine-speed factor: {factor:.3f} "
-          f"(from {calib_n} calibration benchmark(s))")
-
-    cpus = runner_cpus()
-    gated = re.compile("|".join(GATED_PATTERNS))
-    checked = 0
-    skipped = 0
-    failures = []
-    for name in sorted(baseline):
-        if not gated.search(name):
-            continue
-        # Multi-threaded rows are only meaningful with as many cores as
-        # worker threads: on a smaller runner the threads serialize onto
-        # shared cores and the "regression" would just be the core deficit.
-        threads = base_threads.get(name, 1)
-        if threads > 1 and cpus < threads:
-            print(f"  SKIPPED  {name} (needs {threads} cores, "
-                  f"runner has {cpus})")
-            skipped += 1
-            continue
-        if name not in current:
-            print(f"  MISSING  {name} (in baseline, absent from current run)")
-            failures.append(name)
-            continue
-        checked += 1
-        adjusted = current[name] / factor
-        change = adjusted / baseline[name] - 1.0
-        verdict = "OK"
-        if change > args.threshold:
-            verdict = "REGRESSED"
-            failures.append(name)
-        print(f"  {verdict:<9} {name}: baseline {baseline[name] / 1e6:.3f} ms, "
-              f"current {current[name] / 1e6:.3f} ms "
-              f"(adjusted {adjusted / 1e6:.3f} ms, {change:+.1%})")
-
+    summary = compare_wall_times(current, baseline, base_threads,
+                                 args.threshold)
+    failures = summary["missing"] + list(summary["regressed"])
     failures += same_run_failures(current, cur_counters)
 
+    checked, skipped = summary["checked"], summary["skipped"]
     if checked == 0 and not failures:
         sys.exit("error: no gated benchmarks found in the baseline — "
                  "regenerate BENCH_engine.json with tools/bench_engine.py")

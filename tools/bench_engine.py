@@ -24,9 +24,12 @@ Exits non-zero when a benchmark binary is missing, crashes, exits with an
 error, or reports a per-benchmark error (google-benchmark error_occurred),
 so CI cannot silently record a partial run. It also runs bench_check.py's
 same-run gates (batching, churn, million-flow, telemetry) on the record
-before writing it, and exits 1 without writing when one fails; the
-wall-time comparison against a previous record stays with
-bench_check.py --current.
+before writing it, and exits 1 without writing when one fails. When --out
+already holds a record, the new one is compared with it through
+bench_check.py's calibrated wall-time gate: the comparison is printed and
+summarised under context.previous_record (machine factor, rows compared,
+every row over the threshold with its change), and the new record is
+written either way.
 
 Usage:
     python3 tools/bench_engine.py [--build-dir build] [--out BENCH_engine.json]
@@ -242,6 +245,39 @@ def run_binary(binary, args, bench_filter=None, repetitions=None,
     return context, times, threads, counters
 
 
+def compare_with_previous(path, benchmarks):
+    """Compares the new record's wall times with the record at `path`,
+    which it replaces, and returns the summary to store in its context.
+
+    A row that caught the host's steal time, in either record, shows here;
+    comparing a record only with itself cannot fail a row.
+    """
+    try:
+        with open(path) as f:
+            previous_date = json.load(f).get("context", {}).get("date")
+        old_times, old_threads, _ = bench_check.load_times(path)
+    except (OSError, ValueError) as e:
+        print(f"previous record {path} not compared: {e}")
+        return None
+    print(f"wall times against the record this one replaces ({path}, "
+          f"{previous_date}):")
+    summary = bench_check.compare_wall_times(
+        {name: row["after_ns"] for name, row in benchmarks.items()},
+        old_times, old_threads)
+    regressed = summary["regressed"]
+    print(f"{summary['checked']} row(s) compared, {len(regressed)} over "
+          f"{bench_check.DEFAULT_THRESHOLD:.0%}"
+          + (f": {', '.join(regressed)}" if regressed else ""))
+    return {
+        "date": previous_date,
+        "machine_factor": summary["machine_factor"],
+        "rows_compared": summary["checked"],
+        "threshold": bench_check.DEFAULT_THRESHOLD,
+        "regressed": regressed,
+        "missing": summary["missing"],
+    }
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--build-dir", default="build",
@@ -354,6 +390,9 @@ def main():
         sys.exit(f"FAIL: {len(failures)} same-run gate(s) failed, "
                  f"{args.out} not written: {', '.join(failures)}")
     out = pathlib.Path(args.out)
+    if out.exists():
+        report["context"]["previous_record"] = compare_with_previous(
+            out, benchmarks)
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}", file=sys.stderr)
 
