@@ -148,8 +148,8 @@ void Link::start_transmission() {
     pump_->push_op(tx_key_, pump_id_, PumpOp::kTxComplete);
     return;
   }
-  // {this, pool, handle} is 48 bytes: the event slot's inline callback
-  // buffer, so the completion event allocates nothing.
+  // {this, pool, handle} is 40 bytes: it fits the event slot's 48-byte
+  // inline callback buffer, so the completion event allocates nothing.
   sched_->schedule_at_stamped(
       at, seq, [this, c = CarriedPacket{pool_, std::move(pkt)}]() mutable {
         on_tx_complete(std::move(c.pkt));

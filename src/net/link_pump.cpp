@@ -1,6 +1,7 @@
 #include "net/link_pump.hpp"
 
 #include <atomic>
+#include <bit>
 
 #include "net/link.hpp"
 
@@ -19,6 +20,19 @@ void set_hot_path_batching(bool on) {
 
 bool hot_path_batching() {
   return g_hot_path_batching.load(std::memory_order_relaxed);
+}
+
+// Sizes the leaves for every registered stream, to the next power of two,
+// and replays the present ones.
+void PumpIndex::grow() {
+  const std::vector<Packed> old(key_.begin() + leaves_, key_.end());
+  leaves_ = std::bit_ceil(streams_);
+  key_.assign(2 * leaves_, kAbsent);
+  id_.resize(2 * leaves_);
+  for (std::uint32_t s = 0; s < leaves_; ++s) id_[leaves_ + s] = s;
+  for (std::uint32_t s = 0; s < old.size(); ++s) {
+    if (old[s] != kAbsent) replay(s, old[s]);
+  }
 }
 
 LinkPump::~LinkPump() {

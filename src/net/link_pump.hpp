@@ -16,12 +16,12 @@
 // oracle's kDeliver stream — is byte-identical; only the number of
 // scheduler events shrinks.
 //
-// Index structure: a PumpIndex holding exactly one slot per non-empty op
-// stream, keyed by the stream's head. The running op's slot is re-keyed in
-// place from Link::pump_op_key when the op returns (or removed when its
-// stream emptied), and a jittered delivery that overtakes its ring head
-// lowers its stream's key in place — so the index never holds a stale
-// entry and the earliest op is always the root.
+// Index structure: a PumpIndex, a tournament tree with one leaf per op
+// stream holding its head's key. The running op's leaf is re-keyed from
+// Link::pump_op_key when the op returns (made absent if its stream
+// emptied), and a jittered delivery that overtakes its ring head lowers
+// its stream's key in place — so the index never holds a stale entry and
+// the earliest op is always the root.
 #pragma once
 
 #include <cstddef>
@@ -57,11 +57,14 @@ enum class PumpOp : std::uint32_t { kTxComplete = 0, kDeliver = 1 };
 void set_hot_path_batching(bool on);
 bool hot_path_batching();
 
-// Position-indexed binary min-heap over stream ids: at most one slot per
-// stream, ordered by PumpKey. pos_ maps a stream to its heap position, so
-// a stream's key moves in place (one sift in either direction) instead of
-// being pushed again. Capacity is reserved as streams are added, so a warm
-// index never allocates.
+// Winner (tournament) tree over fixed leaves, one per stream id: leaf s
+// holds stream s's key or the absent key (all ones, after every real key),
+// and each internal node the earlier of its children's keys with its
+// stream, so the root is the next op. A key packs (time ns, sign bit
+// flipped) << 64 | seq into one unsigned 128-bit integer, so comparing is
+// branch-free, and every change writes a leaf and replays its path to the
+// root. add_streams only counts streams; the first insert past the leaves
+// sizes the tree to the next power of two (DESIGN.md §4.6).
 class PumpIndex {
  public:
   struct Slot {
@@ -69,99 +72,81 @@ class PumpIndex {
     std::uint32_t stream = 0;
   };
 
-  // Makes n more stream ids available, all absent. Reserves
-  // geometrically, so registering L links costs O(L).
-  void add_streams(std::size_t n) {
-    pos_.resize(pos_.size() + n, kAbsent);
-    if (heap_.capacity() < pos_.size()) heap_.reserve(2 * pos_.size());
-  }
+  // Makes n more stream ids available, all absent.
+  void add_streams(std::size_t n) { streams_ += n; }
 
   bool contains(std::uint32_t stream) const {
-    return pos_[stream] != kAbsent;
+    TCPPR_DCHECK(stream < streams_);
+    return stream < leaves_ && key_[leaves_ + stream] != kAbsent;
   }
   // Key of a present `stream`.
-  const PumpKey& key(std::uint32_t stream) const {
+  PumpKey key(std::uint32_t stream) const {
     TCPPR_DCHECK(contains(stream));
-    return heap_[pos_[stream]].key;
+    return unpack(key_[leaves_ + stream]);
   }
-  std::size_t size() const { return heap_.size(); }
-  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
   // The earliest slot; the index must not be empty.
-  const Slot& top() const {
-    TCPPR_DCHECK(!heap_.empty());
-    return heap_[0];
+  Slot top() const {
+    TCPPR_DCHECK(!empty());
+    return Slot{unpack(key_[1]), id_[1]};
   }
 
   // `stream` must be absent.
   void insert(std::uint32_t stream, PumpKey key) {
     TCPPR_DCHECK(!contains(stream));
-    const Slot s{key, stream};
-    heap_.push_back(s);
-    sift_up(heap_.size() - 1, s);
+    if (stream >= leaves_) grow();
+    ++size_;
+    replay(stream, pack(key));
   }
-  // Re-keys a present `stream` in place, earlier or later.
+  // Re-keys a present `stream`, earlier or later.
   void update(std::uint32_t stream, PumpKey key) {
-    const std::size_t i = pos_[stream];
-    TCPPR_DCHECK(i != kAbsent);
-    const Slot s{key, stream};
-    if (i > 0 && key < heap_[(i - 1) / 2].key) {
-      sift_up(i, s);
-    } else {
-      sift_down(i, s);
-    }
+    TCPPR_DCHECK(contains(stream));
+    replay(stream, pack(key));
   }
   // Removes a present `stream`.
   void remove(std::uint32_t stream) {
-    const std::size_t i = pos_[stream];
-    TCPPR_DCHECK(i != kAbsent);
-    pos_[stream] = kAbsent;
-    const Slot last = heap_.back();
-    heap_.pop_back();
-    if (i == heap_.size()) return;  // removed the last slot
-    if (i > 0 && last.key < heap_[(i - 1) / 2].key) {
-      sift_up(i, last);
-    } else {
-      sift_down(i, last);
-    }
-  }
-  void clear() {
-    for (const Slot& s : heap_) pos_[s.stream] = kAbsent;
-    heap_.clear();
+    TCPPR_DCHECK(contains(stream));
+    --size_;
+    replay(stream, kAbsent);
   }
 
  private:
-  static constexpr std::uint32_t kAbsent = UINT32_MAX;
+  using Packed = unsigned __int128;
+  static constexpr Packed kAbsent = ~Packed{0};
+  static constexpr Packed kSignBit = Packed{1} << 127;
 
-  void place(std::size_t i, const Slot& s) {
-    heap_[i] = s;
-    pos_[s.stream] = static_cast<std::uint32_t>(i);
+  static Packed pack(PumpKey k) {
+    const auto at = static_cast<std::uint64_t>(k.at.as_nanos());
+    return (Packed{at} << 64 | k.seq) ^ kSignBit;
   }
-  // Both sifts move a hole from `i` and drop `s` into it once; `s` is a
-  // copy because the hole overwrites slots.
-  void sift_up(std::size_t i, Slot s) {
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 2;
-      if (!(s.key < heap_[parent].key)) break;
-      place(i, heap_[parent]);
-      i = parent;
-    }
-    place(i, s);
-  }
-  void sift_down(std::size_t i, Slot s) {
-    const std::size_t n = heap_.size();
-    for (;;) {
-      std::size_t child = 2 * i + 1;
-      if (child >= n) break;
-      if (child + 1 < n && heap_[child + 1].key < heap_[child].key) ++child;
-      if (!(heap_[child].key < s.key)) break;
-      place(i, heap_[child]);
-      i = child;
-    }
-    place(i, s);
+  static PumpKey unpack(Packed p) {
+    p ^= kSignBit;
+    const auto at = static_cast<std::int64_t>(p >> 64);
+    return {sim::TimePoint::from_nanos(at), static_cast<std::uint64_t>(p)};
   }
 
-  std::vector<Slot> heap_;
-  std::vector<std::uint32_t> pos_;  // stream -> heap position or kAbsent
+  // Node i's children are 2i and 2i + 1, the root is node 1 and stream s's
+  // leaf node leaves_ + s. The winner climbs, meeting a sibling per level;
+  // its stream is an indexed load, not a branch.
+  void replay(std::uint32_t stream, Packed k) {
+    std::size_t i = leaves_ + stream;
+    key_[i] = k;
+    for (; i > 1; i >>= 1) {
+      const Packed sibling = key_[i ^ 1];
+      const bool take = sibling < k;
+      k = take ? sibling : k;
+      key_[i >> 1] = k;
+      id_[i >> 1] = id_[i ^ static_cast<std::size_t>(take)];
+    }
+  }
+  void grow();
+
+  std::vector<Packed> key_;        // by node; node 0 unused
+  std::vector<std::uint32_t> id_;  // by node: the stream its key came from
+  std::size_t leaves_ = 0;
+  std::size_t streams_ = 0;
+  std::size_t size_ = 0;           // present streams
 };
 
 class LinkPump {

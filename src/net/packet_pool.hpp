@@ -3,16 +3,16 @@
 // A packet is written into a pool slot once, when a node originates it,
 // and stays in that slot until it is delivered to an agent or dropped:
 // queues, transmitters, delivery rings and sender bursts pass only the
-// slot's handle (PooledPacket, a unique_ptr whose deleter is the pool
-// pointer plus the slot index). The copies left are at a parallel cut
-// link: the packet rides the mailbox by value, and the destination LP's
-// own thread writes it into that LP's pool, so each pool is touched only
-// by its own LP's thread.
+// slot's handle (PooledPacket, a 16-byte unique_ptr whose deleter is the
+// pool pointer). The copies left are at a parallel cut link: the packet
+// rides the mailbox by value, and the destination LP's own thread writes
+// it into that LP's pool, so each pool is touched only by its own LP's
+// thread.
 //
 // Slots are individually allocated, so a handle's pointer stays valid
-// while the pool grows; the free list holds 32-bit slot indices, LIFO, so
-// a warm pool allocates nothing and hands out the most recently touched
-// slot first.
+// while the pool grows; the free list holds slot pointers, LIFO, so a warm
+// pool allocates nothing and hands out the most recently touched slot
+// first.
 //
 // Ownership: handles do not keep their pool alive (no refcount traffic on
 // the per-hop path). Whatever holds handles must therefore die before the
@@ -22,7 +22,7 @@
 // handle (a Scenario's scheduler outlives its network).
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <memory>
 #include <vector>
 
@@ -35,11 +35,11 @@ class PacketPool;
 // Deleter that returns the packet's slot to its pool instead of freeing it.
 struct PacketReturner {
   PacketPool* pool = nullptr;
-  std::uint32_t index = 0;
   void operator()(Packet* pkt) const;
 };
 
 using PooledPacket = std::unique_ptr<Packet, PacketReturner>;
+static_assert(sizeof(PooledPacket) == 16);
 
 class PacketPool {
  public:
@@ -53,19 +53,19 @@ class PacketPool {
 
   // Checks a slot out and writes `src` into it.
   PooledPacket make(const Packet& src) {
-    std::uint32_t index;
+    Packet* slot;
     if (free_.empty()) {
-      index = static_cast<std::uint32_t>(storage_.size());
       storage_.push_back(std::make_unique<Packet>());
+      slot = storage_.back().get();
     } else {
-      index = free_.back();
+      slot = free_.back();
       free_.pop_back();
     }
-    *storage_[index] = src;
-    return PooledPacket{storage_[index].get(), PacketReturner{this, index}};
+    *slot = src;
+    return PooledPacket{slot, PacketReturner{this}};
   }
 
-  void release(std::uint32_t index) { free_.push_back(index); }
+  void release(Packet* slot) { free_.push_back(slot); }
 
   std::size_t allocated() const { return storage_.size(); }
   std::size_t idle() const { return free_.size(); }
@@ -75,9 +75,9 @@ class PacketPool {
 
  private:
   std::vector<std::unique_ptr<Packet>> storage_;
-  std::vector<std::uint32_t> free_;  // slot indices, LIFO
+  std::vector<Packet*> free_;  // LIFO
 };
 
-inline void PacketReturner::operator()(Packet*) const { pool->release(index); }
+inline void PacketReturner::operator()(Packet* p) const { pool->release(p); }
 
 }  // namespace tcppr::net

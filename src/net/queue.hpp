@@ -7,7 +7,7 @@
 // flow marked into different bands leave the router out of order.
 //
 // Queues hold pool handles (net/packet_pool.hpp), not packets: admission
-// moves the 24-byte handle in, pop() moves it out to the transmitter, and
+// moves the 16-byte handle in, pop() moves it out to the transmitter, and
 // the packet itself never leaves its slot.
 #pragma once
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -31,19 +32,33 @@ Packet make_packet(NodeId dst, std::uint32_t bytes, FlowId flow = 1) {
 // --- Link pump op index ------------------------------------------------
 
 TEST(PumpIndex, RandomizedAgainstSortedReference) {
-  // Insert, re-key earlier, re-key later, remove and clear steps over a
-  // small stream population (the pump's shape: one slot per stream, keys
+  // Insert, re-key earlier, re-key later, remove and drain steps over a
+  // small stream population (the pump's shape: one leaf per stream, keys
   // clustered around a moving clock, frequent ties on time): after every
-  // step the root must be the front of a sorted (key, stream) reference
-  // and the size must match it.
+  // step the root must be the front of a sorted (key, stream) reference,
+  // and the size and every stream's presence and key must match it.
+  // Rounds 0-3 register all 56 streams up front, as a built network does.
+  // Rounds 4-7 start from 0 streams, register 1, then 1, 3, 29 and 22
+  // more while streams are present: the tree grows under live keys (the
+  // last count fits the leaves it has), and the first insert after each
+  // registration lands on a new stream id.
   using Key = std::pair<std::int64_t, std::uint64_t>;
   sim::Rng rng(2024);
   constexpr std::uint32_t kStreams = 56;
+  constexpr std::uint32_t kGrowth[] = {1, 3, 29, 22};  // after the first 1
   int steps[5] = {};
-  for (int round = 0; round < 4; ++round) {
+  int growths = 0;
+  for (int round = 0; round < 8; ++round) {
+    const bool growing = round >= 4;
     PumpIndex index;
-    index.add_streams(kStreams / 2);
-    index.add_streams(kStreams / 2);
+    std::uint32_t registered = growing ? 1 : kStreams;
+    if (growing) {
+      index.add_streams(1);
+    } else {
+      index.add_streams(kStreams / 2);
+      index.add_streams(kStreams / 2);
+    }
+    std::size_t next_growth = 0;
     std::set<std::pair<Key, std::uint32_t>> reference;
     std::map<std::uint32_t, Key> live;
     // Keys are unique, as the pump's are: fresh sequences are spaced
@@ -59,13 +74,24 @@ TEST(PumpIndex, RandomizedAgainstSortedReference) {
       return PumpKey{sim::TimePoint::from_nanos(base + dt), fresh_seq()};
     };
     for (int op = 0; op < 6000; ++op) {
-      const auto stream =
-          static_cast<std::uint32_t>(rng.uniform_int(kStreams));
+      std::uint32_t stream;
+      const bool grow = growing && next_growth < std::size(kGrowth) &&
+                        op >= 300 * static_cast<int>(next_growth + 1) &&
+                        !live.empty();
+      if (grow) {
+        const std::uint32_t n = kGrowth[next_growth++];
+        index.add_streams(n);
+        stream = registered + static_cast<std::uint32_t>(rng.uniform_int(n));
+        registered += n;
+        ++growths;
+      } else {
+        stream = static_cast<std::uint32_t>(rng.uniform_int(registered));
+      }
       const double u = rng.uniform();
       int kind;
-      if (u < 0.002) {
-        kind = 4;  // clear
-        index.clear();
+      if (u < 0.002 && !grow) {
+        kind = 4;  // drain
+        for (const auto& entry : live) index.remove(entry.first);
         reference.clear();
         live.clear();
       } else if (!index.contains(stream)) {
@@ -99,12 +125,18 @@ TEST(PumpIndex, RandomizedAgainstSortedReference) {
         live[stream] = Key{k.at.as_nanos(), k.seq};
       }
       ++steps[kind];
-      if (kind <= 2) {
-        reference.insert({live[stream], stream});
-        ASSERT_EQ(index.key(stream).seq, live[stream].second);
-      }
+      ASSERT_TRUE(!grow || kind == 0) << "round " << round << " op " << op;
+      if (kind <= 2) reference.insert({live[stream], stream});
       ASSERT_EQ(index.size(), reference.size()) << "round " << round
                                                 << " op " << op;
+      for (std::uint32_t s = 0; s < registered; ++s) {
+        const auto it = live.find(s);
+        ASSERT_EQ(index.contains(s), it != live.end())
+            << "round " << round << " op " << op << " stream " << s;
+        if (it == live.end()) continue;
+        ASSERT_EQ(index.key(s).at.as_nanos(), it->second.first);
+        ASSERT_EQ(index.key(s).seq, it->second.second);
+      }
       if (reference.empty()) {
         ASSERT_TRUE(index.empty());
         continue;
@@ -114,11 +146,12 @@ TEST(PumpIndex, RandomizedAgainstSortedReference) {
           << "round " << round << " op " << op;
       ASSERT_EQ(index.top().key.at.as_nanos(), front_key.first);
       ASSERT_EQ(index.top().key.seq, front_key.second);
-      ASSERT_EQ(index.key(front_stream).seq, front_key.second);
       clock = front_key.first;  // the root is the pump's next op
     }
+    EXPECT_EQ(registered, kStreams);
   }
   for (const int n : steps) EXPECT_GT(n, 20);
+  EXPECT_EQ(growths, 4 * static_cast<int>(std::size(kGrowth)));
 }
 
 // --- Link op-order regression (jitter + loss lottery) -----------------

@@ -67,18 +67,23 @@ TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 # threads field, is the number of worker threads the row needs.
 LPS_RE = re.compile(r"/lps:(\d+)")
 
-# Row groups that bench_check.py gates at hard same-run ratios. Single-shot
-# timings swing well past the gate's margin — the first benchmark in a
-# process pays allocator warm-up, and box speed drifts over minutes — so
-# each group is always re-measured with warmed-up, randomly interleaved
-# repetitions (interleaving spreads each row's reps across the process
-# lifetime, so drift hits all rows of a ratio alike) and recorded as
-# medians. Everything else stays single-shot for runtime.
+# Row groups that bench_check.py reads as ratios: the same-run gates, and
+# the calibration rows whose ratio against another record is its machine
+# factor. Single-shot timings swing well past the gate's margin — the
+# first benchmark in a process pays allocator warm-up, and box speed
+# drifts over minutes — so each group is always re-measured with
+# warmed-up, randomly interleaved repetitions (interleaving spreads each
+# row's reps across the process lifetime, so drift hits all rows of a
+# ratio alike) and recorded as medians. Everything else stays single-shot
+# for runtime.
 RATIO_GROUPS = [
     # batched-vs-unbatched 4096-flow dumbbell speedup
     ("scale_flows", r"BM_ScaleFlowsDumbbell/flows:4096/batch:[01]$"),
     # telemetry tap overhead vs the untapped forwarding loop
     ("micro_engine", r"BM_TelemetryTap/[01]$|BM_PacketForwardLoop$"),
+    # the machine factor's pure-compute rows
+    ("micro_engine",
+     "|".join(f"{name}$" for name in bench_check.CALIBRATION_NAMES)),
 ]
 SPEEDUP_PAIR_REPS = 5
 SPEEDUP_PAIR_FLAGS = [
