@@ -45,7 +45,7 @@ int main() {
   core::TcpPrSender sender(network, src, dst, flow, tcp_config, pr_config);
 
   // 4. Transfer 2000 segments (2 MB) and stop when fully acknowledged.
-  sender.set_data_source(std::make_unique<tcp::FixedDataSource>(2000));
+  sender.set_transfer_segments(2000);
   sender.set_completion_callback([&] {
     std::printf("transfer complete at t=%.3f s\n",
                 sched.now().as_seconds());

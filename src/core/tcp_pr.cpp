@@ -189,7 +189,7 @@ void TcpPrSender::flush_cwnd() {
       if (!(cwnd_ > static_cast<double>(outstanding))) break;
       if (to_be_sent_count_ > 0) {
         send_one(lowest_to_be_sent());
-      } else if (source_has(next_new_)) {
+      } else if (has_segment(next_new_)) {
         send_one(next_new_);
         ++next_new_;
       } else {

@@ -64,8 +64,7 @@ void ShortFlowPool::spawn() {
                                                      flow, rc);
     entry.sender = make_sender(config_.variant, network_, src_, dst_, flow,
                                config_.tcp, config_.pr);
-    entry.sender->set_data_source(
-        std::make_unique<tcp::FixedDataSource>(segments));
+    entry.sender->set_transfer_segments(segments);
     entry.sender->set_completion_callback([this, flow] {
       // Defer teardown: we are inside the sender's own ACK processing. The
       // sentinel keeps a pool destroyed before the event fires safe.

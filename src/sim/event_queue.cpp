@@ -81,6 +81,48 @@ void HeapQueue::push(const QueuedEvent& event) {
   aux_[n + kPad] = Aux{event.seq, event.id};
 }
 
+void HeapQueue::sift_down(std::size_t n, std::int64_t key, Aux aux) {
+  // Sift down with a hole: at each level pick the smallest of the (one
+  // cache line of) children, move it up if it beats the placed entry, else
+  // stop.
+  for (;;) {
+    const std::size_t first = n * kArity + 1;
+    if (first >= count_) break;
+    if (first * kArity + 1 < count_) {
+      // The grandchildren of n occupy 8 consecutive cache lines starting
+      // at physical 8*(first+1); one of them is the next level's children
+      // block. Prefetching the whole span overlaps the next level's miss
+      // with this level's compare instead of serializing them.
+      const std::size_t gstart = (first + 1) * kArity;
+      for (std::size_t k = 0; k < kArity; ++k) {
+        __builtin_prefetch(&keys_[gstart + k * kArity]);
+      }
+    }
+    const std::size_t end = std::min(first + kArity, count_);
+    std::size_t best = first + kPad;
+    for (std::size_t c = first + 1 + kPad; c < end + kPad; ++c) {
+      if (less(c, best)) best = c;
+    }
+    const bool below =
+        keys_[best] < key || (keys_[best] == key && aux_[best].seq < aux.seq);
+    if (!below) break;
+    keys_[n + kPad] = keys_[best];
+    aux_[n + kPad] = aux_[best];
+    n = best - kPad;
+  }
+  keys_[n + kPad] = key;
+  aux_[n + kPad] = aux;
+}
+
+void HeapQueue::heapify() {
+  if (count_ < 2) return;
+  // Every internal node, the deepest first: node (count_ - 2) / kArity is
+  // the parent of the last entry.
+  for (std::size_t n = (count_ - 2) / kArity + 1; n-- > 0;) {
+    sift_down(n, keys_[n + kPad], aux_[n + kPad]);
+  }
+}
+
 std::optional<QueuedEvent> HeapQueue::pop_min() {
   if (count_ == 0) return std::nullopt;
   if (sorted_) {
@@ -99,37 +141,7 @@ std::optional<QueuedEvent> HeapQueue::pop_min() {
   if (count_ == 0) {
     sorted_ = true;  // drained: the next burst can run flat again
   } else {
-    // Sift down with a hole: at each level pick the smallest of the (one
-    // cache line of) children, move it up if it beats `last`, else stop.
-    std::size_t n = 0;
-    for (;;) {
-      const std::size_t first = n * kArity + 1;
-      if (first >= count_) break;
-      if (first * kArity + 1 < count_) {
-        // The grandchildren of n occupy 8 consecutive cache lines starting
-        // at physical 8*(first+1); one of them is the next level's children
-        // block. Prefetching the whole span overlaps the next level's miss
-        // with this level's compare instead of serializing them.
-        const std::size_t gstart = (first + 1) * kArity;
-        for (std::size_t k = 0; k < kArity; ++k) {
-          __builtin_prefetch(&keys_[gstart + k * kArity]);
-        }
-      }
-      const std::size_t end = std::min(first + kArity, count_);
-      std::size_t best = first + kPad;
-      for (std::size_t c = first + 1 + kPad; c < end + kPad; ++c) {
-        if (less(c, best)) best = c;
-      }
-      const bool below_last =
-          keys_[best] < last_key ||
-          (keys_[best] == last_key && aux_[best].seq < last_aux.seq);
-      if (!below_last) break;
-      keys_[n + kPad] = keys_[best];
-      aux_[n + kPad] = aux_[best];
-      n = best - kPad;
-    }
-    keys_[n + kPad] = last_key;
-    aux_[n + kPad] = last_aux;
+    sift_down(0, last_key, last_aux);
   }
   return top;
 }

@@ -1,6 +1,8 @@
 // The scheduler's pending-event set: a cache-friendly 8-ary implicit heap
 // ordered by (time, insertion sequence), so ties break FIFO and a run is
-// deterministic.
+// deterministic. The queue knows nothing of cancellation: the scheduler
+// skips cancelled entries when they reach the front and, once they
+// outnumber the live ones, drops them all through retain().
 #pragma once
 
 #include <cstddef>
@@ -49,6 +51,16 @@ class HeapQueue {
   void push(const QueuedEvent& event);
   // Removes and returns the earliest event, or nullopt when empty.
   std::optional<QueuedEvent> pop_min();
+  // Removes the earliest event; the queue must not be empty. The run loop
+  // peeks, then drops: a sorted run only advances its head.
+  void drop_min() {
+    if (sorted_) {
+      ++head_;
+      if (--count_ == 0) head_ = 0;
+    } else {
+      pop_min();
+    }
+  }
   // Returns the earliest event without removing it, or nullopt when empty.
   std::optional<QueuedEvent> peek_min() const {
     if (count_ == 0) return std::nullopt;
@@ -63,6 +75,28 @@ class HeapQueue {
     count_ = 0;
     head_ = 0;
     sorted_ = true;
+  }
+  // Keeps only the entries whose id satisfies `keep`, in O(size): one
+  // compacting pass, then, in heap mode, a bottom-up re-heapify. A sorted
+  // run stays sorted. Pop order is unchanged, since it follows the
+  // (time, seq) order alone.
+  template <typename Keep>
+  void retain(Keep keep) {
+    std::size_t out = kPad;
+    const std::size_t end = head_ + count_ + kPad;
+    for (std::size_t i = head_ + kPad; i < end; ++i) {
+      if (!keep(aux_[i].id)) continue;
+      keys_[out] = keys_[i];
+      aux_[out] = aux_[i];
+      ++out;
+    }
+    head_ = 0;
+    count_ = out - kPad;
+    if (count_ == 0) {
+      sorted_ = true;
+    } else if (!sorted_) {
+      heapify();
+    }
   }
   std::size_t size() const { return count_; }
   bool empty() const { return count_ == 0; }
@@ -91,6 +125,11 @@ class HeapQueue {
   void grow();
   // Slides the live range back to logical 0 (heap root position).
   void compact();
+  // Heap mode: places (key, aux) at or below logical node n, moving the
+  // smaller children up into the hole.
+  void sift_down(std::size_t n, std::int64_t key, Aux aux);
+  // Heap mode: restores the heap order over all count_ entries (Floyd).
+  void heapify();
 
   std::int64_t* keys_ = nullptr;  // time in ns; 64-byte aligned
   Aux* aux_ = nullptr;

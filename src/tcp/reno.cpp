@@ -57,7 +57,7 @@ void RenoSender::send_new_data() {
   {
     SenderBase::BurstScope burst(*this);
     while (static_cast<double>(flight_size()) + 1.0 <= usable_window() &&
-           source_has(snd_nxt_)) {
+           has_segment(snd_nxt_)) {
       // After a go-back-N timeout, "new" sends below the old snd_nxt are
       // really retransmissions; their records say so.
       const bool rtx = tx_.record_tx(snd_una_, snd_nxt_, now());

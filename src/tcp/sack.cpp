@@ -256,7 +256,7 @@ void SackSender::send_more() {
       if (rtx.has_value()) {
         tx_.mark(*rtx, kRtxInFlight);
         retransmit(*rtx);
-      } else if (source_has(snd_nxt_)) {
+      } else if (has_segment(snd_nxt_)) {
         // A go-back-N resend finds its earlier transmission recorded.
         const bool is_rtx = tx_.record_tx(snd_una_, snd_nxt_, now());
         if (is_rtx) recent_rtx_[snd_nxt_] = RtxRecord{now(), episode_dupacks_};

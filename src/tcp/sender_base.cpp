@@ -13,8 +13,7 @@ SenderBase::SenderBase(net::Network& network, net::NodeId local,
       network_(network),
       local_(local),
       remote_(remote),
-      flow_(flow),
-      source_(std::make_unique<BulkDataSource>()) {
+      flow_(flow) {
   TCPPR_CHECK(config_.segment_bytes > 0);
   TCPPR_CHECK(config_.initial_cwnd >= 1);
   network_.node(local_).attach_agent(flow_, this);
@@ -27,10 +26,10 @@ void SenderBase::set_metric_registry(obs::MetricRegistry& registry) {
   if (probe_) probe_.cwnd(now(), cwnd());
 }
 
-void SenderBase::set_data_source(std::unique_ptr<DataSource> source) {
+void SenderBase::set_transfer_segments(SeqNo segments) {
   TCPPR_CHECK(!started_);
-  TCPPR_CHECK(source != nullptr);
-  source_ = std::move(source);
+  TCPPR_CHECK(segments >= 0 || segments == kUnboundedTransfer);
+  transfer_segments_ = segments;
 }
 
 void SenderBase::start() {
@@ -38,7 +37,7 @@ void SenderBase::start() {
   started_ = true;
   on_start();
   // A zero-length transfer is complete the moment it starts.
-  if (!complete_ && source_->total_segments() == 0) {
+  if (!complete_ && transfer_segments_ == 0) {
     complete_ = true;
     if (completion_cb_) completion_cb_();
   }
@@ -95,8 +94,8 @@ void SenderBase::note_progress(SeqNo cum_ack) {
                                   cum_ack - stats_.segments_acked) *
                               config_.segment_bytes;
   stats_.segments_acked = cum_ack;
-  const SeqNo total = source_->total_segments();
-  if (!complete_ && total >= 0 && cum_ack >= total) {
+  if (!complete_ && transfer_segments_ != kUnboundedTransfer &&
+      cum_ack >= transfer_segments_) {
     complete_ = true;
     if (completion_cb_) completion_cb_();
   }

@@ -1,11 +1,10 @@
 // Common machinery for every TCP sender variant: node attachment, segment
-// construction, application data source, completion, statistics, and the
-// cwnd trace hook. Loss detection and window management live in the
+// construction, transfer size, completion, statistics, and the cwnd trace
+// hook. Loss detection and window management live in the
 // variants (tcp/reno.hpp, tcp/sack.hpp, core/tcp_pr.hpp, ...).
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "net/network.hpp"
@@ -15,33 +14,6 @@
 #include "tcp/types.hpp"
 
 namespace tcppr::tcp {
-
-// What the sender has to transmit. Bulk sources never run dry (FTP model
-// used throughout the paper); fixed sources end after N segments.
-class DataSource {
- public:
-  virtual ~DataSource() = default;
-  // True when segment `seq` exists to be sent.
-  virtual bool has_segment(SeqNo seq) const = 0;
-  // Total segments, or -1 for unbounded.
-  virtual SeqNo total_segments() const = 0;
-};
-
-class BulkDataSource final : public DataSource {
- public:
-  bool has_segment(SeqNo) const override { return true; }
-  SeqNo total_segments() const override { return -1; }
-};
-
-class FixedDataSource final : public DataSource {
- public:
-  explicit FixedDataSource(SeqNo segments) : segments_(segments) {}
-  bool has_segment(SeqNo seq) const override { return seq < segments_; }
-  SeqNo total_segments() const override { return segments_; }
-
- private:
-  SeqNo segments_;
-};
 
 // Uniform snapshot of the sender-side state-machine invariants, exported
 // by every variant for the validation layer (src/validate). Fields are a
@@ -91,8 +63,11 @@ class SenderBase : public net::Agent {
   void start();
   bool started() const { return started_; }
 
-  // Default source is bulk; call before start().
-  void set_data_source(std::unique_ptr<DataSource> source);
+  // What the sender has to transmit: `segments` segments, or
+  // kUnboundedTransfer (the default) for a bulk source that never runs dry,
+  // the FTP model used throughout the paper. Call before start().
+  static constexpr SeqNo kUnboundedTransfer = -1;
+  void set_transfer_segments(SeqNo segments);
   // Invoked once when a fixed-size transfer is fully acknowledged.
   void set_completion_callback(std::function<void()> cb) {
     completion_cb_ = std::move(cb);
@@ -163,8 +138,11 @@ class SenderBase : public net::Agent {
     SenderBase& sender_;
   };
 
-  bool source_has(SeqNo seq) const { return source_->has_segment(seq); }
-  SeqNo source_total() const { return source_->total_segments(); }
+  // True when segment `seq` exists to be sent.
+  bool has_segment(SeqNo seq) const {
+    return transfer_segments_ == kUnboundedTransfer ||
+           seq < transfer_segments_;
+  }
   // Called by variants whenever the cumulative ACK point advances; handles
   // stats and completion detection.
   void note_progress(SeqNo cum_ack);
@@ -198,7 +176,7 @@ class SenderBase : public net::Agent {
   net::NodeId local_;
   net::NodeId remote_;
   FlowId flow_;
-  std::unique_ptr<DataSource> source_;
+  SeqNo transfer_segments_ = kUnboundedTransfer;
   std::function<void()> completion_cb_;
   std::function<void(sim::TimePoint, double)> cwnd_listener_;
   bool started_ = false;

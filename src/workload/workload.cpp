@@ -155,10 +155,11 @@ void FlowServer::open_slot(std::uint32_t slot, net::SeqNo first_seq) {
   // The tap renews the idle lease: once the receiver registers itself as
   // the flow's agent, packets no longer pass through the server's deliver
   // path, so without this every receiver would look idle from the moment
-  // it was created and the reaper would collect it mid-flow.
-  rx->set_data_tap([this, slot, m = mon_[slot].get()](
-                       const net::Packet& pkt) {
-    m->on_arrival(pkt.tcp.seq);
+  // it was created and the reaper would collect it mid-flow. It captures
+  // {this, slot} only, which fits std::function's inline buffer; the
+  // monitor is looked up per packet (close_slot frees the receiver first).
+  rx->set_data_tap([this, slot](const net::Packet& pkt) {
+    mon_[slot]->on_arrival(pkt.tcp.seq);
     touch(slot);
   });
   rx->set_close_callback([this, slot] { schedule_close(slot); });
@@ -427,7 +428,7 @@ void WorkloadEngine::spawn_flow(int source) {
   auto sender = harness::make_sender(variant, scenario_.network, src_, dst_,
                                      flow, config_.tcp, config_.pr);
   if (parallel_) sender->rebind_scheduler(*src_sched_);
-  sender->set_data_source(std::make_unique<tcp::FixedDataSource>(segments));
+  sender->set_transfer_segments(segments);
   // allocate() already bumped the generation for this incarnation.
   const std::uint32_t gen = slots_.generation(slot);
   sender->set_completion_callback(

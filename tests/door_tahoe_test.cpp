@@ -30,7 +30,7 @@ TEST(Tahoe, CompletesCleanTransfer) {
   tcp::TcpConfig config;
   config.max_cwnd = 30;
   auto* sender = f.add_flow(TcpVariant::kTahoe, 1, config);
-  sender->set_data_source(std::make_unique<FixedDataSource>(300));
+  sender->set_transfer_segments(300);
   bool done = false;
   sender->set_completion_callback([&] { done = true; });
   sender->start();
@@ -80,7 +80,7 @@ TEST(Door, CleanPathBehavesLikeNewReno) {
     tcp::TcpConfig config;
     config.max_cwnd = 30;
     auto* sender = f.add_flow(v, 1, config);
-    sender->set_data_source(std::make_unique<FixedDataSource>(400));
+    sender->set_transfer_segments(400);
     sender->start();
     f.run_for(20);
     return sender->stats().segments_acked;

@@ -1,7 +1,7 @@
 // Tests for the scheduler's pending-event set (HeapQueue): the sorted-run
 // and heap representations and the switches between them, FIFO
 // tie-breaking, growth, far-future keys, and a randomized check against a
-// sorted reference.
+// sorted reference that includes retain(), the scheduler's purge.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -188,18 +188,40 @@ TEST(HeapQueue, ClearEmptiesAndRestoresSortedMode) {
 }
 
 TEST(HeapQueue, RandomizedAgainstSortedReference) {
-  // Interleaved pushes and pops with near-future, clustered and far-future
-  // times: every pop must return the front of a sorted (time, seq)
-  // reference, whichever representation the heap is in at the time.
+  // Interleaved pushes, pops and retains with near-future, clustered and
+  // far-future times: every pop must return the front of a sorted
+  // (time, seq) reference, whichever representation the heap is in at the
+  // time. A retain (the scheduler's purge) drops a random share of the
+  // entries; a sorted run must stay one, and the heap must pop the
+  // survivors in order.
   Rng rng(12345);
   int sorted_run_pops = 0;
   int heap_mode_pops = 0;
+  int sorted_run_retains = 0;
+  int heap_mode_retains = 0;
   for (int round = 0; round < 5; ++round) {
     HeapQueue heap;
     std::set<std::pair<std::int64_t, std::uint64_t>> reference;
     std::uint64_t seq = 0;
     double clock = 0;
     for (int op = 0; op < 4000; ++op) {
+      const bool sorted = heap.in_sorted_run();
+      if (heap.size() > 1 && rng.uniform() < (sorted ? 0.1 : 0.01)) {
+        // Keep the ids outside one residue class: a half to a quarter of
+        // the entries go.
+        const std::uint64_t mod = 2 + rng.uniform_int(3);
+        const std::uint64_t drop = rng.uniform_int(mod);
+        heap.retain([&](std::uint64_t id) { return id % mod != drop; });
+        std::erase_if(reference, [&](const auto& entry) {
+          return (entry.second + 1) % mod == drop;
+        });
+        ++(sorted ? sorted_run_retains : heap_mode_retains);
+        ASSERT_EQ(heap.size(), reference.size());
+        if (sorted || heap.empty()) {
+          ASSERT_TRUE(heap.in_sorted_run());
+        }
+        continue;
+      }
       const bool push = heap.empty() || rng.uniform() < 0.55;
       if (push) {
         double t = clock;
@@ -241,9 +263,11 @@ TEST(HeapQueue, RandomizedAgainstSortedReference) {
     EXPECT_FALSE(heap.pop_min().has_value());
   }
   // The op mix drains the queue now and then, so both representations
-  // (and the switches between them) serve pops.
+  // (and the switches between them) serve pops and retains.
   EXPECT_GT(sorted_run_pops, 0);
   EXPECT_GT(heap_mode_pops, 0);
+  EXPECT_GT(sorted_run_retains, 0);
+  EXPECT_GT(heap_mode_retains, 0);
 }
 
 }  // namespace

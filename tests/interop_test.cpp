@@ -63,7 +63,7 @@ TEST(Interop, TcpPrWorksWithDelayedAckReceiver) {
   tcp::TcpConfig tc;
   tc.max_cwnd = 30;
   auto* sender = add_flow_with_receiver(f, TcpVariant::kTcpPr, 1, rc, tc);
-  sender->set_data_source(std::make_unique<tcp::FixedDataSource>(500));
+  sender->set_transfer_segments(500);
   bool done = false;
   sender->set_completion_callback([&] { done = true; });
   sender->start();
@@ -173,7 +173,7 @@ TEST(Interop, TwoPrFlowsConvergeToEqualShares) {
 TEST(Interop, ZeroLengthTransferCompletesImmediately) {
   PathFixture f;
   auto* sender = f.add_flow(TcpVariant::kTcpPr, 1);
-  sender->set_data_source(std::make_unique<tcp::FixedDataSource>(0));
+  sender->set_transfer_segments(0);
   bool done = false;
   sender->set_completion_callback([&] { done = true; });
   sender->start();
@@ -188,7 +188,7 @@ TEST(Interop, SingleSegmentTransfer) {
   for (const TcpVariant v : harness::all_variants()) {
     PathFixture f;
     auto* sender = f.add_flow(v, 1);
-    sender->set_data_source(std::make_unique<tcp::FixedDataSource>(1));
+    sender->set_transfer_segments(1);
     bool done = false;
     sender->set_completion_callback([&] { done = true; });
     sender->start();

@@ -51,7 +51,7 @@ TEST_P(CleanTransfer, DeliversAllSegmentsInOrder) {
   tcp::TcpConfig config;
   config.max_cwnd = 30;
   auto* sender = f.add_flow(GetParam(), 1, config);
-  sender->set_data_source(std::make_unique<tcp::FixedDataSource>(300));
+  sender->set_transfer_segments(300);
   bool done = false;
   sender->set_completion_callback([&] { done = true; });
   sender->start();
@@ -65,7 +65,7 @@ TEST_P(CleanTransfer, CompletesDespiteRandomLoss) {
   testutil::PathFixture f;
   auto* sender = f.add_flow(GetParam(), 1);
   f.fwd->set_loss_model(0.03, sim::Rng(11));
-  sender->set_data_source(std::make_unique<tcp::FixedDataSource>(1000));
+  sender->set_transfer_segments(1000);
   bool done = false;
   sender->set_completion_callback([&] { done = true; });
   sender->start();

@@ -42,7 +42,7 @@ TEST(Reno, CompletesFixedTransferWithoutLoss) {
     tcp::TcpConfig config;
     config.max_cwnd = t.max_cwnd;
     auto* sender = f.add_flow(t.variant, 1, config);
-    sender->set_data_source(std::make_unique<FixedDataSource>(t.segments));
+    sender->set_transfer_segments(t.segments);
     bool done = false;
     sender->set_completion_callback([&] { done = true; });
     sender->start();
@@ -158,7 +158,7 @@ TEST(NewReno, CompletesUnderRandomLoss) {
   PathFixture f;
   auto* sender = f.add_flow(TcpVariant::kNewReno, 1);
   f.fwd->set_loss_model(0.02, sim::Rng(7));
-  sender->set_data_source(std::make_unique<FixedDataSource>(2000));
+  sender->set_transfer_segments(2000);
   bool done = false;
   sender->set_completion_callback([&] { done = true; });
   sender->start();

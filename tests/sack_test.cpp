@@ -94,7 +94,7 @@ TEST(Sack, CompletesFixedTransferCleanly) {
     tcp::TcpConfig config;
     config.max_cwnd = max_cwnd;
     auto* sender = f.add_flow(TcpVariant::kSack, 1, config);
-    sender->set_data_source(std::make_unique<FixedDataSource>(segments));
+    sender->set_transfer_segments(segments);
     bool done = false;
     sender->set_completion_callback([&] { done = true; });
     sender->start();

@@ -14,6 +14,7 @@
 #include "harness/scenarios.hpp"
 #include "net/network.hpp"
 #include "sim/scheduler.hpp"
+#include "workload/workload.hpp"
 
 namespace tcppr {
 namespace {
@@ -91,6 +92,46 @@ TEST(SteadyStateAllocations, SackFlowsAllocateLikeTcpPr) {
   const std::uint64_t tcp_pr = many_flows_allocations(1.0);
   EXPECT_LE(sack, tcp_pr * 3 / 2)
       << "all-SACK " << sack << " against all-TCP-PR " << tcp_pr;
+}
+
+TEST(SteadyStateAllocations, ChurnAllocatesAFewTimesPerArrival) {
+  // perfbench's churn-10k plant: Poisson mice of 2-4 segments at 10k
+  // arrivals/s. Every arrival builds a sender, a receiver and their
+  // callbacks; the transfer size is a plain count and the receiver's data
+  // tap fits std::function's inline buffer, so neither allocates.
+  harness::DumbbellConfig c;
+  c.pr_flows = 0;
+  c.sack_flows = 0;
+  c.bottleneck_bw_bps = 40e6 * 10;
+  c.access_bw_bps = 4 * c.bottleneck_bw_bps;
+  c.bottleneck_queue = 500;
+  c.access_queue = 1000;
+  auto s = harness::make_dumbbell(c);
+  workload::WorkloadConfig wc;
+  wc.kind = workload::WorkloadKind::kPoisson;
+  wc.arrival_rate = 10000;
+  wc.min_segments = 2;
+  wc.max_segments = 4;
+  wc.quarantine = sim::Duration::millis(300);
+  wc.reap_idle = sim::Duration::millis(150);
+  wc.reap_sweep = sim::Duration::millis(50);
+  wc.max_concurrent = 8192;
+  wc.id_slots = 1 << 15;
+  workload::WorkloadEngine engine(*s, wc);
+  engine.start();
+  s->sched.run_until(sim::TimePoint::from_seconds(1));  // warm up
+  const std::uint64_t arrivals_before = engine.stats().arrivals;
+
+  const std::uint64_t before = testutil::heap_allocations();
+  s->sched.run_until(sim::TimePoint::from_seconds(3));
+  const std::uint64_t allocations = testutil::heap_allocations() - before;
+
+  const std::uint64_t arrivals = engine.stats().arrivals - arrivals_before;
+  ASSERT_GT(arrivals, 15000u);
+  const double per_arrival =
+      static_cast<double>(allocations) / static_cast<double>(arrivals);
+  EXPECT_LE(per_arrival, 5.2) << allocations << " allocations over "
+                              << arrivals << " arrivals";
 }
 
 }  // namespace

@@ -83,7 +83,7 @@ TEST(TcpPr, CompletesFixedTransferWithoutLossCleanly) {
   tcp::TcpConfig config;
   config.max_cwnd = 20;  // keep slow start below the queue limit
   auto* sender = add_pr(f, config);
-  sender->set_data_source(std::make_unique<tcp::FixedDataSource>(500));
+  sender->set_transfer_segments(500);
   bool done = false;
   sender->set_completion_callback([&] { done = true; });
   sender->start();

@@ -31,7 +31,7 @@ TEST(Trace, RecordsOriginationAndDelivery) {
   MemoryTrace memory;
   f.network->add_trace_sink(&memory);
   auto* sender = f.add_flow(TcpVariant::kTcpPr, 1);
-  sender->set_data_source(std::make_unique<tcp::FixedDataSource>(10));
+  sender->set_transfer_segments(10);
   sender->start();
   f.run_for(5);
   // 10 data packets + 10 ACKs originated; each delivered once.
@@ -45,7 +45,7 @@ TEST(Trace, EnqueueDequeueBalance) {
   MemoryTrace memory;
   f.network->add_trace_sink(&memory);
   auto* sender = f.add_flow(TcpVariant::kSack, 1);
-  sender->set_data_source(std::make_unique<tcp::FixedDataSource>(50));
+  sender->set_transfer_segments(50);
   sender->start();
   f.run_for(10);
   // Nothing dropped: every enqueue eventually dequeues.
@@ -72,7 +72,7 @@ TEST(Trace, LossModelDropsTraced) {
   f.network->add_trace_sink(&memory);
   f.fwd->set_loss_model(0.1, sim::Rng(3));
   auto* sender = f.add_flow(TcpVariant::kSack, 1);
-  sender->set_data_source(std::make_unique<tcp::FixedDataSource>(300));
+  sender->set_transfer_segments(300);
   sender->start();
   f.run_for(60);
   EXPECT_EQ(memory.count(EventType::kLossDrop), f.fwd->stats().lost);
@@ -84,7 +84,7 @@ TEST(Trace, RecordsCarryFlowAndSeq) {
   MemoryTrace memory;
   f.network->add_trace_sink(&memory);
   auto* sender = f.add_flow(TcpVariant::kTcpPr, 7);
-  sender->set_data_source(std::make_unique<tcp::FixedDataSource>(3));
+  sender->set_transfer_segments(3);
   sender->start();
   f.run_for(2);
   const auto data_originations = memory.select([](const Record& r) {
@@ -104,7 +104,7 @@ TEST(Trace, MultipleSinksAllFed) {
   f.network->add_trace_sink(&a);
   f.network->add_trace_sink(&b);
   auto* sender = f.add_flow(TcpVariant::kSack, 1);
-  sender->set_data_source(std::make_unique<tcp::FixedDataSource>(5));
+  sender->set_transfer_segments(5);
   sender->start();
   f.run_for(2);
   EXPECT_EQ(a.records().size(), b.records().size());
@@ -119,7 +119,7 @@ TEST(Trace, FileTraceWritesParsableLines) {
     ASSERT_TRUE(file.ok());
     f.network->add_trace_sink(&file);
     auto* sender = f.add_flow(TcpVariant::kTcpPr, 1);
-    sender->set_data_source(std::make_unique<tcp::FixedDataSource>(5));
+    sender->set_transfer_segments(5);
     sender->start();
     f.run_for(2);
     file.flush();
@@ -155,7 +155,7 @@ TEST(Trace, InactiveTracerCostsNothingVisible) {
     MemoryTrace memory;
     if (traced) f.network->add_trace_sink(&memory);
     auto* sender = f.add_flow(TcpVariant::kSack, 1);
-    sender->set_data_source(std::make_unique<tcp::FixedDataSource>(100));
+    sender->set_transfer_segments(100);
     sender->start();
     f.run_for(10);
     return f.sched.processed_count();

@@ -20,6 +20,11 @@ e.g. one captured with:
 
     ./build/bench/micro_engine --benchmark_format=json > baseline.json
 
+Every row bench_check.py gates, and every row its ratio and calibration
+gates read, is recorded as the median of 5 warmed-up, randomly interleaved
+repetitions (one process per ratio group, then one for a binary's other
+gated rows); the other rows are single shots (see RATIO_GROUPS).
+
 Exits non-zero when a benchmark binary is missing, crashes, exits with an
 error, or reports a per-benchmark error (google-benchmark error_occurred),
 so CI cannot silently record a partial run. It also runs bench_check.py's
@@ -67,15 +72,19 @@ TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 # threads field, is the number of worker threads the row needs.
 LPS_RE = re.compile(r"/lps:(\d+)")
 
-# Row groups that bench_check.py reads as ratios: the same-run gates, and
-# the calibration rows whose ratio against another record is its machine
-# factor. Single-shot timings swing well past the gate's margin — the
-# first benchmark in a process pays allocator warm-up, and box speed
-# drifts over minutes — so each group is always re-measured with
-# warmed-up, randomly interleaved repetitions (interleaving spreads each
-# row's reps across the process lifetime, so drift hits all rows of a
-# ratio alike) and recorded as medians. Everything else stays single-shot
-# for runtime.
+# Rows recorded as medians of warmed-up, randomly interleaved repetitions:
+# every row bench_check.py gates (GATED_PATTERNS, compared against another
+# record), and the rows its ratios divide by. Single-shot timings swing
+# well past the gate's margin — the first benchmark in a process pays
+# allocator warm-up, and box speed drifts over minutes — so two records
+# of one tree would flag rows against each other. Each group below runs
+# in its own process, interleaving its rows' repetitions so drift hits
+# every row of a ratio alike: the same-run ratio groups and the
+# calibration rows behind the machine factor; then the binary's other
+# gated rows share one process, as they did as single shots. (Alone in a
+# fresh process, BM_SchedulerCancel's per-iteration allocations read about
+# twice as slow as after other rows have warmed the allocator.) Ungated
+# rows stay single-shot for runtime.
 RATIO_GROUPS = [
     # batched-vs-unbatched 4096-flow dumbbell speedup
     ("scale_flows", r"BM_ScaleFlowsDumbbell/flows:4096/batch:[01]$"),
@@ -85,11 +94,32 @@ RATIO_GROUPS = [
     ("micro_engine",
      "|".join(f"{name}$" for name in bench_check.CALIBRATION_NAMES)),
 ]
-SPEEDUP_PAIR_REPS = 5
-SPEEDUP_PAIR_FLAGS = [
+GATED_RE = re.compile("|".join(bench_check.GATED_PATTERNS))
+MEDIAN_REPS = 5
+MEDIAN_FLAGS = [
     "--benchmark_enable_random_interleaving=true",
     "--benchmark_min_warmup_time=0.5",
 ]
+
+
+def exact_filter(names):
+    return "^(" + "|".join(re.escape(n) for n in names) + ")$"
+
+
+def plan_passes(binary_name, names):
+    """Splits a binary's rows into (single-shot rows, median groups)."""
+    left = list(names)
+    groups = []
+    for group_binary, pattern in RATIO_GROUPS:
+        group = [n for n in left
+                 if group_binary == binary_name and re.fullmatch(pattern, n)]
+        if group:
+            groups.append(group)
+            left = [n for n in left if n not in group]
+    gated = [n for n in left if GATED_RE.search(n)]
+    if gated:
+        groups.append(gated)
+    return [n for n in left if not GATED_RE.search(n)], groups
 
 
 def to_ns(value, unit):
@@ -206,6 +236,18 @@ def load_benchmark_json(raw):
         if c:
             counters[name] = c
     return raw.get("context", {}), times, threads, counters, errors
+
+
+def list_rows(binary, args):
+    """Names of the rows `binary` runs under --filter."""
+    cmd = [str(binary), "--benchmark_list_tests=true"]
+    if args.filter:
+        cmd.append(f"--benchmark_filter={args.filter}")
+    run = subprocess.run(cmd, capture_output=True, text=True)
+    if run.returncode != 0:
+        sys.stderr.write(run.stderr)
+        sys.exit(f"error: {binary.name} exited with status {run.returncode}")
+    return run.stdout.split()
 
 
 def run_binary(binary, args, bench_filter=None, repetitions=None,
@@ -325,25 +367,19 @@ def main():
     thread_counts = {}
     counter_map = {}
     for binary in binaries:
-        ctx, times, threads, counters = run_binary(binary, args)
-        context = context or ctx
-        after.update(times)
-        thread_counts.update(threads)
-        counter_map.update(counters)
-
-    # Re-measure each hard-ratio row group with repetitions and keep the
-    # medians, unless this run already used repetitions or filtered the
-    # group out.
-    if args.repetitions <= 1:
-        for binary_name, group_filter in RATIO_GROUPS:
-            binary = bench_dir / binary_name
-            if binary not in binaries:
-                continue
-            if not any(re.fullmatch(group_filter, n) for n in after):
-                continue
-            _, times, threads, counters = run_binary(
-                binary, args, bench_filter=group_filter,
-                repetitions=SPEEDUP_PAIR_REPS, extra_flags=SPEEDUP_PAIR_FLAGS)
+        if args.repetitions > 1:
+            # Every row with the requested repetitions, in one process.
+            passes = [(args.filter, args.repetitions, ())]
+        else:
+            single, groups = plan_passes(binary.name, list_rows(binary, args))
+            passes = [(exact_filter(single), 1, ())] if single else []
+            passes += [(exact_filter(group), MEDIAN_REPS, MEDIAN_FLAGS)
+                       for group in groups]
+        for bench_filter, repetitions, flags in passes:
+            ctx, times, threads, counters = run_binary(
+                binary, args, bench_filter=bench_filter,
+                repetitions=repetitions, extra_flags=flags)
+            context = context or ctx
             after.update(times)
             thread_counts.update(threads)
             counter_map.update(counters)
