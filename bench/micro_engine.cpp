@@ -121,29 +121,21 @@ void BM_PacketForwardLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_PacketForwardLoop)->Unit(benchmark::kMillisecond);
 
-// The same three-hop forwarding burst with the batched hot path toggled:
-// Arg 0 = unbatched (per-packet scheduler events), 1 = batched (link-pump
-// carrier events, batched queue ops). The events_per_packet counter is the
-// headline metric — one carrier event executes every transmission and
-// delivery op that comes due before the next pending scheduler event, so
-// the batched row drops well below one scheduler event per delivered
-// packet while the unbatched row pays several.
+// The same three-hop forwarding burst, reporting scheduler events per
+// delivered packet: one link-pump carrier event executes every
+// transmission and delivery op that comes due before the next pending
+// scheduler event, so the row stays far below one event per packet.
 void BM_BatchDelivery(benchmark::State& state) {
   struct Sink : net::Agent {
     std::uint64_t received = 0;
     void deliver(net::Packet&&) override { ++received; }
   };
-  const bool batching = state.range(0) != 0;
   constexpr int kPackets = 10000;
   std::uint64_t events = 0;
   std::uint64_t delivered = 0;
   for (auto _ : state) {
-    // The mode is sampled once at Network construction; restore the
-    // process default immediately so nothing else inherits it.
-    net::set_hot_path_batching(batching);
     sim::Scheduler sched;
     net::Network net(sched);
-    net::set_hot_path_batching(true);
     const net::NodeId a = net.add_node();
     const net::NodeId b = net.add_node();
     const net::NodeId c = net.add_node();
@@ -178,7 +170,7 @@ void BM_BatchDelivery(benchmark::State& state) {
       delivered ? static_cast<double>(events) / static_cast<double>(delivered)
                 : 0.0;
 }
-BENCHMARK(BM_BatchDelivery)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BatchDelivery)->Unit(benchmark::kMillisecond);
 
 // The forwarding burst of BM_PacketForwardLoop with reordering telemetry:
 // Arg 0 = taps compiled in but not attached (the one-branch-when-off cost

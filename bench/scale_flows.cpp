@@ -19,7 +19,6 @@
 
 #include "harness/parallel_run.hpp"
 #include "harness/scenarios.hpp"
-#include "net/link_pump.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 #include "workload/workload.hpp"
@@ -78,23 +77,17 @@ BENCHMARK(BM_ScaleFlowsScheduler)
 
 // End-to-end: N-flow dumbbell for two simulated seconds. Bottleneck
 // bandwidth scales with N (constant per-flow share), so the event rate —
-// and the live timer population — grow linearly with the flow count.
-// Second argument toggles the batched hot path (0 = per-packet events,
-// 1 = link-pump carrier events); the events_per_packet counter reports
-// scheduler events per delivered packet, the metric batching collapses.
+// and the live timer population — grow linearly with the flow count. The
+// events_per_packet counter reports scheduler events per delivered packet,
+// which the link pump's carrier events keep far below one.
 void BM_ScaleFlowsDumbbell(benchmark::State& state) {
   const int flows = static_cast<int>(state.range(0));
-  const bool batching = state.range(1) != 0;
   std::uint64_t events = 0;
   std::uint64_t delivered = 0;
   for (auto _ : state) {
     harness::ManyFlowsConfig config;
     config.flows = flows;
-    // Sampled once at Network construction (inside make_many_flows);
-    // restore the process default right after the build.
-    net::set_hot_path_batching(batching);
     auto scenario = harness::make_many_flows(config);
-    net::set_hot_path_batching(true);
     scenario->sched.run_until(sim::TimePoint::from_seconds(2));
     events = scenario->sched.processed_count();
     delivered = scenario->network.conservation().delivered_to_agent;
@@ -104,13 +97,13 @@ void BM_ScaleFlowsDumbbell(benchmark::State& state) {
       delivered ? static_cast<double>(events) / static_cast<double>(delivered)
                 : 0.0;
 }
-// Batched rows with their unbatched references (batch:0): the gap at the
-// same flow count is the batched hot path's end-to-end win, recorded side
-// by side in BENCH_engine.json. 4096 flows is the ceiling the builder
-// supports.
+// 4096 flows is the ceiling the builder supports.
 BENCHMARK(BM_ScaleFlowsDumbbell)
-    ->ArgNames({"flows", "batch"})
-    ->ArgsProduct({{16, 256, 1024, 4096}, {1, 0}})
+    ->ArgName("flows")
+    ->Arg(16)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 
 // Sequential-vs-parallel rows: the same N-flow dumbbell through the

@@ -42,7 +42,7 @@ ParallelSim::ParallelSim(Scenario& scenario, const ParallelRunConfig& config)
   // on a stamped shard: stamp order is partition-independent, so digests
   // from any requested LP count (including 1) are directly comparable.
   const int k = lp_count();
-  TCPPR_CHECK(scenario_.lp_scheds.empty());
+  TCPPR_CHECK(scenario_.lp_scheds.empty() && scenario_.lp_pumps.empty());
   net::Network& nw = scenario_.network;
   TCPPR_CHECK(nw.node_count() <=
               (1 << sim::Scheduler::kStampEntityBits));
@@ -52,10 +52,8 @@ ParallelSim::ParallelSim(Scenario& scenario, const ParallelRunConfig& config)
     sim::Scheduler* shard = scenario_.lp_scheds.back().get();
     shard->enable_seq_stamping();
     shards_.push_back(shard);
+    scenario_.lp_pumps.push_back(std::make_unique<net::LinkPump>(*shard));
     pools_.push_back(net::PacketPool::create());
-    if (nw.pump() != nullptr) {
-      pumps_.push_back(std::make_unique<net::LinkPump>(*shard));
-    }
     lp_tracers_.push_back(std::make_unique<trace::Tracer>());
     if (tracing_) {
       sinks_.push_back(std::make_unique<BufferSink>(*shard));
@@ -72,15 +70,14 @@ ParallelSim::ParallelSim(Scenario& scenario, const ParallelRunConfig& config)
                     shards_[static_cast<std::size_t>(lp)]);
     node.set_packet_pool(pools_[static_cast<std::size_t>(lp)]);
   }
-  // A link's queue/transmit/propagation events all run on its *source*
-  // LP; only the final delivery may cross (mailbox, then the delivery ring
-  // on the destination LP's pump, in the destination node's pool).
+  // A link's queue/transmit/propagation ops all run on its *source* LP's
+  // pump; only the final delivery may cross (mailbox, then the delivery
+  // ring on the destination LP's pump, in the destination node's pool).
   for (const auto& link : nw.links()) {
     const auto lp = static_cast<std::size_t>(lp_of(link->from()));
-    link->set_scheduler(*shards_[lp]);
+    link->set_pump(*scenario_.lp_pumps[lp]);
     link->set_packet_pool(pools_[lp]);
     link->set_tracer(lp_tracers_[lp].get());
-    if (!pumps_.empty()) link->set_pump(pumps_[lp].get());
   }
   // Each cut link gets a mailbox; its lookahead bounds every window.
   inboxes_.resize(static_cast<std::size_t>(k));
@@ -92,8 +89,7 @@ ParallelSim::ParallelSim(Scenario& scenario, const ParallelRunConfig& config)
     mb.dst_lp = lp_of(cut->to());
     mb.lookahead = cut->prop_delay();
     const auto dst = static_cast<std::size_t>(mb.dst_lp);
-    cut->set_remote_channel(&mb.channel, shards_[dst],
-                            pumps_.empty() ? nullptr : pumps_[dst].get());
+    cut->set_remote_channel(mb.channel, *scenario_.lp_pumps[dst]);
     inboxes_[dst].push_back(&mb);
   }
 
@@ -133,20 +129,15 @@ ParallelSim::ParallelSim(Scenario& scenario, const ParallelRunConfig& config)
 
 ParallelSim::~ParallelSim() {
   net::Network& nw = scenario_.network;
-  for (Mailbox& mb : mailboxes_) mb.link->set_remote_channel(nullptr);
+  for (Mailbox& mb : mailboxes_) mb.link->clear_remote_channel();
   for (int v = 0; v < nw.node_count(); ++v) {
     nw.node(static_cast<net::NodeId>(v))
         .set_tracer(&nw.tracer(), &scenario_.sched);
   }
-  for (const auto& link : nw.links()) {
-    link->set_tracer(&nw.tracer());
-    // Drop any batched in-flight state before the per-LP pumps die; the
-    // links keep their shard schedulers (like the timers), so re-pointing
-    // them at the network's build-scheduler pump would be wrong. Links and
-    // nodes keep their LP pools too: queued packets still live there, and
-    // the shared ownership holds each pool until its last link dies.
-    if (!pumps_.empty()) link->detach_pump();
-  }
+  // Links keep their LP pumps and pools (like the timers keep their
+  // shards): in-flight packets still live there, and the scenario owns
+  // every pump and the shared ownership every pool until the links die.
+  for (const auto& link : nw.links()) link->set_tracer(&nw.tracer());
 }
 
 sim::Scheduler& ParallelSim::shard_for(net::NodeId node) {
@@ -162,7 +153,7 @@ void ParallelSim::set_checker(validate::InvariantChecker* checker) {
 
 net::LinkPump::Stats ParallelSim::pump_stats() const {
   net::LinkPump::Stats total{};
-  for (const auto& pump : pumps_) {
+  for (const auto& pump : scenario_.lp_pumps) {
     const net::LinkPump::Stats& s = pump->stats();
     total.events += s.events;
     total.ops += s.ops;
@@ -188,12 +179,9 @@ std::vector<ParallelSim::LpReport> ParallelSim::lp_reports() const {
   std::vector<LpReport> out(shards_.size());
   std::uint64_t busiest = 0;
   for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i].ops = shards_[i]->processed_count();
-    if (!pumps_.empty()) {
-      // A carrier event counts as the ops it ran.
-      const net::LinkPump::Stats& s = pumps_[i]->stats();
-      out[i].ops += s.ops - s.events;
-    }
+    // A carrier event counts as the ops it ran.
+    const net::LinkPump::Stats& s = scenario_.lp_pumps[i]->stats();
+    out[i].ops = shards_[i]->processed_count() + s.ops - s.events;
     busiest = std::max(busiest, out[i].ops);
   }
   for (LpReport& r : out) {

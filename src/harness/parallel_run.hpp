@@ -69,8 +69,9 @@ class ParallelSim {
  public:
   // `scenario` must be fully built (flows added) and not yet run. The
   // ParallelSim borrows it and must be destroyed before it; destruction
-  // restores the tracer/mailbox pointers it re-wired (shards stay, owned
-  // by the scenario, so rebound timers remain valid through teardown).
+  // restores the tracer/mailbox pointers it re-wired (shards and their
+  // pumps stay, owned by the scenario, so rebound timers and links remain
+  // valid through teardown).
   ParallelSim(Scenario& scenario, const ParallelRunConfig& config);
   ~ParallelSim();
 
@@ -106,7 +107,7 @@ class ParallelSim {
 
   // Per-LP report (tcppr_sim --par prints this; the obs gauges mirror
   // it). `ops` is the LP's work: its non-carrier scheduler events plus its
-  // pump ops, i.e. the events the unbatched engine would fire.
+  // pump ops, one per event or packet op, so carriers do not skew it.
   // `utilization` is its share of the busiest LP's ops over the whole run
   // — the window-utilization model of DESIGN.md §4.10.
   struct LpReport {
@@ -124,8 +125,7 @@ class ParallelSim {
   // Events fired across all shards (the parallel counterpart of the build
   // scheduler's processed_count()).
   std::uint64_t events_processed() const;
-  // Aggregate batch-pump counters across the per-LP pumps (all zeros when
-  // the scenario's network was built with hot-path batching off).
+  // Aggregate pump counters across the per-LP pumps.
   net::LinkPump::Stats pump_stats() const;
 
  private:
@@ -174,10 +174,6 @@ class ParallelSim {
   const Partition partition_;
   std::vector<sim::Scheduler*> shards_;  // borrowed from scenario_.lp_scheds
   std::vector<std::shared_ptr<net::PacketPool>> pools_;
-  // One batch pump per LP when the scenario's network was built batched
-  // (empty otherwise). Links are re-pointed here from the network's own
-  // pump and detached again in the destructor, before these die.
-  std::vector<std::unique_ptr<net::LinkPump>> pumps_;
   std::vector<std::unique_ptr<trace::Tracer>> lp_tracers_;
   std::vector<std::unique_ptr<BufferSink>> sinks_;  // empty when not tracing
   std::deque<Mailbox> mailboxes_;  // deque: links hold channel pointers

@@ -54,11 +54,14 @@ struct Scenario {
   Scenario& operator=(const Scenario&) = delete;
 
   sim::Scheduler sched;
-  // Scheduler shards in parallel mode (populated by harness::ParallelSim;
-  // empty in sequential runs). Owned by the Scenario and declared before
-  // the network and the endpoints so senders/receivers — whose destructors
-  // cancel timers rebound onto these shards — are destroyed first.
+  // Scheduler shards in parallel mode and each shard's link pump, index
+  // for index (populated by harness::ParallelSim; empty in sequential
+  // runs). Owned by the Scenario and declared before the network and the
+  // endpoints so senders/receivers — whose destructors cancel timers
+  // rebound onto these shards — are destroyed first, and every link keeps
+  // a live pump until it dies.
   std::vector<std::unique_ptr<sim::Scheduler>> lp_scheds;
+  std::vector<std::unique_ptr<net::LinkPump>> lp_pumps;
   net::Network network;
   net::NodeId src_host = net::kInvalidNode;
   net::NodeId dst_host = net::kInvalidNode;

@@ -10,10 +10,9 @@
 
 namespace tcppr::net {
 
-Link::Link(sim::Scheduler& sched, NodeId from, NodeId to, double bandwidth_bps,
+Link::Link(LinkPump& pump, NodeId from, NodeId to, double bandwidth_bps,
            sim::Duration prop_delay, std::unique_ptr<Queue> queue)
-    : sched_(&sched),
-      from_(from),
+    : from_(from),
       to_(to),
       bandwidth_bps_(bandwidth_bps),
       prop_delay_(prop_delay),
@@ -23,27 +22,27 @@ Link::Link(sim::Scheduler& sched, NodeId from, NodeId to, double bandwidth_bps,
   TCPPR_CHECK(bandwidth_bps_ > 0);
   TCPPR_CHECK(prop_delay_ >= sim::Duration::zero());
   TCPPR_CHECK(queue_ != nullptr);
-  queue_->set_time_source(sched_, bandwidth_bps_);
+  set_pump(pump);
 }
 
-void Link::set_scheduler(sim::Scheduler& sched) {
-  TCPPR_CHECK(!busy_ && in_transit_ == 0);
-  sched_ = &sched;
+void Link::set_pump(LinkPump& pump) {
+  TCPPR_CHECK(!busy_ && in_transit_ == 0 && remote_ == nullptr);
+  sched_ = &pump.scheduler();
   queue_->set_time_source(sched_, bandwidth_bps_);
+  pump_ = &pump;
+  pump_id_ = pump.add_link(this);
+  delivery_pump_ = pump_;
+  delivery_pump_id_ = pump_id_;
 }
 
-void Link::set_remote_channel(CrossLinkChannel* channel,
-                              sim::Scheduler* dst_sched, LinkPump* dst_pump) {
-  remote_ = channel;
-  lookahead_frozen_ = channel != nullptr;
-  if (channel == nullptr) return;
+void Link::set_remote_channel(CrossLinkChannel& channel, LinkPump& dst_pump) {
   TCPPR_CHECK(prop_delay_ > sim::Duration::zero());
-  TCPPR_CHECK(dst_sched != nullptr && ring_.empty());
-  TCPPR_CHECK(dst_pump == nullptr || &dst_pump->scheduler() == dst_sched);
+  TCPPR_CHECK(ring_.empty());
+  remote_ = &channel;
+  lookahead_frozen_ = true;
   frozen_lookahead_ = prop_delay_;
-  dst_sched_ = dst_sched;
-  delivery_pump_ = dst_pump;
-  if (dst_pump != nullptr) delivery_pump_id_ = dst_pump->add_link(this);
+  delivery_pump_ = &dst_pump;
+  delivery_pump_id_ = dst_pump.add_link(this);
 }
 
 void Link::set_loss_model(double loss_rate, sim::Rng rng) {
@@ -64,23 +63,6 @@ void Link::set_jitter(sim::Duration max_jitter, sim::Rng rng) {
   TCPPR_CHECK(max_jitter >= sim::Duration::zero());
   max_jitter_ = max_jitter;
   jitter_rng_ = rng;
-}
-
-void Link::set_pump(LinkPump* pump) {
-  TCPPR_CHECK(!busy_ && in_transit_ == 0);
-  TCPPR_CHECK(pump == nullptr || &pump->scheduler() == sched_);
-  pump_ = pump;
-  if (pump_ != nullptr) pump_id_ = pump_->add_link(this);
-  delivery_pump_ = pump_;
-  delivery_pump_id_ = pump_id_;
-}
-
-void Link::detach_pump() {
-  pump_ = nullptr;
-  delivery_pump_ = nullptr;
-  tx_pending_ = false;
-  tx_pkt_.reset();
-  ring_.clear();
 }
 
 void Link::send(PooledPacket pkt) {
@@ -109,19 +91,6 @@ void Link::send(PooledPacket pkt) {
   if (!busy_) start_transmission();
 }
 
-namespace {
-
-// An in-flight packet riding one scheduler event of the unbatched engine.
-// The event can be destroyed unrun after its network is gone (a
-// Scenario's scheduler outlives its network), so it keeps the pool alive
-// itself; members die in reverse order, the handle first.
-struct CarriedPacket {
-  std::shared_ptr<PacketPool> pool;
-  PooledPacket pkt;
-};
-
-}  // namespace
-
 void Link::start_transmission() {
   PooledPacket pkt = queue_->pop();
   if (pkt == nullptr) {
@@ -141,32 +110,18 @@ void Link::start_transmission() {
       sched_->mint_seq(static_cast<std::uint32_t>(from_));
   last_tx_mint_valid_ = true;
   last_tx_mint_ = PumpKey{sched_->now(), seq};
-  if (pump_ != nullptr) {
-    tx_pending_ = true;
-    tx_key_ = PumpKey{at, seq};
-    tx_pkt_ = std::move(pkt);
-    pump_->push_op(tx_key_, pump_id_, PumpOp::kTxComplete);
-    return;
-  }
-  // {this, pool, handle} is 40 bytes: it fits the event slot's 48-byte
-  // inline callback buffer, so the completion event allocates nothing.
-  sched_->schedule_at_stamped(
-      at, seq, [this, c = CarriedPacket{pool_, std::move(pkt)}]() mutable {
-        on_tx_complete(std::move(c.pkt));
-      });
-}
-
-void Link::on_tx_complete(PooledPacket pkt) {
-  // Transmitter is free: begin the next packet (if any) before modelling
-  // this packet's propagation.
-  start_transmission();
-  complete_packet(std::move(pkt));
+  tx_pending_ = true;
+  tx_key_ = PumpKey{at, seq};
+  tx_pkt_ = std::move(pkt);
+  pump_->push_op(tx_key_, pump_id_, PumpOp::kTxComplete);
 }
 
 void Link::pump_run_tx() {
   TCPPR_DCHECK(tx_pending_);
   tx_pending_ = false;
   PooledPacket p = std::move(tx_pkt_);
+  // Transmitter is free: begin the next packet (if any) before modelling
+  // this packet's propagation.
   start_transmission();
   complete_packet(std::move(p));
 }
@@ -211,35 +166,20 @@ void Link::complete_packet(PooledPacket pkt) {
   const sim::TimePoint at = sched_->now() + delivery_delay;
   const std::uint64_t seq =
       sched_->mint_seq(static_cast<std::uint32_t>(from_));
-  // Op-order invariant (the schedule batching preserves): the delivery op
+  // Op-order invariant (the schedule the pump keeps): the delivery op
   // minted after this packet's loss lottery sorts after the next-packet
   // transmission op minted before it. Stamps embed the mint instant and a
-  // per-(node, instant) counter, the legacy counter is globally monotone —
+  // per-(node, instant) counter, the plain counter is globally monotone —
   // either way later mints sort later; assert it rather than assume it.
   TCPPR_DCHECK(!last_tx_mint_valid_ || last_tx_mint_.at != sched_->now() ||
                seq > last_tx_mint_.seq);
-  schedule_delivery(*sched_, pool_, at, seq, std::move(pkt));
+  insert_delivery(at, seq, std::move(pkt));
 }
 
 void Link::inject(sim::TimePoint at, std::uint64_t seq, const Packet& pkt) {
   TCPPR_DCHECK(remote_ != nullptr && dst_node_ != nullptr);
   ++injected_pending_;
-  const std::shared_ptr<PacketPool>& pool = dst_node_->shared_packet_pool();
-  schedule_delivery(*dst_sched_, pool, at, seq, pool->make(pkt));
-}
-
-void Link::schedule_delivery(sim::Scheduler& sched,
-                             const std::shared_ptr<PacketPool>& pool,
-                             sim::TimePoint at, std::uint64_t seq,
-                             PooledPacket pkt) {
-  if (delivery_pump_ != nullptr) {
-    insert_delivery(at, seq, std::move(pkt));
-    return;
-  }
-  sched.schedule_at_stamped(
-      at, seq, [this, c = CarriedPacket{pool, std::move(pkt)}]() mutable {
-        deliver_one(std::move(c.pkt));
-      });
+  insert_delivery(at, seq, dst_node_->packet_pool().make(pkt));
 }
 
 void Link::deliver_one(PooledPacket p) {

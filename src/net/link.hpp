@@ -69,7 +69,8 @@ struct CrossLinkChannel {
 
 class Link {
  public:
-  Link(sim::Scheduler& sched, NodeId from, NodeId to, double bandwidth_bps,
+  // The link runs on `pump` (set_pump) from birth.
+  Link(LinkPump& pump, NodeId from, NodeId to, double bandwidth_bps,
        sim::Duration prop_delay, std::unique_ptr<Queue> queue);
 
   Link(const Link&) = delete;
@@ -80,9 +81,8 @@ class Link {
   void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
   // Telemetry tap observing this link's delivery stream (one-branch-when-
   // off, same discipline as the tracer). Every delivery, local or
-  // injected, pumped or per-event, passes through deliver_one on the
-  // destination node's shard, so the tap sees the full stream in delivery
-  // order at any LP count.
+  // injected, passes through deliver_one on the destination node's shard,
+  // so the tap sees the full stream in delivery order at any LP count.
   void set_telemetry_tap(telemetry::ReorderTap* tap) { tap_ = tap; }
   // The pool of the link's source node: every packet the link holds lives
   // there (Network wires its own pool, ParallelSim the source LP's). Only
@@ -102,18 +102,22 @@ class Link {
     prop_delay_ = delay;
   }
   // --- Parallel-execution hooks (LP shard adoption) ----------------------
-  // Re-points the link at the scheduler shard that owns its source node.
-  // Only legal while idle (nothing transmitting or propagating).
-  void set_scheduler(sim::Scheduler& sched);
+  // Re-homes the link, its queue's time source and every packet op it
+  // mints on `pump` and the pump's scheduler (the network's pump at
+  // construction; ParallelSim moves each link to its source LP's). Only
+  // legal while idle (nothing transmitting or propagating) and not cut.
+  void set_pump(LinkPump& pump);
   // Marks this link as a cut link: completed transmissions are pushed into
   // `channel` instead of being scheduled locally, and the current
   // propagation delay becomes the immutable lookahead floor. Injected
-  // packets are delivered on `dst_sched`, the destination node's shard,
-  // through its pump `dst_pump` when batched. nullptr unmarks the link.
-  void set_remote_channel(CrossLinkChannel* channel,
-                          sim::Scheduler* dst_sched = nullptr,
-                          LinkPump* dst_pump = nullptr);
-  sim::Scheduler& scheduler() { return *sched_; }
+  // packets enter the delivery ring of `dst_pump`, the destination node's
+  // LP's pump.
+  void set_remote_channel(CrossLinkChannel& channel, LinkPump& dst_pump);
+  // Unmarks a cut link (ParallelSim teardown: the channel dies with it).
+  void clear_remote_channel() {
+    remote_ = nullptr;
+    lookahead_frozen_ = false;
+  }
   // Changes the drain rate for future transmissions (mid-run capacity
   // change; the fuzzer uses this to model route/handover bandwidth shifts).
   void set_bandwidth(double bandwidth_bps);
@@ -135,9 +139,8 @@ class Link {
 
   // --- Cut-link injection (destination shard's thread) -------------------
   // Writes a drained mailbox packet into the destination node's pool and
-  // schedules its delivery at (at, seq), the key minted on the source
-  // shard: into the delivery ring on the destination pump when batched,
-  // as one event on the destination shard otherwise — the same paths
+  // inserts its delivery at (at, seq), the key minted on the source shard,
+  // into the delivery ring on the destination pump — the path
   // complete_packet gives local deliveries. Source-side stats and
   // in-transit accounting already happened at push time.
   void inject(sim::TimePoint at, std::uint64_t seq, const Packet& pkt);
@@ -149,17 +152,10 @@ class Link {
   // full. The handle must come from the link's pool (set_packet_pool).
   void send(PooledPacket pkt);
 
-  // --- Batched hot path (LinkPump) ---------------------------------------
-  // Routes this link's packet ops (tx completions, deliveries) through the
-  // pump instead of dedicated scheduler events. The pump must be bound to
-  // this link's scheduler; only legal while idle. nullptr restores the
-  // unbatched per-event path. A cut link delivers through its destination
-  // shard's pump instead (set_remote_channel).
-  void set_pump(LinkPump* pump);
-  // Teardown variant: drops the pump wiring and any batched in-flight
-  // state even when the link is mid-transmission (parallel-run
-  // destruction; pending packets return to the pool).
-  void detach_pump();
+  // --- Packet ops (LinkPump) ---------------------------------------------
+  // A link's packet ops (tx completions, deliveries) run on its pump; a
+  // cut link's deliveries run on its destination shard's pump instead
+  // (set_remote_channel).
   // Current head key of the given op stream, or nullopt when the stream is
   // empty. The pump re-keys the stream's index slot from this after each of
   // its ops — inline, it's a pair of loads on the hot path.
@@ -202,20 +198,11 @@ class Link {
 
  private:
   void start_transmission();
-  void on_tx_complete(PooledPacket pkt);
   // Post-transmission half of a packet's journey: loss lottery, hop count,
-  // jitter, then delivery scheduling (mailbox, pump ring, or dedicated
-  // event). Mint order matches the unbatched engine exactly: the next
-  // transmission's sequence first (start_transmission), then the loss
-  // lottery draw, then this packet's delivery sequence.
+  // jitter, then delivery scheduling (mailbox or pump ring). Mint order is
+  // fixed: the next transmission's sequence first (start_transmission),
+  // then the loss lottery draw, then this packet's delivery sequence.
   void complete_packet(PooledPacket pkt);
-  // Schedules one delivery on the delivery pump's ring, or as its own
-  // event on `sched` (unbatched); the event keeps the packet's `pool`
-  // alive.
-  void schedule_delivery(sim::Scheduler& sched,
-                         const std::shared_ptr<PacketPool>& pool,
-                         sim::TimePoint at, std::uint64_t seq,
-                         PooledPacket pkt);
   // Delivery epilogue for one packet: stats and in-transit accounting (on
   // a cut link: the injected count), telemetry tap, node hand-off.
   void deliver_one(PooledPacket p);
@@ -228,7 +215,7 @@ class Link {
     return *pool_;
   }
 
-  sim::Scheduler* sched_;
+  sim::Scheduler* sched_ = nullptr;  // pump_'s scheduler
   NodeId from_;
   NodeId to_;
   double bandwidth_bps_;
@@ -253,14 +240,13 @@ class Link {
   telemetry::ReorderTap* tap_ = nullptr;
   LinkStats stats_;
 
-  // --- Batched hot path state --------------------------------------------
+  // --- Packet op state ---------------------------------------------------
   LinkPump* pump_ = nullptr;
   std::uint32_t pump_id_ = 0;
   // The delivery ring's pump: pump_, except on a cut link, whose ring
-  // belongs to the destination shard (dst_sched_) and its thread.
+  // belongs to the destination shard's pump and its thread.
   LinkPump* delivery_pump_ = nullptr;
   std::uint32_t delivery_pump_id_ = 0;
-  sim::Scheduler* dst_sched_ = nullptr;
   std::uint64_t injected_pending_ = 0;
   // Pending transmission-completion op (at most one; the transmitter is
   // serial).
@@ -278,7 +264,7 @@ class Link {
   // Mint-order bookkeeping: the last transmission-schedule op minted, used
   // to assert that a delivery op minted in the same instant (i.e. after
   // the loss lottery that follows the mint) sorts after it — the op-order
-  // invariant batching relies on.
+  // invariant the pump's schedule relies on.
   bool last_tx_mint_valid_ = false;
   PumpKey last_tx_mint_{};
 };

@@ -1,26 +1,10 @@
 #include "net/link_pump.hpp"
 
-#include <atomic>
 #include <bit>
 
 #include "net/link.hpp"
 
 namespace tcppr::net {
-
-namespace {
-// Relaxed atomic: the fuzz campaign flips this from worker threads, each
-// for its own single-threaded simulation; there is no cross-thread
-// ordering to protect, only the data race to avoid.
-std::atomic<bool> g_hot_path_batching{true};
-}  // namespace
-
-void set_hot_path_batching(bool on) {
-  g_hot_path_batching.store(on, std::memory_order_relaxed);
-}
-
-bool hot_path_batching() {
-  return g_hot_path_batching.load(std::memory_order_relaxed);
-}
 
 // Sizes the leaves for every registered stream, to the next power of two,
 // and replays the present ones.
@@ -47,8 +31,7 @@ std::uint32_t LinkPump::add_link(Link* link) {
 
 void LinkPump::park(PumpKey k) {
   // The carrier occupies the head op's exact schedule position: no new
-  // sequence is minted, so the schedule the scheduler sees is a subset of
-  // the unbatched one.
+  // sequence is minted, so the carrier sorts exactly where its op does.
   parked_key_ = k;
   parked_ = sched_->schedule_at_stamped(k.at, k.seq, [this] { on_event(); });
 }

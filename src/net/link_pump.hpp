@@ -1,22 +1,20 @@
-// LinkPump: per-scheduler carrier for batched packet ops.
+// LinkPump: per-scheduler carrier for packet ops.
 //
-// The unbatched engine schedules one event per packet op — a transmission
-// completion, then a delivery — so events/packet >= 2 per hop. The pump
-// inverts that: links register their op streams here, each op keyed with
-// the exact (time, tie-break sequence) its dedicated event would have
-// carried (the link mints the sequence at the same program point with
-// Scheduler::mint_seq), and the pump keeps exactly ONE scheduler event
-// parked at the earliest key. A new head that precedes it cancels it and
-// parks a new one; the scheduler's purge bounds the cancelled entries this
-// leaves in its heap. When the carrier fires, the pump executes the
-// earliest op and then keeps going: as long as the earliest remaining op
-// would be the very next thing the scheduler ran anyway
-// (Scheduler::would_fire_next) it advances the clock to that op's key
-// (advance_batched_op) and executes it inside the same event. Every op
-// still executes at exactly the (time, seq) position it holds in the
-// unbatched schedule, so delivery order — and therefore the determinism
-// oracle's kDeliver stream — is byte-identical; only the number of
-// scheduler events shrinks.
+// Every packet op — a transmission completion, then a delivery — runs
+// here, not as a scheduler event of its own. Links register their op
+// streams, each op keyed with a (time, tie-break sequence) the link mints
+// with Scheduler::mint_seq exactly as if it scheduled an event, and the
+// pump keeps exactly ONE scheduler event parked at the earliest key. A new
+// head that precedes it cancels it and parks a new one; the scheduler's
+// purge bounds the cancelled entries this leaves in its heap. When the
+// carrier fires, the pump executes the earliest op and then keeps going:
+// as long as the earliest remaining op would be the very next thing the
+// scheduler ran anyway (Scheduler::would_fire_next) it advances the clock
+// to that op's key (advance_batched_op) and executes it inside the same
+// event. Every op executes at exactly its (time, seq) position in the
+// scheduler's total order, interleaved with the other events as if it
+// were one; only the number of scheduler events shrinks
+// (tests/link_pump_test.cpp checks the order on random networks).
 //
 // Index structure: a PumpIndex, a tournament tree with one leaf per op
 // stream holding its head's key. The running op's leaf is re-keyed from
@@ -38,8 +36,8 @@ namespace tcppr::net {
 
 class Link;
 
-// Key of a pump op: the (time, tie-break sequence) of the scheduler event
-// the op replaces.
+// Key of a pump op: its (time, tie-break sequence) in the scheduler's
+// order.
 struct PumpKey {
   sim::TimePoint at;
   std::uint64_t seq = 0;
@@ -51,13 +49,6 @@ struct PumpKey {
 };
 
 enum class PumpOp : std::uint32_t { kTxComplete = 0, kDeliver = 1 };
-
-// Process-wide toggle for the batched hot path, read by Network at
-// construction (default on). Runs built with it off schedule one event per
-// packet op, exactly the pre-batching engine — the comparison baseline the
-// equivalence suite and benches use.
-void set_hot_path_batching(bool on);
-bool hot_path_batching();
 
 // Winner (tournament) tree over fixed leaves, one per stream id: leaf s
 // holds stream s's key or the absent key (all ones, after every real key),

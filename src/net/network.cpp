@@ -30,13 +30,12 @@ Link& Network::add_link_with_queue(NodeId from, NodeId to,
   TCPPR_CHECK(from >= 0 && from < node_count());
   TCPPR_CHECK(to >= 0 && to < node_count());
   TCPPR_CHECK(from != to);
-  links_.push_back(std::make_unique<Link>(sched_, from, to, bandwidth_bps,
+  links_.push_back(std::make_unique<Link>(pump_, from, to, bandwidth_bps,
                                           delay, std::move(queue)));
   Link& link = *links_.back();
   link.set_destination(nodes_[static_cast<std::size_t>(to)].get());
   link.set_tracer(&tracer_);
   link.set_packet_pool(pool_);
-  if (pump_ != nullptr) link.set_pump(pump_.get());
   nodes_[static_cast<std::size_t>(from)]->add_out_link(&link);
   return link;
 }

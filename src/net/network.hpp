@@ -27,12 +27,7 @@ struct LinkConfig {
 
 class Network {
  public:
-  // The batched hot path (net::set_hot_path_batching) is sampled here,
-  // once: a network is born batched or unbatched and stays that way.
-  explicit Network(sim::Scheduler& sched)
-      : sched_(sched),
-        pump_(hot_path_batching() ? std::make_unique<LinkPump>(sched)
-                                  : nullptr) {}
+  explicit Network(sim::Scheduler& sched) : sched_(sched), pump_(sched) {}
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
@@ -68,11 +63,11 @@ class Network {
   // LP at its own).
   const std::shared_ptr<PacketPool>& packet_pool() const { return pool_; }
 
-  // Batch carrier for the sequential engine; null when the network was
-  // built with hot-path batching off (parallel shards install their own
-  // per-LP pumps instead — see harness/parallel_run).
-  LinkPump* pump() { return pump_.get(); }
-  const LinkPump* pump() const { return pump_.get(); }
+  // The packet-op carrier every link is built on (never null). Under
+  // harness::ParallelSim the links move to their LPs' pumps and this one
+  // idles.
+  LinkPump* pump() { return &pump_; }
+  const LinkPump* pump() const { return &pump_; }
 
   // Attaches a trace sink; all packet events at every node and link are
   // reported from then on.
@@ -116,7 +111,7 @@ class Network {
   std::vector<std::unique_ptr<Link>> links_;
   // Declared after links_: destroyed first, so its parked carrier event is
   // cancelled while the links it serves are still alive.
-  std::unique_ptr<LinkPump> pump_;
+  LinkPump pump_;
 };
 
 }  // namespace tcppr::net

@@ -78,9 +78,6 @@ class Node {
     pool_ = std::move(pool);
   }
   PacketPool& packet_pool() { return *pool_; }
-  const std::shared_ptr<PacketPool>& shared_packet_pool() const {
-    return pool_;
-  }
 
   void add_out_link(Link* link);
   void set_next_hop(NodeId dst, NodeId next_hop);

@@ -16,10 +16,10 @@
 //
 // Ownership: handles do not keep their pool alive (no refcount traffic on
 // the per-hop path). Whatever holds handles must therefore die before the
-// pool: a Network declares its pool before its links, a Link holds its
-// source node's pool and declares it before its queue and rings, and the
-// unbatched engine's per-packet events carry their pool alongside the
-// handle (a Scenario's scheduler outlives its network).
+// pool: a Network declares its pool before its links, and a Link holds its
+// source node's pool and declares it before its queue and rings (a cut
+// link's ring holds packets of the destination node's pool, which its
+// node keeps alive until the network's links are gone).
 #pragma once
 
 #include <cstddef>

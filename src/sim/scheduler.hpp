@@ -44,9 +44,8 @@ struct EventId {
 class Scheduler {
  public:
   // Captures up to this size are stored inside the event slot; larger ones
-  // fall back to one heap allocation. 48 bytes covers `this` plus a pooled
-  // packet handle plus a word to spare — every hot-path event in the
-  // simulator fits.
+  // fall back to one heap allocation. 48 bytes covers `this` plus a few
+  // words, or a std::function — every event in the simulator fits.
   static constexpr std::size_t kCallbackInlineBytes = 48;
   using Callback = util::InlineFunction<void(), kCallbackInlineBytes>;
 
@@ -152,19 +151,20 @@ class Scheduler {
   // replay records in the same order the sequential run emitted them.
   std::uint64_t current_event_seq() const { return current_event_seq_; }
 
-  // --- Batched hot-path support (net::LinkPump) -------------------------
+  // --- Packet-op support (net::LinkPump) ---------------------------------
   //
   // The link pump keys packet ops (transmission completions, deliveries)
-  // with the exact (time, seq) their dedicated scheduler events would have
-  // carried, parks ONE event at the earliest key, and on fire executes
-  // every consecutive op the scheduler would have run back to back anyway.
-  // These three hooks are what that requires: minting a sequence without
-  // scheduling, asking whether an op may ride the current event, and
-  // advancing the clock to an op's key mid-event.
+  // with a (time, seq) minted here as if each were an event, parks ONE
+  // event at the earliest key, and on fire executes every consecutive op
+  // the scheduler would have run back to back anyway. These three hooks
+  // are what that requires: minting a sequence without scheduling, asking
+  // whether an op may ride the current event, and advancing the clock to
+  // an op's key mid-event.
 
   // Mints the tie-break sequence the next schedule_at_for(entity) call
   // would consume, without scheduling anything. An op keyed with it and
-  // executed at that key is indistinguishable from the event it replaces.
+  // executed at that key sits in the total order exactly where an event
+  // scheduled with it would.
   std::uint64_t mint_seq(std::uint32_t entity) {
     return stamping_ ? make_stamp(entity) : next_seq_++;
   }

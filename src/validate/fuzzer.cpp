@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <system_error>
 #include <utility>
@@ -12,7 +11,6 @@
 #include "harness/parallel.hpp"
 #include "harness/parallel_run.hpp"
 #include "net/link_flapper.hpp"
-#include "net/link_pump.hpp"
 #include "sim/random.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/check.hpp"
@@ -94,12 +92,11 @@ std::string describe(const FuzzCase& c) {
       buf, sizeof(buf),
       "topology=%s flows=%d variants=[%s] dur=%.2fs cross=%d loss=%.4f "
       "jitter=%.1fms flap=%d(up=%.2fs,down=%.2fs) reconf=%d eps=%g nodes=%d "
-      "batch=%d par=%d churn=%s telemetry=%d",
+      "par=%d churn=%s telemetry=%d",
       to_string(c.topology), c.flows, variants.c_str(), c.duration_s,
       c.cross_traffic ? 1 : 0, c.loss_rate, c.jitter_ms, c.flap ? 1 : 0,
       c.flap_mean_up_s, c.flap_mean_down_s, c.reconfigure_mid_run ? 1 : 0,
-      c.epsilon, c.graph_nodes, c.batching ? 1 : 0, c.par_lps, churn,
-      c.telemetry ? 1 : 0);
+      c.epsilon, c.graph_nodes, c.par_lps, churn, c.telemetry ? 1 : 0);
   return buf;
 }
 
@@ -198,18 +195,7 @@ std::unique_ptr<harness::Scenario> build_scenario(const FuzzCase& c,
 
 FuzzResult run_fuzz_case(const FuzzCase& c) {
   sim::Rng rng = sim::Rng(c.seed).fork(0xB01D);
-  std::unique_ptr<harness::Scenario> scenario;
-  {
-    // The batching flag is process-global and sampled once, at Network
-    // construction; serialize the set-and-construct window so concurrent
-    // fuzz cells with different `batching` values cannot leak into each
-    // other's networks, and restore the default before releasing it.
-    static std::mutex batching_mu;
-    std::lock_guard<std::mutex> lock(batching_mu);
-    net::set_hot_path_batching(c.batching);
-    scenario = build_scenario(c, rng);
-    net::set_hot_path_batching(true);
-  }
+  std::unique_ptr<harness::Scenario> scenario = build_scenario(c, rng);
   harness::Scenario& s = *scenario;
 
   // Fault processes over the scenario's bottleneck set.

@@ -62,11 +62,6 @@ struct FuzzCase {
   // parallel-equivalence tests and --par. The realized LP count may be
   // lower when the partitioner finds no positive-lookahead cut.
   int par_lps = 0;
-  // Batched hot path (net::set_hot_path_batching), sampled at Network
-  // construction. Never sampled (like `par_lps`: the batched and
-  // unbatched engines must produce the identical trajectory); set
-  // explicitly by the batch-equivalence tests and --no-batch.
-  bool batching = true;
 
   // Mutation knobs for the checker's self-test. Never sampled by the
   // fuzzer; set explicitly by tests/validate_selftest.cpp.

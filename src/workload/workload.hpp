@@ -16,7 +16,7 @@
 // arrival index — never on the recycled flow id. Under the stamped
 // parallel engine all of the engine's scheduling goes through the
 // *_for(entity) API, so a churning run is byte-identical across
-// --par {1,2,4} and the batched/unbatched hot paths.
+// --par {1,2,4}.
 //
 // Receiver side: senders are created on the source host's LP, so the
 // engine cannot construct the Receiver (it lives on another LP's node).

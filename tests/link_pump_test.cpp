@@ -1,4 +1,5 @@
-// Unit tests for the batched hot path: the link pump's op index, and the
+// Unit tests for the link pump: its op index, its place in the
+// scheduler's total order on random networks (the pump's oracle), and the
 // link-level op-order invariant on jittered lossy links (the loss lottery
 // runs at transmission completion, strictly after that hop's
 // next-transmission mint — regression for the stamped schedule-op
@@ -6,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "net/network.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
+#include "validate/determinism.hpp"
 
 namespace tcppr::net {
 namespace {
@@ -165,21 +169,26 @@ class RecordingAgent final : public Agent {
   std::vector<std::pair<SeqNo, int>> arrivals;
 };
 
+// Arrivals of one jittered lossy run and the delivery hash of its trace.
+struct JitteredLossyRun {
+  std::vector<std::pair<SeqNo, int>> arrivals;
+  std::uint64_t delivery_hash = 0;
+};
+
 // One jittered, lossy link driven to saturation. The invariant under
 // test: per (node, instant), the scheduler op minted for the *next*
 // transmission precedes the op minted for the completed packet's
 // delivery — the loss lottery (and jitter draw) sit between the two, so
-// any swap reorders the RNG stream and the delivery schedule. The
-// batched pump replays exactly that mint order; with TCPPR_DCHECK on,
-// Link::complete_packet asserts the delivery mint lands after the
-// stamped next-tx op. Equal arrival sequences batched vs unbatched are
-// the observable witness.
-std::vector<std::pair<SeqNo, int>> run_jittered_lossy(bool batching) {
-  set_hot_path_batching(batching);
+// any swap reorders the RNG stream and the delivery schedule. With
+// TCPPR_DCHECK on, Link::complete_packet asserts the delivery mint lands
+// after the stamped next-tx op; the arrival fingerprint is the observable
+// witness.
+JitteredLossyRun run_jittered_lossy() {
   sim::Scheduler sched;
   sched.enable_seq_stamping();
   Network network(sched);
-  set_hot_path_batching(true);  // restore the process default
+  validate::DeliveryHasher hasher;
+  network.add_trace_sink(&hasher);
   const NodeId a = network.add_node();
   const NodeId b = network.add_node();
   LinkConfig cfg;
@@ -204,12 +213,12 @@ std::vector<std::pair<SeqNo, int>> run_jittered_lossy(bool batching) {
   // as stale entries).
   for (int slice = 1; sched.pending_count() > 0; ++slice) {
     sched.run_until(sim::TimePoint::from_nanos(slice * 1'000'000));
-    if (const LinkPump* pump = network.pump()) {
-      EXPECT_LE(pump->indexed(), 2 * pump->link_count()) << "slice " << slice;
-    }
+    const LinkPump* pump = network.pump();
+    EXPECT_LE(pump->indexed(), 2 * pump->link_count()) << "slice " << slice;
   }
   network.node(b).detach_agent(1);
-  return agent.arrivals;
+  EXPECT_EQ(hasher.delivered(), agent.arrivals.size());
+  return JitteredLossyRun{agent.arrivals, hasher.hash()};
 }
 
 TEST(LinkPump, SecondNetworkSharesTheScheduler) {
@@ -257,21 +266,256 @@ TEST(LinkPump, SecondNetworkSharesTheScheduler) {
   second->node(1).detach_agent(1);
 }
 
-TEST(LinkOpOrder, JitteredLossyDeliverySequenceMatchesUnbatched) {
-  const auto unbatched = run_jittered_lossy(false);
-  const auto batched = run_jittered_lossy(true);
-  // Losses happened (the lottery ran) and jitter reordered arrivals
-  // (the merge-sorted ring actually exercised), yet the sequences agree
-  // exactly.
-  ASSERT_FALSE(unbatched.empty());
-  EXPECT_LT(unbatched.size(), 400u);
+TEST(LinkOpOrder, JitteredLossyDeliverySequenceMatchesRecordedFingerprint) {
+  const JitteredLossyRun run = run_jittered_lossy();
+  // Losses happened (the lottery ran) and jitter reordered arrivals (the
+  // merge-sorted ring actually exercised).
+  ASSERT_FALSE(run.arrivals.empty());
+  EXPECT_LT(run.arrivals.size(), 400u);
   bool reordered = false;
-  for (std::size_t i = 1; i < unbatched.size(); ++i) {
-    if (unbatched[i].first < unbatched[i - 1].first) reordered = true;
+  for (std::size_t i = 1; i < run.arrivals.size(); ++i) {
+    if (run.arrivals[i].first < run.arrivals[i - 1].first) reordered = true;
   }
   EXPECT_TRUE(reordered);
-  EXPECT_EQ(batched, unbatched);
+  // Recorded when a one-event-per-op engine still ran beside the pump and
+  // both produced exactly this stream: arrival count and the delivery hash
+  // over (time, flow, node, seq, size) of every arrival.
+  EXPECT_EQ(run.arrivals.size(), 318u);
+  EXPECT_EQ(run.delivery_hash, 0x283e531dca0aeaf4ull);
 }
+
+// --- Pump order oracle ---------------------------------------------------
+
+// Every agent delivery and every foreign event of one run, keyed by the
+// scheduler position it executed at: (now, current_event_seq). Each key
+// must lie inside the active run slice and exceed the one before it — the
+// total order a scheduler firing one event per op would follow.
+class OrderLog {
+ public:
+  explicit OrderLog(const sim::Scheduler& sched) : sched_(sched) {}
+
+  void set_limit(sim::TimePoint limit) { limit_ = limit; }
+  void record(const char* what) {
+    const Key key{sched_.now().as_nanos(), sched_.current_event_seq()};
+    if (key.first > limit_.as_nanos()) {
+      fail(std::string(what) + " past the slice limit");
+    }
+    if (!keys_.empty() && !(keys_.back() < key)) {
+      fail(std::string(what) + " out of order");
+    }
+    if (!keys_.empty() && keys_.back().first == key.first) ++same_time_;
+    keys_.push_back(key);
+  }
+  const std::string& first_failure() const { return failure_; }
+  std::size_t size() const { return keys_.size(); }
+  // Adjacent records at one instant: ties the seq order had to break.
+  std::size_t same_time() const { return same_time_; }
+
+ private:
+  using Key = std::pair<std::int64_t, std::uint64_t>;
+  void fail(const std::string& why) {
+    if (failure_.empty()) {
+      failure_ = why + " at record " + std::to_string(keys_.size()) +
+                 ", t=" + std::to_string(sched_.now().as_nanos()) + "ns";
+    }
+  }
+
+  const sim::Scheduler& sched_;
+  sim::TimePoint limit_ = sim::TimePoint::max();
+  std::vector<Key> keys_;
+  std::size_t same_time_ = 0;
+  std::string failure_;
+};
+
+class LoggingAgent final : public Agent {
+ public:
+  explicit LoggingAgent(OrderLog& log) : log_(log) {}
+  void deliver(Packet&&) override {
+    log_.record("delivery");
+    ++delivered;
+  }
+  std::uint64_t delivered = 0;
+
+ private:
+  OrderLog& log_;
+};
+
+// Times sit on a 250 us grid: packet sizes and bandwidths give whole grid
+// steps of transmission, delays are grid multiples (or zero), and foreign
+// events and slice limits land on the grid too, so ops, events and limits
+// collide. Jittered links add off-grid deliveries.
+constexpr std::int64_t kGridNs = 250'000;
+
+sim::TimePoint on_grid(std::uint64_t steps) {
+  return sim::TimePoint::from_nanos(static_cast<std::int64_t>(steps) *
+                                    kGridNs);
+}
+
+struct OracleRun {
+  std::string failure;
+  std::uint64_t delivered = 0;  // agent deliveries logged
+  std::uint64_t foreign = 0;    // foreign events logged
+  std::size_t same_time = 0;
+  LinkPump::Stats pump{};
+  Network::ConservationSnapshot end{};
+};
+
+// A random network of 3-6 nodes on one scheduler (stamped or plain): a
+// random spanning tree plus chords, each direction with its own
+// bandwidth, delay (two in five zero), queue limit, and maybe jitter and
+// loss. Packets start at random nodes before the run; foreign events
+// scheduled before and during it originate more at their owner node.
+// The run advances in random slices of run_until and run_until_before.
+OracleRun run_pump_oracle(std::uint64_t seed, bool stamped) {
+  sim::Rng rng(seed);
+  sim::Scheduler sched;
+  if (stamped) sched.enable_seq_stamping();
+  Network network(sched);
+  const int n = 3 + static_cast<int>(rng.uniform_int(4));
+  for (int i = 0; i < n; ++i) network.add_node();
+  const double bandwidths[] = {4e6, 8e6, 16e6};  // 1000 B: 2, 1, 0.5 ms
+  const std::int64_t delay_steps[] = {0, 0, 1, 4, 12};
+  std::uint64_t salt = 0;
+  const auto add_link = [&](NodeId from, NodeId to) {
+    LinkConfig cfg;
+    cfg.bandwidth_bps = bandwidths[rng.uniform_int(3)];
+    cfg.delay = sim::Duration::nanos(delay_steps[rng.uniform_int(5)] * kGridNs);
+    cfg.queue_limit_packets = rng.bernoulli(0.3) ? 3 : 100;
+    Link& link = network.add_link(from, to, cfg);
+    if (rng.bernoulli(0.3)) {
+      link.set_jitter(sim::Duration::micros(rng.uniform(50.0, 2000.0)),
+                      rng.fork(++salt));
+    }
+    if (rng.bernoulli(0.3)) link.set_loss_model(0.15, rng.fork(++salt));
+  };
+  for (NodeId v = 1; v < n; ++v) {
+    const auto u = static_cast<NodeId>(rng.uniform_int(v));
+    add_link(u, v);
+    add_link(v, u);
+  }
+  for (int chord = 0; chord < 2; ++chord) {
+    const auto u = static_cast<NodeId>(rng.uniform_int(n));
+    const auto v = static_cast<NodeId>(rng.uniform_int(n));
+    if (u == v || network.find_link(u, v) != nullptr) continue;
+    add_link(u, v);
+    add_link(v, u);
+  }
+  network.compute_static_routes();
+
+  OrderLog log(sched);
+  std::vector<std::unique_ptr<LoggingAgent>> agents;
+  for (NodeId v = 0; v < n; ++v) {
+    agents.push_back(std::make_unique<LoggingAgent>(log));
+    network.node(v).attach_agent(/*flow=*/1, agents.back().get());
+  }
+  std::uint64_t seq = 0;
+  const auto originate = [&](NodeId src) {
+    Packet pkt;
+    pkt.dst = static_cast<NodeId>(
+        (src + 1 + static_cast<NodeId>(rng.uniform_int(n - 1))) % n);
+    pkt.size_bytes = rng.bernoulli(0.5) ? 500 : 1000;
+    pkt.tcp.flow = 1;
+    pkt.tcp.seq = static_cast<SeqNo>(seq++);
+    network.node(src).originate(std::move(pkt));
+  };
+
+  // A foreign event logs itself, may originate a packet at its owner, and
+  // may schedule a follow-up for the same owner, possibly at this very
+  // instant: owned by the same node, it sorts after the running event on
+  // a stamped scheduler too.
+  std::uint64_t foreign = 0;
+  std::function<void(sim::TimePoint, NodeId)> schedule_foreign;
+  const auto fire = [&](NodeId owner) {
+    log.record("foreign event");
+    ++foreign;
+    if (rng.bernoulli(0.6)) originate(owner);
+    if (rng.bernoulli(0.3)) {
+      schedule_foreign(sched.now() + sim::Duration::nanos(
+                                         static_cast<std::int64_t>(
+                                             rng.uniform_int(4)) *
+                                         kGridNs),
+                       owner);
+    }
+  };
+  schedule_foreign = [&](sim::TimePoint t, NodeId owner) {
+    const auto cb = [&fire, owner] { fire(owner); };
+    if (stamped) {
+      sched.schedule_at_for(t, static_cast<std::uint32_t>(owner), cb);
+    } else {
+      sched.schedule_at(t, cb);
+    }
+  };
+  const int initial = 20 + static_cast<int>(rng.uniform_int(40));
+  for (int i = 0; i < initial; ++i) {
+    originate(static_cast<NodeId>(rng.uniform_int(n)));
+  }
+  const int events = 40 + static_cast<int>(rng.uniform_int(40));
+  for (int i = 0; i < events; ++i) {
+    schedule_foreign(on_grid(rng.uniform_int(400)),
+                     static_cast<NodeId>(rng.uniform_int(n)));
+  }
+
+  // Slices end on the grid; run_until includes its limit, run_until_before
+  // stops one nanosecond short of it.
+  std::uint64_t step = 0;
+  while (sched.pending_count() > 0 && step < 600) {
+    step += 1 + rng.uniform_int(8);
+    const sim::TimePoint end = on_grid(step);
+    if (rng.bernoulli(0.5)) {
+      log.set_limit(end);
+      sched.run_until(end);
+    } else {
+      log.set_limit(end - sim::Duration::nanos(1));
+      sched.run_until_before(end);
+    }
+    const Network::ConservationSnapshot c = network.conservation();
+    EXPECT_TRUE(c.balanced()) << "step " << step;
+    EXPECT_EQ(c.live, c.in_queues + c.in_transit) << "step " << step;
+    const LinkPump* pump = network.pump();
+    EXPECT_LE(pump->indexed(), 2 * pump->link_count()) << "step " << step;
+  }
+  log.set_limit(sim::TimePoint::max());
+  sched.run();
+
+  OracleRun out;
+  out.failure = log.first_failure();
+  for (const auto& agent : agents) out.delivered += agent->delivered;
+  out.foreign = foreign;
+  out.same_time = log.same_time();
+  out.pump = network.pump()->stats();
+  out.end = network.conservation();
+  for (NodeId v = 0; v < n; ++v) network.node(v).detach_agent(1);
+  return out;
+}
+
+class LinkPumpOracle : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(LinkPumpOracle, OpsFollowTheSchedulerOrderAndConservePackets) {
+  for (const bool stamped : {false, true}) {
+    SCOPED_TRACE(stamped ? "stamped" : "plain");
+    const OracleRun run = run_pump_oracle(GetParam(), stamped);
+    EXPECT_EQ(run.failure, "");
+    // Every originated packet reached an agent or a counted drop, and
+    // nothing is left queued, in flight or checked out of the pool.
+    EXPECT_TRUE(run.end.balanced());
+    EXPECT_EQ(run.end.in_queues + run.end.in_transit + run.end.live, 0u);
+    EXPECT_EQ(run.end.unroutable, 0u);
+    EXPECT_EQ(run.delivered, run.end.delivered_to_agent);
+    // The oracle saw work worth ordering: deliveries, foreign events,
+    // ties at one instant, and ops riding carrier events.
+    EXPECT_GT(run.delivered, 20u);
+    EXPECT_GE(run.foreign, 40u);
+    EXPECT_GT(run.same_time, 0u);
+    EXPECT_GT(run.pump.ops, run.pump.events);
+  }
+}
+
+// Twelve random networks, one ctest case each.
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, LinkPumpOracle,
+    ::testing::Values(1u, 22u, 333u, 4444u, 55555u, 666666u, 7777777u,
+                      88888888u, 13u, 404u, 9001u, 31337u),
+    [](const auto& info) { return std::to_string(info.param); });
 
 }  // namespace
 }  // namespace tcppr::net

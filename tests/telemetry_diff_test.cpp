@@ -5,7 +5,7 @@
 //      with the exact per-flow baseline and the InvariantChecker asserts
 //      the declared error bounds every sweep. 200+ cells: 12 variants x
 //      3 paper topologies x {1,2,4} LPs, plus 200 fuzz seeds alternating
-//      batched and unbatched.
+//      the sequential engine and 2 LPs.
 //   2. Hash identity: for the same case, the DeliveryHasher digest with
 //      telemetry on must be byte-identical to the digest with telemetry
 //      off. Observation must not perturb the simulation.
@@ -68,7 +68,8 @@ INSTANTIATE_TEST_SUITE_P(AllVariants, VariantTelemetryParallelMatrix,
                          variant_test_name);
 
 // 200 fuzz seeds with telemetry + exact baseline forced on, alternating
-// batched and unbatched so both delivery paths feed the taps.
+// the sequential engine and 2 LPs, so cross-LP injected deliveries feed
+// the taps too.
 // Sharded into 8 parameterized cases so ctest -j spreads the work. The
 // checker cross-validates sketch vs exact at every sweep; r.ok is the
 // verdict.
@@ -81,7 +82,7 @@ TEST_P(FuzzSeedTelemetryDifferential, SketchMatchesExactWithinBounds) {
   for (std::uint64_t seed = first; seed < first + kSeedsPerShard; ++seed) {
     FuzzCase c = sample_fuzz_case(seed);
     c.telemetry = true;
-    c.batching = seed % 2 == 0;
+    c.par_lps = seed % 2 == 0 ? 0 : 2;
     const FuzzResult r = run_fuzz_case(c);
     EXPECT_TRUE(r.ok) << "seed " << seed << " (" << describe(c)
                       << "): " << r.first_violation;
@@ -93,8 +94,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds1To200, FuzzSeedTelemetryDifferential,
 
 // Telemetry on vs off over the same case must produce byte-identical
 // delivery streams: taps observe, they never perturb. Covers the clean
-// paper topologies, faulty fuzz seeds, batched + unbatched, and the
-// parallel engine's cross-shard injection path.
+// paper topologies, faulty fuzz seeds, and the parallel engine's
+// cross-shard injection path.
 TEST(TelemetryHashIdentity, PaperTopologiesAllEngineModes) {
   const FuzzCase::Topology topologies[] = {
       FuzzCase::Topology::kDumbbell,
@@ -102,23 +103,20 @@ TEST(TelemetryHashIdentity, PaperTopologiesAllEngineModes) {
       FuzzCase::Topology::kMultipath,
   };
   for (const auto topology : topologies) {
-    for (const bool batching : {true, false}) {
-      for (const int lps : {0, 2, 4}) {
-        FuzzCase c;
-        c.topology = topology;
-        c.flows = 2;
-        c.variants = {harness::TcpVariant::kSack, harness::TcpVariant::kTcpPr};
-        c.duration_s = 2.0;
-        c.batching = batching;
-        c.par_lps = lps;
-        const FuzzResult off = run_with_telemetry(c, false);
-        const FuzzResult on = run_with_telemetry(c, true);
-        EXPECT_EQ(on.delivery_hash, off.delivery_hash)
-            << to_string(topology) << " batching=" << batching << " lps="
-            << lps << ": telemetry perturbed the delivery stream";
-        EXPECT_EQ(on.delivered, off.delivered) << to_string(topology);
-        EXPECT_TRUE(on.ok) << on.first_violation;
-      }
+    for (const int lps : {0, 2, 4}) {
+      FuzzCase c;
+      c.topology = topology;
+      c.flows = 2;
+      c.variants = {harness::TcpVariant::kSack, harness::TcpVariant::kTcpPr};
+      c.duration_s = 2.0;
+      c.par_lps = lps;
+      const FuzzResult off = run_with_telemetry(c, false);
+      const FuzzResult on = run_with_telemetry(c, true);
+      EXPECT_EQ(on.delivery_hash, off.delivery_hash)
+          << to_string(topology) << " lps=" << lps
+          << ": telemetry perturbed the delivery stream";
+      EXPECT_EQ(on.delivered, off.delivered) << to_string(topology);
+      EXPECT_TRUE(on.ok) << on.first_violation;
     }
   }
 }

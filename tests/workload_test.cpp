@@ -1,7 +1,7 @@
 // Tests for the flow lifecycle engine (src/workload): dynamic arrivals,
 // genuine departures, slot recycling under quarantine, steady-state memory
 // at churn scale, and byte-identical delivery streams across the parallel
-// engine and the batched/unbatched hot paths.
+// engine's LP counts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,7 +9,6 @@
 
 #include "harness/parallel_run.hpp"
 #include "harness/scenarios.hpp"
-#include "net/link_pump.hpp"
 #include "obs/series.hpp"
 #include "validate/determinism.hpp"
 #include "workload/workload.hpp"
@@ -166,10 +165,9 @@ TEST(Workload, DeterministicForSeedAndSensitiveToSeed) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel / batching equivalence: the churn acceptance criterion. A
-// churning run must produce a byte-identical delivery stream at every LP
-// count and on both hot paths; the canonical baseline is the stamped
-// one-shard batched run.
+// Parallel equivalence: the churn acceptance criterion. A churning run
+// must produce a byte-identical delivery stream at every LP count; the
+// canonical baseline is the stamped one-shard run.
 
 struct ChurnDigest {
   std::uint64_t hash = 0;
@@ -177,8 +175,7 @@ struct ChurnDigest {
   std::uint64_t completed = 0;
 };
 
-ChurnDigest run_churn(WorkloadKind kind, int lps, bool batching) {
-  net::set_hot_path_batching(batching);
+ChurnDigest run_churn(WorkloadKind kind, int lps) {
   auto s = make_churn_dumbbell(100e6);
   validate::DeliveryHasher hasher;
   s->network.add_trace_sink(&hasher);
@@ -201,7 +198,6 @@ ChurnDigest run_churn(WorkloadKind kind, int lps, bool batching) {
     psim.run_until(end);
     out.completed = engine.stats().completed;
   }
-  net::set_hot_path_batching(true);  // restore the process default
   out.hash = hasher.hash();
   out.delivered = hasher.delivered();
   return out;
@@ -211,20 +207,14 @@ class ChurnEquivalence : public ::testing::TestWithParam<WorkloadKind> {};
 
 TEST_P(ChurnEquivalence, DigestIdenticalAcrossParAndBatching) {
   const WorkloadKind kind = GetParam();
-  const ChurnDigest base = run_churn(kind, /*lps=*/1, /*batching=*/true);
+  const ChurnDigest base = run_churn(kind, /*lps=*/1);
   ASSERT_GT(base.delivered, 0u);
   ASSERT_GT(base.completed, 0u);
-  for (const int lps : {1, 2, 4}) {
-    for (const bool batching : {true, false}) {
-      if (lps == 1 && batching) continue;  // the baseline itself
-      const ChurnDigest d = run_churn(kind, lps, batching);
-      EXPECT_EQ(d.hash, base.hash)
-          << to_string(kind) << " lps=" << lps << " batching=" << batching;
-      EXPECT_EQ(d.delivered, base.delivered)
-          << to_string(kind) << " lps=" << lps << " batching=" << batching;
-      EXPECT_EQ(d.completed, base.completed)
-          << to_string(kind) << " lps=" << lps << " batching=" << batching;
-    }
+  for (const int lps : {2, 4}) {
+    const ChurnDigest d = run_churn(kind, lps);
+    EXPECT_EQ(d.hash, base.hash) << to_string(kind) << " lps=" << lps;
+    EXPECT_EQ(d.delivered, base.delivered) << to_string(kind) << " lps=" << lps;
+    EXPECT_EQ(d.completed, base.completed) << to_string(kind) << " lps=" << lps;
   }
 }
 

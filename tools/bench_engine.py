@@ -86,8 +86,6 @@ LPS_RE = re.compile(r"/lps:(\d+)")
 # twice as slow as after other rows have warmed the allocator.) Ungated
 # rows stay single-shot for runtime.
 RATIO_GROUPS = [
-    # batched-vs-unbatched 4096-flow dumbbell speedup
-    ("scale_flows", r"BM_ScaleFlowsDumbbell/flows:4096/batch:[01]$"),
     # telemetry tap overhead vs the untapped forwarding loop
     ("micro_engine", r"BM_TelemetryTap/[01]$|BM_PacketForwardLoop$"),
     # the machine factor's pure-compute rows

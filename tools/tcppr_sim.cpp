@@ -66,7 +66,6 @@ struct Args {
   std::optional<int> id_slots;        // workload id-space override
   // Exit nonzero unless the workload's peak concurrency reaches this.
   std::size_t expect_concurrent = 0;
-  bool no_batch = false;  // run the unbatched one-event-per-op engine
   int par = 0;  // 0 = sequential, >= 1 = parallel harness with N LPs
   std::optional<int> fuzz_count;
   std::optional<std::uint64_t> fuzz_seed;
@@ -135,10 +134,6 @@ void usage(std::FILE* out) {
       "  --id-slots <n>        workload flow-id slot table size override\n"
       "  --expect-concurrent <n>  exit nonzero unless the workload's peak\n"
       "                        concurrency reached n (scale gating)\n"
-      "  --no-batch            disable the batched hot path (one scheduler\n"
-      "                        event per packet op; byte-identical results,\n"
-      "                        the perf-comparison baseline). Also applies\n"
-      "                        to --fuzz-seed replays\n"
       "  --par <n>             run on n parallel scheduler shards (LPs),\n"
       "                        0..64; byte-identical for every n >= 1. A\n"
       "                        run without --par breaks same-nanosecond\n"
@@ -186,9 +181,10 @@ bool read_real(const char* text, double& out) {
   return true;
 }
 
-// Returns false on an unknown flag (exit 1). Malformed values are appended
-// to `errors` (usage errors, exit 2) and parsing continues.
-bool parse(int argc, char** argv, Args& args,
+// Appends every usage error (exit 2) to `errors`. Parsing continues past
+// a malformed value and stops at an unknown flag, whose value tokens, if
+// any, cannot be told apart from flags.
+void parse(int argc, char** argv, Args& args,
            std::vector<std::string>& errors) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -266,8 +262,6 @@ bool parse(int argc, char** argv, Args& args,
       std::uint64_t n = 0;
       unsigned_integer(n);
       args.expect_concurrent = static_cast<std::size_t>(n);
-    } else if (flag == "--no-batch") {
-      args.no_batch = true;
     } else if (flag == "--par") {
       integer(args.par);
     } else if (flag == "--fuzz") {
@@ -279,11 +273,10 @@ bool parse(int argc, char** argv, Args& args,
     } else if (flag == "--jobs") {
       integer(args.jobs);
     } else {
-      std::fprintf(stderr, "unknown flag %s (try --help)\n", flag.c_str());
-      return false;
+      errors.push_back("unknown flag " + flag);
+      return;
     }
   }
-  return true;
 }
 
 double measured_seconds(const Args& args) {
@@ -461,7 +454,7 @@ std::unique_ptr<harness::Scenario> build(const Args& args) {
 int main(int argc, char** argv) {
   Args args;
   std::vector<std::string> errors;
-  if (!parse(argc, argv, args, errors)) return 1;
+  parse(argc, argv, args, errors);
   // Range checks only make sense on values that parsed.
   if (errors.empty()) errors = check_args(args);
   if (!errors.empty()) {
@@ -476,7 +469,6 @@ int main(int argc, char** argv) {
   if (args.fuzz_seed) {
     auto c = validate::sample_fuzz_case(*args.fuzz_seed);
     c.par_lps = args.par;
-    c.batching = !args.no_batch;
     std::printf("fuzz seed %llu: %s\n",
                 static_cast<unsigned long long>(*args.fuzz_seed),
                 validate::describe(c).c_str());
@@ -503,9 +495,7 @@ int main(int argc, char** argv) {
     return failures == 0 ? 0 : 1;
   }
 
-  net::set_hot_path_batching(!args.no_batch);
   auto scenario = build(args);
-  net::set_hot_path_batching(true);
   if (!scenario) return 1;
 
   std::unique_ptr<trace::FileTrace> trace_file;
@@ -697,29 +687,24 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(to));
     }
   }
-  // Scheduler events and pump ops side by side: a batched run executes
-  // most packet ops inside a few carrier events, so the event count alone
-  // says little about the work done.
-  net::LinkPump::Stats pump_stats{};
-  if (psim) {
-    pump_stats = psim->pump_stats();
-  } else if (scenario->network.pump() != nullptr) {
-    pump_stats = scenario->network.pump()->stats();
-  }
+  // Scheduler events and pump ops side by side: the pump executes most
+  // packet ops inside a few carrier events, so the event count alone says
+  // little about the work done.
+  const net::LinkPump::Stats pump_stats =
+      psim ? psim->pump_stats() : scenario->network.pump()->stats();
   std::printf("\nloss rate %.2f%%, %llu scheduler events, %llu pump ops\n",
               100.0 * result.loss_rate,
               static_cast<unsigned long long>(result.events),
               static_cast<unsigned long long>(pump_stats.ops));
-  // Engine aggregates: events per delivered packet (the batched hot path
-  // drives this below 1) and pump ops per carrier event.
+  // Engine aggregates: events per delivered packet (the pump drives this
+  // below 1) and pump ops per carrier event.
   const auto snap = scenario->network.conservation();
   const double epp =
       snap.delivered_to_agent > 0
           ? static_cast<double>(result.events) /
                 static_cast<double>(snap.delivered_to_agent)
           : 0.0;
-  std::printf("engine: %s, %.3f events/packet",
-              args.no_batch ? "unbatched" : "batched", epp);
+  std::printf("engine: %.3f events/packet", epp);
   if (pump_stats.events > 0) {
     std::printf(", %llu carrier events (%.2f pump ops/event)",
                 static_cast<unsigned long long>(pump_stats.events),
